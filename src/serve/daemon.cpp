@@ -1,16 +1,21 @@
 #include "serve/daemon.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/file.h>
+#include <sys/inotify.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/telemetry/openmetrics.hpp"
@@ -71,6 +76,35 @@ bool has_files(const fs::path& dir) {
     if (entry.is_regular_file()) return true;
   }
   return false;
+}
+
+/// Owns one file descriptor (negative = none) and closes it on every
+/// return path; closing is also what releases a flock() held through it.
+class UniqueFd {
+ public:
+  explicit UniqueFd(int fd) : fd_(fd) {}
+  ~UniqueFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  UniqueFd(const UniqueFd&) = delete;
+  UniqueFd& operator=(const UniqueFd&) = delete;
+  [[nodiscard]] int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// Sleeps until `wake` (an inotify fd, or negative for none) reports a
+/// queue/ event or `timeout_ms` passes, then discards the pending events:
+/// the caller rescans queue/ on every wake, so which names moved (or an
+/// IN_Q_OVERFLOW) does not matter.
+void wait_for_drop(int wake, int timeout_ms) {
+  pollfd pfd{wake, POLLIN, 0};  // poll() ignores a negative fd
+  ::poll(&pfd, 1, timeout_ms);
+  if (wake < 0) return;
+  alignas(inotify_event) char buf[4096];
+  while (::read(wake, buf, sizeof buf) > 0) {
+  }
 }
 
 struct DaemonPaths {
@@ -284,6 +318,32 @@ int run_daemon(const DaemonOptions& opts) {
     return 2;
   }
 
+  // One daemon per spool root: a second one would wake on the same drops
+  // and race every claim.  The lock lives as long as this fd, so every
+  // return below (and a SIGKILL) releases it.
+  const fs::path lock_path = root / "daemon.lock";
+  const UniqueFd lock(
+      ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644));
+  if (lock.get() < 0 || ::flock(lock.get(), LOCK_EX | LOCK_NB) != 0) {
+    std::fprintf(stderr, "dvs_sim serve: cannot lock %s: %s\n",
+                 lock_path.c_str(),
+                 errno == EWOULDBLOCK ? "another daemon serves this root"
+                                      : std::strerror(errno));
+    return 2;
+  }
+
+  // Watch queue/ before the first scan, so a drop landing between a scan
+  // and the wait still wakes the wait.  Without a watch (no inotify, or
+  // the per-user instance limit reached) the same wait sleeps poll_ms.
+  const UniqueFd watch(::inotify_init1(IN_NONBLOCK | IN_CLOEXEC));
+  if (watch.get() < 0 ||
+      ::inotify_add_watch(watch.get(), dp.queue.c_str(),
+                          IN_MOVED_TO | IN_CLOSE_WRITE) < 0) {
+    std::fprintf(stderr,
+                 "serve: no inotify watch on %s (%s); scanning every %d ms\n",
+                 dp.queue.c_str(), std::strerror(errno), opts.poll_ms);
+  }
+
   std::signal(SIGTERM, handle_stop);
   std::signal(SIGINT, handle_stop);
 
@@ -314,13 +374,13 @@ int run_daemon(const DaemonOptions& opts) {
     const std::vector<std::string> stems = job_stems(dp.queue);
     if (stems.empty()) {
       if (opts.drain) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
+      wait_for_drop(watch.get(), opts.poll_ms);
       continue;
     }
     for (const std::string& stem : stems) {
       if (g_stop != 0 || !budget_left()) break;
-      // Claim by atomic rename; losing a race (ENOENT) just means another
-      // process took it — irrelevant today, cheap insurance tomorrow.
+      // Claim by atomic rename; ENOENT means the file left queue/ since
+      // the scan (a user took it back), so skip it.
       std::error_code ec;
       fs::rename(dp.queue / (stem + ".json"), dp.running / (stem + ".json"),
                  ec);

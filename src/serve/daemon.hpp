@@ -18,9 +18,15 @@
 //                                done/<name>.out/job_summary.json in sorted
 //                                stem order (byte-identical regardless of
 //                                completion order)
+//   <root>/daemon.lock           flock()ed by the serving daemon: one
+//                                daemon per root, a second exits 2
 //
 // Observe a live daemon with `dvs_sim status <root>` and
 // `dvs_sim tail <root>` (docs/SERVING.md "Observing a live daemon").
+//
+// While idle the daemon blocks on an inotify watch of queue/, so a drop is
+// claimed as it lands; poll_ms only bounds the wait between scans, a
+// backstop for filesystems that deliver no events.
 //
 // Claim order is lexicographic file-name order (drop "000-", "001-"
 // prefixes to sequence work).  Dotfiles and non-.json entries are ignored,
@@ -41,7 +47,10 @@ namespace dvs::serve {
 struct DaemonOptions {
   std::string root;  ///< queue root; subdirectories are created as needed
   int jobs = 0;      ///< worker threads per job when the job says 0 (0 = hw)
-  int poll_ms = 200;  ///< queue scan interval while idle
+  /// Longest idle wait between queue scans.  Drops wake the daemon at
+  /// once through inotify; this backstop covers filesystems (or a failed
+  /// watch set-up) that deliver no events.
+  int poll_ms = 200;
   /// Exit once queue/ and running/ are both empty (batch mode; also the CI
   /// smoke mode).  false = keep serving until a signal.
   bool drain = false;
@@ -49,8 +58,9 @@ struct DaemonOptions {
 };
 
 /// Runs the daemon loop; returns a process exit code (0 = clean shutdown,
-/// 2 = unusable root directory).  Installs SIGTERM/SIGINT handlers for
-/// graceful shutdown (restores nothing: the process exits afterwards).
+/// 2 = unusable root directory, or another daemon holds its lock).
+/// Installs SIGTERM/SIGINT handlers for graceful shutdown (restores
+/// nothing: the process exits afterwards).
 int run_daemon(const DaemonOptions& opts);
 
 }  // namespace dvs::serve

@@ -286,6 +286,18 @@ def main():
                           capture_output=True, text=True, timeout=60)
     if proc.returncode != 2:
         fail(f"bare `serve` should exit 2, got {proc.returncode}")
+    # Non-numeric and negative counts are usage errors too, not an uncaught
+    # exception (exit 134) or a silent wrap-around.  --drain keeps a daemon
+    # that wrongly starts from serving forever.
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, value in (("--poll-ms", "abc"), ("--jobs", "x"),
+                            ("--max-jobs", "-1")):
+            proc = subprocess.run([binary, "serve", tmp, "--drain", flag,
+                                   value],
+                                  capture_output=True, text=True, timeout=60)
+            if proc.returncode != 2 or flag not in proc.stderr:
+                fail(f"`serve {flag} {value}` should be a usage error "
+                     f"(exit 2), got {proc.returncode}\n{proc.stderr}")
 
     # ---- observability surface: ledger, flight recorder, report ------------
 

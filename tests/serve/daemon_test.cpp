@@ -1,13 +1,21 @@
-// Daemon lifecycle over a real directory tree (in-process, --drain
+// Daemon lifecycle over a real directory tree (in-process, mostly --drain
 // semantics): valid jobs travel queue/ -> done/ with artifacts, malformed
 // jobs land in failed/ with an error note, and foreign files are ignored.
+// An idle daemon wakes on a drop rather than its poll interval, and one
+// spool root admits one daemon at a time.
 // Every drain also leaves the telemetry plane behind — events.jsonl,
 // status.json, metrics.om, per-job summaries — which the tests here pin.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/file.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/daemon.hpp"
@@ -192,6 +200,77 @@ TEST(ServeDaemon, MaxJobsStopsEarly) {
   EXPECT_TRUE(fs::exists(tmp.path() / "done/a.json"));
   EXPECT_TRUE(fs::exists(tmp.path() / "done/b.json"));
   EXPECT_TRUE(fs::exists(tmp.path() / "queue/c.json"));
+}
+
+TEST(ServeDaemon, WakesOnDropWithoutWaitingForPoll) {
+  TempDir tmp("serve_daemon_wake");
+  DaemonOptions opts;
+  opts.root = tmp.path().string();
+  opts.jobs = 1;
+  opts.poll_ms = 30000;  // a polling daemon would sleep through the test
+  opts.max_jobs = 1;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::future<int> daemon =
+      std::async(std::launch::async, [&opts] { return run_daemon(opts); });
+
+  // Drop only once the daemon is up and past its first (empty) scan, so
+  // the job has to wake it.  No early return: the daemon only exits after
+  // a job, so the drop below must happen even when a check fails.
+  const std::string events = (tmp.path() / "events.jsonl").string();
+  const auto started = [&events] {
+    return fs::exists(events) && !load_events(events).empty();
+  };
+  while (!started() &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(30)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(started() && load_events(events).front().type == "daemon_start");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // Enqueue the way users do: write a dotfile, rename it into queue/.
+  const auto dropped = std::chrono::steady_clock::now();
+  write_file(tmp.path() / "queue/.late.json.tmp",
+             R"({"schema": "dvs-job-v1", "kind": "run",
+                 "run": {"media": "mp3", "sequence": "A",
+                         "detector": "max"}})");
+  fs::rename(tmp.path() / "queue/.late.json.tmp",
+             tmp.path() / "queue/late.json");
+
+  EXPECT_EQ(daemon.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "the drop did not wake the idle daemon";
+  EXPECT_EQ(daemon.get(), 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - dropped,
+            std::chrono::seconds(5));
+  EXPECT_TRUE(fs::exists(tmp.path() / "done/late.json"));
+  EXPECT_TRUE(fs::exists(tmp.path() / "done/late.out/run.csv"));
+}
+
+TEST(ServeDaemon, SecondDaemonOnOneRootExits2) {
+  TempDir tmp("serve_daemon_lock");
+  write_file(tmp.path() / "queue/job.json",
+             R"({"schema": "dvs-job-v1", "kind": "run",
+                 "run": {"media": "mp3", "sequence": "A",
+                         "detector": "max"}})");
+  DaemonOptions opts;
+  opts.root = tmp.path().string();
+  opts.jobs = 1;
+  opts.drain = true;
+
+  // Stand in for a live daemon by holding its lock.
+  const int held = ::open((tmp.path() / "daemon.lock").c_str(),
+                          O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  ASSERT_GE(held, 0);
+  ASSERT_EQ(::flock(held, LOCK_EX | LOCK_NB), 0);
+  EXPECT_EQ(run_daemon(opts), 2);
+  // The refused daemon claimed nothing and logged nothing.
+  EXPECT_TRUE(fs::exists(tmp.path() / "queue/job.json"));
+  EXPECT_FALSE(fs::exists(tmp.path() / "events.jsonl"));
+
+  // Once the holder is gone the root is served again.
+  ::close(held);
+  EXPECT_EQ(run_daemon(opts), 0);
+  EXPECT_TRUE(fs::exists(tmp.path() / "done/job.json"));
 }
 
 }  // namespace

@@ -1,13 +1,35 @@
 // `dvs_sim serve <dir>`: the long-running job-queue daemon (src/serve/).
 // Jobs are dvs-job-v1 JSON files dropped into <dir>/queue/; see
 // docs/SERVING.md for the queue lifecycle and checkpoint semantics.
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "cli_common.hpp"
 #include "serve/daemon.hpp"
 
 namespace dvs::cli {
+namespace {
+
+/// The value of integer flag `flag`: decimal digits only, at most `max`.
+/// Signs, junk and overflow are usage errors.
+std::uint64_t parse_count(const std::string& flag, const char* text,
+                          std::uint64_t max) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || stop != end || v > max) {
+    usage((flag + " needs an integer from 0 to " + std::to_string(max) +
+           ", got '" + text + "'")
+              .c_str());
+  }
+  return v;
+}
+
+}  // namespace
 
 int cmd_serve(int argc, char** argv, int first) {
   serve::DaemonOptions opts;
@@ -21,11 +43,16 @@ int cmd_serve(int argc, char** argv, int first) {
       if (!opts.root.empty()) usage("serve takes one queue directory");
       opts.root = a;
     }
-    else if (a == "--jobs") { opts.jobs = std::stoi(need(i)); ++i; }
-    else if (a == "--poll-ms") { opts.poll_ms = std::stoi(need(i)); ++i; }
+    else if (a == "--jobs") {
+      opts.jobs = static_cast<int>(parse_count(a, need(i), INT_MAX)); ++i;
+    }
+    else if (a == "--poll-ms") {
+      opts.poll_ms = static_cast<int>(parse_count(a, need(i), INT_MAX)); ++i;
+    }
     else if (a == "--drain") { opts.drain = true; }
     else if (a == "--max-jobs") {
-      opts.max_jobs = static_cast<std::size_t>(std::stoull(need(i))); ++i;
+      opts.max_jobs = static_cast<std::size_t>(
+          parse_count(a, need(i), SIZE_MAX)); ++i;
     }
     else if (a == "--help" || a == "-h") { usage("help requested"); }
     else { usage(("unknown serve option " + a).c_str()); }

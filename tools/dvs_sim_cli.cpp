@@ -38,7 +38,8 @@
 // Serve options (dvs_sim serve <dir>):
 //   --jobs <n>                worker threads per job when the job's own
 //                             "jobs" field is 0 (0 = all cores)
-//   --poll-ms <n>             queue scan interval while idle (default 200)
+//   --poll-ms <n>             longest idle wait between queue scans; drops
+//                             wake the daemon at once (default 200)
 //   --drain                   exit once queue/ and running/ are empty
 //   --max-jobs <n>            stop after n jobs (0 = unlimited)
 //
