@@ -1,8 +1,11 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 namespace dvs::json {
@@ -265,6 +268,102 @@ ValuePtr parse_file(const std::string& path) {
   } catch (const ParseError& e) {
     throw ParseError(std::string(e.what()) + " (" + path + ")");
   }
+}
+
+void read_jsonl_prefix(const std::string& path, const std::string& schema,
+                       const std::string& what,
+                       const std::function<void(const Value&)>& on_header,
+                       const std::function<bool(const Value&)>& on_record) {
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    ValuePtr doc;
+    try {
+      doc = parse(line);
+    } catch (const ParseError&) {
+      return;
+    }
+    if (const Value* s = doc->find("schema"); s != nullptr) {
+      if (!s->is_string() || s->as_string() != schema) {
+        throw std::runtime_error(what + " " + path +
+                                 ": header schema is not \"" + schema + "\"");
+      }
+      if (on_header) on_header(*doc);
+      continue;
+    }
+    try {
+      if (!on_record(*doc)) return;
+    } catch (const std::runtime_error&) {
+      return;
+    }
+  }
+}
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::ofstream append_jsonl(const std::string& path,
+                           const std::string& header) {
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec)) {
+    std::ifstream in(path, std::ios::binary);
+    const std::string content{std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()};
+    if (!content.empty() && content.back() != '\n') {
+      const std::size_t nl = content.rfind('\n');
+      std::filesystem::resize_file(
+          path, nl == std::string::npos ? 0 : nl + 1, ec);
+    }
+  }
+  const bool fresh = !std::filesystem::exists(path, ec) ||
+                     std::filesystem::file_size(path, ec) == 0;
+  std::ofstream out(path, std::ios::app);
+  if (!out) throw std::runtime_error("cannot open " + path);
+  if (fresh) out << header << "\n" << std::flush;
+  return out;
+}
+
+void write_file_atomic(const std::string& path, const std::string& text) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream os(tmp, std::ios::trunc);
+    if (!os) throw std::runtime_error("cannot open " + tmp);
+    os << text;
+    os.flush();
+    if (!os) throw std::runtime_error("write failed: " + tmp);
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    throw std::runtime_error("rename to " + path + ": " + ec.message());
+  }
+}
+
+std::string fmt17(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
 }
 
 }  // namespace dvs::json

@@ -4,16 +4,20 @@
 // escapes), doubles, bools, null.  No external dependencies — the container
 // image is frozen.
 //
-// This is a *reader*; all JSON writing in the repo stays hand-rolled at the
-// emission sites (metrics_registry, attribution, bench_perf) where the
-// format lives next to the data.
+// JSON writing stays hand-rolled at the emission sites (metrics_registry,
+// attribution, serve artifacts) where the format lives next to the data;
+// what every writer shares lives here: escape() and fmt17(), the crash-
+// tolerant JSONL log open/read pair, and the atomic file replace.
 #pragma once
 
 #include <cstdint>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dvs::json {
@@ -74,5 +78,36 @@ ValuePtr parse(const std::string& text);
 
 /// Reads and parses a whole file; ParseError mentions the path.
 ValuePtr parse_file(const std::string& path);
+
+/// Reads the intact prefix of a JSONL file whose header line carries
+/// `"schema": schema`: `on_header` (may be empty) sees the header,
+/// `on_record` every other line.  The first line that does not parse, for
+/// which on_record returns false, or whose shape makes on_record throw
+/// std::runtime_error ends the read — a SIGKILL-torn tail keeps the
+/// prefix.  A missing file reads nothing; a header naming another schema
+/// throws std::runtime_error naming `what` and `path`.
+void read_jsonl_prefix(const std::string& path, const std::string& schema,
+                       const std::string& what,
+                       const std::function<void(const Value&)>& on_header,
+                       const std::function<bool(const Value&)>& on_record);
+
+/// `s` as the body of a JSON string literal: quote, backslash and every
+/// control character below 0x20 are escaped, so strict parsers accept it.
+std::string escape(std::string_view s);
+
+/// %.17g: the shortest printf format that round-trips every finite double.
+std::string fmt17(double v);
+
+/// Opens a JSONL log for appending.  A torn final line (a SIGKILL
+/// mid-append) is truncated away first — appending after the fragment
+/// would glue the next record onto it and hide every later line from
+/// readers — and `header` (one line, no newline) is written when the file
+/// starts empty.  Throws std::runtime_error when the file cannot be opened.
+std::ofstream append_jsonl(const std::string& path, const std::string& header);
+
+/// Replaces `path` with `text` through `path.tmp` and a rename, so a
+/// polling reader (status.json, metrics.om) never sees a torn document.
+/// Throws std::runtime_error on failure.
+void write_file_atomic(const std::string& path, const std::string& text);
 
 }  // namespace dvs::json

@@ -1,20 +1,12 @@
 #include "core/sweep.hpp"
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <exception>
-#include <fstream>
-#include <iostream>
 #include <map>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "common/check.hpp"
 #include "fault/trace_transforms.hpp"
 #include "hw/smartbadge.hpp"
 #include "policy/optimal_oracle.hpp"
@@ -22,95 +14,6 @@
 #include "workload/trace.hpp"
 
 namespace dvs::core {
-
-int resolve_jobs(int jobs) {
-  if (jobs > 0) return jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-void parallel_for(std::size_t n, int jobs,
-                  const std::function<void(std::size_t)>& fn) {
-  const std::size_t workers =
-      std::min(static_cast<std::size_t>(resolve_jobs(jobs)), n);
-  if (n == 0) return;
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  // Each worker owns a contiguous index range and pops from its front; an
-  // idle worker steals from the *back* of the victim with the most work
-  // left.  Units are whole simulations, so stealing one index at a time is
-  // granular enough.
-  struct Range {
-    std::mutex m;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-  std::vector<Range> ranges(workers);
-  const std::size_t chunk = n / workers;
-  const std::size_t extra = n % workers;
-  std::size_t at = 0;
-  for (std::size_t w = 0; w < workers; ++w) {
-    ranges[w].begin = at;
-    at += chunk + (w < extra ? 1 : 0);
-    ranges[w].end = at;
-  }
-
-  std::atomic<bool> stop{false};
-  std::exception_ptr first_error;
-  std::mutex error_m;
-
-  auto worker = [&](std::size_t self) {
-    for (;;) {
-      if (stop.load(std::memory_order_relaxed)) return;
-      std::size_t i = n;  // sentinel: nothing claimed yet
-      {
-        std::lock_guard<std::mutex> lk(ranges[self].m);
-        if (ranges[self].begin < ranges[self].end) i = ranges[self].begin++;
-      }
-      if (i == n) {
-        std::size_t victim = workers;
-        std::size_t most = 0;
-        for (std::size_t v = 0; v < workers; ++v) {
-          if (v == self) continue;
-          std::lock_guard<std::mutex> lk(ranges[v].m);
-          const std::size_t left = ranges[v].end - ranges[v].begin;
-          if (left > most) {
-            most = left;
-            victim = v;
-          }
-        }
-        if (victim == workers) return;  // everything drained
-        {
-          std::lock_guard<std::mutex> lk(ranges[victim].m);
-          if (ranges[victim].begin < ranges[victim].end) {
-            i = --ranges[victim].end;
-          }
-        }
-        if (i == n) continue;  // lost the race; rescan
-      }
-      try {
-        fn(i);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lk(error_m);
-          if (!first_error) first_error = std::current_exception();
-        }
-        stop.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker, w);
-  worker(0);
-  for (std::thread& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
 
 double t95_quantile(std::size_t df) {
   // Two-sided 95% (upper 97.5%) Student-t critical values, df = 1..30.
@@ -257,6 +160,15 @@ RunOptions assemble_run_options(const RunPoint& p, const CpuAsset& cpu,
   return assemble_run_options(a, cpu, idle, detector_cfg);
 }
 
+std::function<void(const RunPoint&, RunOptions&)> flight_dumps_in(
+    const std::string& dir, const std::string& scenario) {
+  return [prefix = dir + "/" + scenario + "_point"](const RunPoint& p,
+                                                     RunOptions& opts) {
+    opts.flight_dump_path = prefix + std::to_string(p.index) + "_rep" +
+                            std::to_string(p.replicate) + ".flight.txt";
+  };
+}
+
 const CellResult* SweepResult::find_cell(
     const std::function<bool(const CellResult&)>& pred) const {
   for (const CellResult& c : cells) {
@@ -326,8 +238,7 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
     }
   }
 
-  // ---- execute ----------------------------------------------------------
-  std::vector<Metrics> metrics(points.size());
+  // ---- execute: one unit per point --------------------------------------
   // Per-point registries: each worker writes only its own slot, and the
   // serial fold afterwards walks expansion order, so quantile collection
   // keeps the bit-identical-at-any---jobs contract.
@@ -337,126 +248,62 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
     point_regs.resize(points.size());
     for (auto& r : point_regs) r = std::make_unique<obs::MetricsRegistry>();
   }
-  std::mutex progress_m;
-  const auto t0 = std::chrono::steady_clock::now();
 
-  // Live telemetry: one JSONL object per finished point, shared lock with
-  // on_point.  Pure side-channel — nothing here feeds back into results.
-  std::ofstream heartbeat_file;
-  std::ostream* heartbeat = nullptr;
-  if (!opts_.heartbeat_path.empty()) {
-    if (opts_.heartbeat_path == "-") {
-      heartbeat = &std::cerr;
-    } else {
-      heartbeat_file.open(opts_.heartbeat_path);
-      DVS_CHECK_MSG(static_cast<bool>(heartbeat_file),
-                    "SweepRunner: cannot open heartbeat path " +
-                        opts_.heartbeat_path);
-      heartbeat = &heartbeat_file;
-    }
-  }
-  // Restored points count as already done: the heartbeat's done/total keeps
-  // reaching the total on a resumed run, and ETA reflects remaining work.
-  std::size_t restored_count = 0;
-  const auto restored_point = [&](std::size_t index) -> const RestoredPoint* {
-    if (opts_.restored == nullptr) return nullptr;
-    const auto it = opts_.restored->find(index);
-    return it == opts_.restored->end() ? nullptr : &it->second;
-  };
-  for (const RunPoint& p : points) {
-    if (restored_point(p.index) != nullptr) ++restored_count;
-  }
-  std::size_t hb_done = restored_count;
-  std::size_t tel_done = restored_count;
-  RunningStats hb_energy_kj, hb_delay_s;
-  // Optional trace context: serve jobs stamp their id on every record.
-  const std::string hb_job = opts_.heartbeat_job.empty()
-                                 ? std::string{}
-                                 : "\"job\":\"" + opts_.heartbeat_job + "\",";
-  const auto write_heartbeat = [&](const RunPoint& p, const Metrics& m) {
-    ++hb_done;
-    hb_energy_kj.add(m.energy_kj());
-    hb_delay_s.add(m.mean_frame_delay.value());
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double eta =
-        elapsed / static_cast<double>(hb_done) *
-        static_cast<double>(points.size() - hb_done);
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "\"scenario\":\"%s\",\"done\":%zu,\"total\":%zu,"
-        "\"elapsed_s\":%.3f,\"eta_s\":%.3f,\"point\":%zu,\"cell\":%zu,"
-        "\"replicate\":%d,\"energy_kj\":%.9g,\"mean_delay_s\":%.9g,"
-        "\"running_mean_energy_kj\":%.9g,\"running_mean_delay_s\":%.9g}",
-        spec.name.c_str(), hb_done, points.size(), elapsed, eta, p.index,
-        p.cell, p.replicate, m.energy_kj(), m.mean_frame_delay.value(),
-        hb_energy_kj.mean(), hb_delay_s.mean());
-    *heartbeat << '{' << hb_job << buf << '\n' << std::flush;
-  };
-
-  parallel_for(points.size(), out.jobs, [&](std::size_t i) {
+  UnitPlan<RestoredPoint> plan;
+  plan.source = "sweep";
+  plan.name_key = "scenario";
+  plan.name = spec.name;
+  plan.n = points.size();
+  plan.execute = [&](std::size_t i) {
     const RunPoint& p = points[i];
-    if (const RestoredPoint* rp = restored_point(p.index)) {
-      // Checkpointed on a previous run: its metrics re-enter the collection
-      // pass below verbatim; the sketch re-enters the cell fold.  No engine
-      // run, no progress callbacks — it was announced when it first ran.
-      metrics[i] = rp->metrics;
-      return;
-    }
     const CpuAsset& cpu = cpu_assets[p.cpu_idx];
     const WorkloadAsset& asset = workload_assets.at(asset_key(p));
-
     RunOptions opts = assemble_run_options(p, cpu, asset.idle, detector_cfg);
     if (collect) opts.metrics = point_regs[i].get();
     if (opts_.configure_run) opts_.configure_run(p, opts);
-    metrics[i] = run_items(*asset.items, opts);
-
-    const bool telemetry_on =
-        opts_.telemetry != nullptr && opts_.telemetry->active();
-    if (opts_.on_point || opts_.on_point_checkpoint || heartbeat != nullptr ||
-        telemetry_on) {
-      std::lock_guard<std::mutex> lk(progress_m);
-      if (opts_.on_point) opts_.on_point(PointResult{p, metrics[i]});
-      if (opts_.on_point_checkpoint) {
-        static const obs::QuantileSketch kNoSketch;
-        const obs::HistogramMetric* h =
-            collect ? point_regs[i]->find_histogram("frames.delay_s") : nullptr;
-        opts_.on_point_checkpoint(p, metrics[i],
-                                  h != nullptr ? h->sketch() : kNoSketch);
-      }
-      if (heartbeat != nullptr) write_heartbeat(p, metrics[i]);
-      if (telemetry_on) {
-        // One snapshot per finished point, wall-clock timestamps,
-        // completion order: the sweep's live feed mirrors the heartbeat
-        // contract (telemetry only, never feeds results).
-        static const obs::MetricsRegistry kEmpty;
-        ++tel_done;
-        const double elapsed = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count();
-        opts_.telemetry->snapshot(
-            elapsed, "sweep",
-            collect ? *point_regs[i] : kEmpty,
-            {{"done", static_cast<double>(tel_done)},
-             {"total", static_cast<double>(points.size())},
-             {"point", static_cast<double>(p.index)},
-             {"cell", static_cast<double>(p.cell)},
-             {"replicate", static_cast<double>(p.replicate)},
-             {"energy_kj", metrics[i].energy_kj()},
-             {"mean_delay_s", metrics[i].mean_frame_delay.value()}});
+    RestoredPoint part;
+    part.metrics = run_items(*asset.items, opts);
+    if (collect) {
+      if (const obs::HistogramMetric* h =
+              point_regs[i]->find_histogram("frames.delay_s")) {
+        part.delay_sketch = h->sketch();
       }
     }
-  });
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+    return part;
+  };
+  if (opts_.on_point || opts_.on_point_checkpoint) {
+    plan.on_unit = [&](std::size_t i, const RestoredPoint& part) {
+      if (opts_.on_point) opts_.on_point(PointResult{points[i], part.metrics});
+      if (opts_.on_point_checkpoint) {
+        opts_.on_point_checkpoint(points[i], part.metrics, part.delay_sketch);
+      }
+    };
+  }
+  RunningStats run_energy_kj, run_delay_s;  // over executed points
+  plan.fields = [&](std::size_t i, const RestoredPoint& part) {
+    const RunPoint& p = points[i];
+    const Metrics& m = part.metrics;
+    run_energy_kj.add(m.energy_kj());
+    run_delay_s.add(m.mean_frame_delay.value());
+    return UnitFields{{"point", static_cast<double>(p.index)},
+                      {"cell", static_cast<double>(p.cell)},
+                      {"replicate", static_cast<double>(p.replicate)},
+                      {"energy_kj", m.energy_kj()},
+                      {"mean_delay_s", m.mean_frame_delay.value()},
+                      {"running_mean_energy_kj", run_energy_kj.mean()},
+                      {"running_mean_delay_s", run_delay_s.mean()}};
+  };
+  if (collect) {
+    plan.registry = [&](std::size_t i) { return point_regs[i].get(); };
+  }
+  UnitRun<RestoredPoint> run = run_units<RestoredPoint>(opts_, plan);
+  out.units = run.counts;
+  out.wall_seconds = run.wall_seconds;
 
   // ---- collect in expansion order, aggregate per cell -------------------
   out.points.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    PointResult pr{std::move(points[i]), std::move(metrics[i])};
+    PointResult pr{std::move(points[i]), std::move(run.partials[i].metrics)};
     if (spec.oracle) {
       const auto it = oracle_energy.find(
           std::make_pair(asset_key(pr.point), pr.point.delay_target.value()));
@@ -476,22 +323,12 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
         wakeup, power, faults, recoveries, degraded, cratio;
     for (; i < out.points.size() && out.points[i].point.cell == cell; ++i) {
       const Metrics& m = out.points[i].metrics;
-      if (const RestoredPoint* rp = restored_point(out.points[i].point.index);
-          rp != nullptr && !rp->delay_sketch.empty()) {
-        // A restored point's sketch merges at exactly the position its
-        // fresh counterpart would have — the text format round-trips the
-        // sketch state bit-exactly, so the merged cell sketch (and the CSV
-        // percentiles below) match an uninterrupted run byte-for-byte.
-        c.delay_sketch.merge(rp->delay_sketch);
-      } else if (collect) {
-        // Merge the replicate's frame-delay sketch into the cell's
-        // population sketch — the same place the Student-t CI reduction
-        // runs, so the cells CSV reports honest population percentiles
-        // instead of a mean of per-run quantiles.
-        const obs::HistogramMetric* h =
-            point_regs[i]->find_histogram("frames.delay_s");
-        if (h != nullptr) c.delay_sketch.merge(h->sketch());
-      }
+      // Merge the replicate's frame-delay sketch into the cell's population
+      // sketch — the same place the Student-t CI reduction runs, so the
+      // cells CSV reports honest population percentiles instead of a mean
+      // of per-run quantiles.  A restored point's sketch merges at exactly
+      // the position its fresh counterpart would have.
+      c.delay_sketch.merge(run.partials[i].delay_sketch);
       energy.add(m.energy_kj());
       cpu_mem.add(m.cpu_memory_energy().value() / 1e3);
       delay.add(m.mean_frame_delay.value());

@@ -1,20 +1,24 @@
-// SweepRunner: executes a ScenarioSpec's RunPoints on a work-stealing
-// thread pool with results that are bit-identical to serial execution.
+// SweepRunner: a ScenarioSpec's RunPoints as units of the ordered-unit
+// executor (core/units.hpp), with results bit-identical to serial
+// execution.
 //
 // Determinism contract: every point is an independent simulation — its own
 // Engine, its own RNG substreams (RunPoint::trace_seed / engine_seed), a
-// fresh DPM policy instance — writing only to its own result slot, so the
-// execution schedule cannot influence any number.  Shared state is built
-// once before dispatch and is immutable during the run: the prepared
-// change-point threshold table (DetectorFactoryConfig::prepare) and the
-// per-(cpu, workload, replicate, fault) frame traces / sessions (workload
-// fault transforms run once at asset-build time from RunPoint::fault_seed).
+// fresh DPM policy instance — and its partial (metrics + frame-delay
+// sketch) lands in its own slot, so the execution schedule cannot
+// influence any number.  Shared state is built once before dispatch and is
+// immutable during the run: the prepared change-point threshold table
+// (DetectorFactoryConfig::prepare) and the per-(cpu, workload, replicate,
+// fault) frame traces / sessions (workload fault transforms run once at
+// asset-build time from RunPoint::fault_seed).  The runner keeps only
+// what is sweep-specific: asset building, executing one point, its
+// progress fields, and the per-cell fold over the partials in expansion
+// order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,20 +27,10 @@
 #include "common/stats.hpp"
 #include "core/metrics.hpp"
 #include "core/scenario.hpp"
+#include "core/units.hpp"
 #include "obs/metrics_registry.hpp"
-#include "obs/telemetry/snapshotter.hpp"
 
 namespace dvs::core {
-
-/// Resolves a --jobs value: 0 means hardware concurrency, floor 1.
-int resolve_jobs(int jobs);
-
-/// Runs fn(i) for every i in [0, n) on `jobs` threads.  Work is split into
-/// per-worker ranges; idle workers steal from the back of the busiest
-/// victim's remainder.  jobs <= 1 (after resolution) runs inline.  The
-/// first exception thrown by fn is rethrown after all workers stop.
-void parallel_for(std::size_t n, int jobs,
-                  const std::function<void(std::size_t)>& fn);
 
 /// Replicate aggregate for one metric column: mean, sample stddev, and the
 /// half-width of the Student-t 95% confidence interval (0 when n < 2).
@@ -116,12 +110,12 @@ RunOptions assemble_run_options(const RunPoint& p, const CpuAsset& cpu,
                                 const dpm::IdleDistributionPtr& idle,
                                 const DetectorFactoryConfig& detector_cfg);
 
-/// One checkpointed point, ready to re-enter a resumed sweep's folds in
-/// place of executing it (see SweepOptions::restored).
+/// One point's fold partial: what an executed point produces and what a
+/// checkpoint record restores in place of executing it.
 struct RestoredPoint {
   Metrics metrics;
-  /// The point's frames.delay_s sketch at checkpoint time; empty when the
-  /// original run did not collect quantiles.
+  /// The point's frames.delay_s sketch; empty when quantiles were not
+  /// collected.
   obs::QuantileSketch delay_sketch;
 };
 
@@ -169,6 +163,7 @@ struct SweepResult {
   double wall_seconds = 0.0;
   std::vector<PointResult> points;  ///< expansion order
   std::vector<CellResult> cells;    ///< cell order
+  UnitCounts units;                 ///< points executed vs restored
 
   /// First cell matching the predicate; nullptr when none does.
   [[nodiscard]] const CellResult* find_cell(
@@ -179,8 +174,11 @@ struct SweepResult {
   void write_cells_csv(CsvWriter& csv) const;
 };
 
-struct SweepOptions {
-  int jobs = 1;  ///< 0 = hardware concurrency
+/// Sweep options on top of the shared UnitOptions (jobs, heartbeat,
+/// telemetry, restored).  The heartbeat and telemetry records carry
+/// scenario, point, cell, replicate, the point's energy_kj/mean_delay_s
+/// and the running means over executed points.
+struct SweepOptions : UnitOptions<RestoredPoint> {
   /// Summary sink, fed serially after the run (the registry itself is not
   /// thread-safe, so per-run engine hooks stay off during a sweep).  When
   /// set, every point gets a private registry on its worker and the
@@ -193,13 +191,10 @@ struct SweepOptions {
   /// cells-CSV delay percentile columns) even without a summary registry.
   /// Implied by `metrics`.  Off by default: it attaches a metrics registry
   /// to every engine run, which costs histogram updates on the hot path.
+  /// Telemetry snapshots carry the finished point's registry when on.
   bool collect_quantiles = false;
-  /// Live telemetry: one snapshot per finished point (wall-clock `t`,
-  /// completion order — same contract as the heartbeat: telemetry only,
-  /// never feeds results).  Snapshots carry the finished point's own
-  /// registry when quantile collection is on.
-  obs::TelemetrySnapshotter* telemetry = nullptr;
-  /// Progress callback, serialized, in completion (not expansion) order.
+  /// Progress callback for executed points: serialized, completion (not
+  /// expansion) order, on the worker right after the point finished.
   std::function<void(const PointResult&)> on_point;
   /// Per-point RunOptions hook, called on the worker thread after the
   /// standard fields are filled and before the engine runs.  Must be
@@ -207,32 +202,22 @@ struct SweepOptions {
   /// feed the simulation result if bit-identity across --jobs matters —
   /// it exists for observability attachments (ledgers, flight-dump paths).
   std::function<void(const RunPoint&, RunOptions&)> configure_run;
-  /// Non-empty: live progress heartbeat as JSONL, one object per finished
-  /// point (done/total, elapsed, ETA, running aggregates).  "-" = stderr.
-  /// Written under the same lock as on_point; telemetry only — it never
-  /// influences results.
-  std::string heartbeat_path;
-  /// Non-empty: every heartbeat record leads with a `"job":"<id>"` member —
-  /// the serve daemon's trace context, linking a heartbeat line back to the
-  /// job (and its checkpoint/event records) that produced it.  Empty (the
-  /// default) emits the records unchanged.
-  std::string heartbeat_job;
-  /// Checkpoint/restore (the serve daemon's hooks; plain sweeps leave both
-  /// unset).  Points whose RunPoint::index appears in `restored` are not
-  /// executed: their checkpointed metrics and delay sketch enter the folds
-  /// exactly where a fresh run's would, so a resumed sweep's CSVs are
-  /// byte-identical to an uninterrupted one (the sketch text format
-  /// round-trips doubles bit-exactly).  Restored points are counted as
-  /// already done by the heartbeat and produce no progress callbacks.
-  const std::map<std::size_t, RestoredPoint>* restored = nullptr;
-  /// Called under the progress lock after every *executed* point, with the
-  /// point's metrics and its frame-delay sketch (empty unless quantile
+  /// Called right after on_point, under the same lock, with the executed
+  /// point's metrics and frame-delay sketch (empty unless quantile
   /// collection is on) — everything a checkpoint record needs to make the
-  /// point restorable.  Serialized; completion order.
+  /// point restorable.  A restored point's sketch re-enters the cell fold
+  /// where a fresh one would; the sketch text round-trips bit-exactly, so
+  /// a resumed sweep's CSVs are byte-identical to an uninterrupted one.
   std::function<void(const RunPoint&, const Metrics&,
                      const obs::QuantileSketch&)>
       on_point_checkpoint;
 };
+
+/// A SweepOptions::configure_run that arms each point's flight-recorder
+/// auto-dump at <dir>/<scenario>_point<i>_rep<r>.flight.txt: unique per
+/// point, observability only, so results stay bit-identical at any --jobs.
+std::function<void(const RunPoint&, RunOptions&)> flight_dumps_in(
+    const std::string& dir, const std::string& scenario);
 
 class SweepRunner {
  public:

@@ -136,4 +136,14 @@ std::vector<FaultSpec> parse_fault_list(std::string_view csv) {
   return out;
 }
 
+FaultSpec combine_faults(const std::vector<FaultSpec>& specs) {
+  FaultSpec out = specs.front();
+  for (std::size_t i = 1; i < specs.size(); ++i) {
+    out.trace_faults.insert(out.trace_faults.end(),
+                            specs[i].trace_faults.begin(),
+                            specs[i].trace_faults.end());
+  }
+  return out;
+}
+
 }  // namespace dvs::fault

@@ -44,4 +44,8 @@ const FaultSpec* find_fault(std::string_view name);
 /// Throws std::invalid_argument on an unknown name or empty list.
 std::vector<FaultSpec> parse_fault_list(std::string_view csv);
 
+/// One single-run spec from a non-empty list: every spec's trace faults in
+/// list order; the first spec supplies the hardware plan and watchdog.
+FaultSpec combine_faults(const std::vector<FaultSpec>& specs);
+
 }  // namespace dvs::fault

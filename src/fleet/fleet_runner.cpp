@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <mutex>
 #include <utility>
 
 #include "common/check.hpp"
@@ -99,88 +95,27 @@ FleetResult FleetRunner::run(const FleetSpec& spec) const {
     }
   }
 
-  // ---- population accumulators ------------------------------------------
+  // ---- execute: one unit per shard ---------------------------------------
   const std::size_t shard_size = std::max<std::size_t>(1, opts_.shard_size);
-  const std::size_t num_shards =
-      (spec.num_devices + shard_size - 1) / shard_size;
-
-  std::vector<FleetShardPartial> partials(num_shards);
-
-  // Restored shards are folded as-is and skipped by the pool; they seed the
-  // progress counters so a resumed run's heartbeat still reaches the total.
-  const auto restored_shard = [&](std::size_t shard) -> const FleetShardPartial* {
-    if (opts_.restored == nullptr) return nullptr;
-    const auto it = opts_.restored->find(shard);
-    return it == opts_.restored->end() ? nullptr : &it->second;
+  const auto shard_begin = [&](std::size_t shard) {
+    return static_cast<std::uint64_t>(shard) * shard_size;
   };
-  std::size_t restored_devices = 0;
-  std::size_t restored_shards = 0;
-  double restored_energy_j = 0.0;
-  for (std::size_t shard = 0; shard < num_shards; ++shard) {
-    const FleetShardPartial* rp = restored_shard(shard);
-    if (rp == nullptr) continue;
-    partials[shard] = *rp;
-    ++restored_shards;
-    for (const FleetGroupResult& g : rp->groups) {
-      restored_devices += g.devices;
-      restored_energy_j += g.energy_j;
-    }
-  }
-
-  // ---- progress side-channel (heartbeat + telemetry) --------------------
-  std::mutex progress_m;
-  std::ofstream heartbeat_file;
-  std::ostream* heartbeat = nullptr;
-  if (!opts_.heartbeat_path.empty()) {
-    if (opts_.heartbeat_path == "-") {
-      heartbeat = &std::cerr;
-    } else {
-      heartbeat_file.open(opts_.heartbeat_path);
-      DVS_CHECK_MSG(static_cast<bool>(heartbeat_file),
-                    "FleetRunner: cannot open heartbeat path " +
-                        opts_.heartbeat_path);
-      heartbeat = &heartbeat_file;
-    }
-  }
-  // Running progress counters, shared by both side channels (guarded by
-  // progress_m; completion order, like every progress surface here).
-  std::size_t done_devices = restored_devices;
-  std::size_t done_shards = restored_shards;
-  double done_energy_j = restored_energy_j;
-  // One flushed record per finished shard: a tailing monitor must see each
-  // record as soon as the shard lands (same contract the sweep heartbeat
-  // pins in its tests).
-  // Optional trace context: serve jobs stamp their id on every record.
-  const std::string hb_job = opts_.heartbeat_job.empty()
-                                 ? std::string{}
-                                 : "\"job\":\"" + opts_.heartbeat_job + "\",";
-  const auto write_heartbeat = [&](std::size_t shard, std::size_t shard_devices,
-                                   double shard_energy, double elapsed) {
-    const double eta =
-        done_devices == 0
-            ? 0.0
-            : elapsed * static_cast<double>(spec.num_devices - done_devices) /
-                  static_cast<double>(done_devices);
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "\"fleet\":\"%s\",\"done\":%zu,\"total\":%zu,\"elapsed_s\":%.3f,"
-        "\"eta_s\":%.3f,\"shard\":%zu,\"shards_done\":%zu,\"devices\":%zu,"
-        "\"energy_j\":%.9g,\"running_fleet_energy_j\":%.9g}",
-        spec.name.c_str(), done_devices, spec.num_devices, elapsed, eta,
-        shard, done_shards, shard_devices, shard_energy, done_energy_j);
-    *heartbeat << '{' << hb_job << buf << '\n' << std::flush;
+  const auto shard_devices = [&](std::size_t shard) -> std::size_t {
+    return std::min<std::uint64_t>(shard_size,
+                                   spec.num_devices - shard_begin(shard));
   };
 
-  // ---- execute ----------------------------------------------------------
-  core::parallel_for(num_shards, out.jobs, [&](std::size_t shard) {
-    if (restored_shard(shard) != nullptr) return;  // folded verbatim below
-    FleetShardPartial& part = partials[shard];
+  core::UnitPlan<FleetShardPartial> shards;
+  shards.source = "fleet";
+  shards.name_key = "fleet";
+  shards.name = spec.name;
+  shards.n = (spec.num_devices + shard_size - 1) / shard_size;
+  shards.weight = shard_devices;
+  shards.execute = [&](std::size_t shard) {
+    FleetShardPartial part;
     part.groups.resize(W * P);
-    const std::uint64_t begin =
-        static_cast<std::uint64_t>(shard) * shard_size;
-    const std::uint64_t end = std::min<std::uint64_t>(
-        begin + shard_size, spec.num_devices);
+    const std::uint64_t begin = shard_begin(shard);
+    const std::uint64_t end = begin + shard_devices(shard);
     for (std::uint64_t id = begin; id < end; ++id) {
       const DevicePlan plan = device_plan(spec, id);
       const bool faulted = plan.in_wave && wave_fault != nullptr;
@@ -232,40 +167,34 @@ FleetResult FleetRunner::run(const FleetSpec& spec) const {
       g.dropped_sketch.add(static_cast<double>(m.frames_dropped));
       part.frames_total += m.frames_decoded + m.frames_dropped;
     }
-
-    const bool telemetry_on =
-        opts_.telemetry != nullptr && opts_.telemetry->active();
-    if (heartbeat != nullptr || telemetry_on || opts_.on_shard) {
-      std::size_t shard_devices = 0;
-      double shard_energy = 0.0;
-      for (const FleetGroupResult& g : part.groups) {
-        shard_devices += g.devices;
-        shard_energy += g.energy_j;
-      }
-      std::lock_guard<std::mutex> lk(progress_m);
-      if (opts_.on_shard) opts_.on_shard(shard, part);
-      done_devices += shard_devices;
-      ++done_shards;
-      done_energy_j += shard_energy;
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (heartbeat != nullptr) {
-        write_heartbeat(shard, shard_devices, shard_energy, elapsed);
-      }
-      if (telemetry_on) {
-        static const obs::MetricsRegistry kEmpty;
-        opts_.telemetry->snapshot(
-            elapsed, "fleet", kEmpty,
-            {{"done", static_cast<double>(done_devices)},
-             {"total", static_cast<double>(spec.num_devices)},
-             {"shard", static_cast<double>(shard)},
-             {"devices", static_cast<double>(shard_devices)},
-             {"energy_j", shard_energy},
-             {"running_fleet_energy_j", done_energy_j}});
-      }
-    }
-  });
+    return part;
+  };
+  shards.on_unit = opts_.on_shard;
+  // Running progress, restored shards included.
+  std::size_t shards_done = 0;
+  double done_energy_j = 0.0;
+  const auto shard_energy = [](const FleetShardPartial& part) {
+    double energy_j = 0.0;
+    for (const FleetGroupResult& g : part.groups) energy_j += g.energy_j;
+    return energy_j;
+  };
+  shards.on_restored = [&](const FleetShardPartial& part) {
+    ++shards_done;
+    done_energy_j += shard_energy(part);
+  };
+  shards.fields = [&](std::size_t shard, const FleetShardPartial& part) {
+    const double energy_j = shard_energy(part);
+    done_energy_j += energy_j;
+    return core::UnitFields{
+        {"shard", static_cast<double>(shard)},
+        {"shards_done", static_cast<double>(++shards_done)},
+        {"devices", static_cast<double>(shard_devices(shard))},
+        {"energy_j", energy_j},
+        {"running_fleet_energy_j", done_energy_j}};
+  };
+  const core::UnitRun<FleetShardPartial> run =
+      core::run_units<FleetShardPartial>(opts_, shards);
+  out.units = run.counts;
 
   // ---- fold serially, shard-index order ---------------------------------
   out.devices = spec.num_devices;
@@ -277,7 +206,10 @@ FleetResult FleetRunner::run(const FleetSpec& spec) const {
       g.policy = spec.policies[p].policy;
     }
   }
-  for (const FleetShardPartial& part : partials) {
+  for (const FleetShardPartial& part : run.partials) {
+    // A restored partial is checkpoint input: it must fit this slice grid.
+    DVS_CHECK_MSG(part.groups.size() == out.groups.size(),
+                  "FleetRunner: shard partial does not match the slice grid");
     out.frames_total += part.frames_total;
     for (std::size_t i = 0; i < part.groups.size(); ++i) {
       out.groups[i].fold(part.groups[i]);

@@ -1,16 +1,19 @@
-// FleetRunner: executes a FleetSpec's device population on the sweep's
-// work-stealing pool with results that are bit-identical at any --jobs.
+// FleetRunner: a FleetSpec's device population as shards of the
+// ordered-unit executor (core/units.hpp), with results bit-identical at
+// any --jobs.
 //
 // Determinism contract (the sweep's, restated for devices): every device
 // is an independent simulation — its plan is pure arithmetic on
 // mix_seed(fleet_seed, device_id) substreams (fleet_spec.hpp), its engine
 // gets a fresh DPM policy and its own engine seed — and devices are
 // partitioned into fixed-size shards whose boundaries depend only on the
-// spec, never on the thread count.  Workers accumulate per-shard partials
-// by walking their shard in device-id order; after the pool drains, the
-// partials fold into the population results serially in shard-index
-// order.  Quantile sketches therefore always merge in the same order with
-// the same operands, so the fleet CSV is byte-identical at any --jobs.
+// spec, never on the thread count.  A shard's partial accumulates its
+// devices in id order; the executor stores it by shard index and the
+// runner folds the partials serially in shard-index order.  Quantile
+// sketches therefore always merge in the same order with the same
+// operands, so the fleet CSV is byte-identical at any --jobs.  The runner
+// keeps only what is fleet-specific: asset building, executing one shard,
+// its progress fields, and the fold.
 //
 // Shared immutable assets, built once before dispatch: the prepared
 // change-point threshold table and one WorkloadAsset per (workload entry,
@@ -21,15 +24,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/csv.hpp"
 #include "core/metrics.hpp"
+#include "core/units.hpp"
 #include "fleet/fleet_spec.hpp"
 #include "obs/telemetry/quantile_sketch.hpp"
-#include "obs/telemetry/snapshotter.hpp"
 
 namespace dvs::fleet {
 
@@ -78,6 +80,7 @@ struct FleetResult {
   std::vector<FleetGroupResult> groups;
   /// Fleet-wide roll-up: groups folded in group order.
   FleetGroupResult total;
+  core::UnitCounts units;  ///< shards executed vs restored
 
   /// Consolidated CSV emission: one row per slice plus an "all/all" total
   /// row.  Deliberately excludes jobs and wall time — the CSV must be
@@ -86,32 +89,20 @@ struct FleetResult {
   void write_csv(CsvWriter& csv) const;
 };
 
-struct FleetOptions {
-  int jobs = 1;  ///< 0 = hardware concurrency
+/// Fleet options on top of the shared UnitOptions (jobs, heartbeat,
+/// telemetry, restored).  Progress done/total count devices; heartbeat and
+/// telemetry records carry fleet, shard, shards_done, the shard's devices
+/// and energy_j, and the running fleet Joules (restored shards included).
+struct FleetOptions : core::UnitOptions<FleetShardPartial> {
   /// Devices per shard: the unit of work stealing, heartbeat granularity,
   /// and partial-fold order.  Result bytes are independent of this value
   /// only through the sums; sketch fold order follows shard order, so it
   /// is part of the spec of a reproducible run (keep the default unless
   /// measuring scheduling).
   std::size_t shard_size = 1024;
-  /// Non-empty: live progress heartbeat as JSONL, one flushed object per
-  /// finished shard (devices done/total, elapsed, ETA, running fleet
-  /// Joules).  "-" = stderr.  Telemetry only — never influences results.
-  std::string heartbeat_path;
-  /// Non-empty: every heartbeat record leads with a `"job":"<id>"` member
-  /// (the serve daemon's trace context).  Empty = records unchanged.
-  std::string heartbeat_job;
-  /// Live telemetry: one snapshot per finished shard (same contract as
-  /// the heartbeat).
-  obs::TelemetrySnapshotter* telemetry = nullptr;
-  /// Checkpoint/restore (the serve daemon's hooks; plain fleet runs leave
-  /// both unset).  Shards whose index appears in `restored` are not
-  /// simulated: their checkpointed partials take their place in the serial
-  /// shard-order fold, and they count as already done in the heartbeat.
-  const std::map<std::size_t, FleetShardPartial>* restored = nullptr;
-  /// Called under the progress lock after every *executed* shard with its
-  /// finished partial — everything a checkpoint record needs to make the
-  /// shard restorable.  Serialized; completion order.
+  /// Called after every *executed* shard with its finished partial —
+  /// everything a checkpoint record needs to make the shard restorable.
+  /// Serialized, completion order, on the worker right after the shard.
   std::function<void(std::size_t, const FleetShardPartial&)> on_shard;
 };
 

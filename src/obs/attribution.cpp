@@ -1,6 +1,6 @@
 #include "obs/attribution.hpp"
 
-#include <cstdio>
+#include "common/json.hpp"
 
 namespace dvs::obs {
 
@@ -64,27 +64,19 @@ std::vector<double> AttributionLedger::energy_by_cause() const {
   return by_cause;
 }
 
-namespace {
-
 // Full round-trip precision: the JSON is the reconciliation surface, so the
 // serialized sums must re-parse to the exact doubles the run produced.
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
+using json::fmt17;
 
 void AttributionLedger::write_json(std::ostream& os) const {
   os << "{\n  \"schema\": \"dvs-ledger-v1\",\n";
-  os << "  \"totals\": {\"energy_j\": " << fmt(total_energy_)
-     << ", \"delay_s\": " << fmt(total_delay_)
+  os << "  \"totals\": {\"energy_j\": " << fmt17(total_energy_)
+     << ", \"delay_s\": " << fmt17(total_delay_)
      << ", \"frames\": " << total_frames_ << "},\n";
   if (!freq_mhz_.empty()) {
     os << "  \"freq_mhz\": [";
     for (std::size_t i = 0; i < freq_mhz_.size(); ++i) {
-      os << (i ? ", " : "") << fmt(freq_mhz_[i]);
+      os << (i ? ", " : "") << fmt17(freq_mhz_[i]);
     }
     os << "],\n";
   }
@@ -94,8 +86,8 @@ void AttributionLedger::write_json(std::ostream& os) const {
     os << "    {\"component\": \"" << key.component << "\", \"state\": \""
        << key.state << "\", \"freq_step\": " << key.freq_step
        << ", \"cause\": \"" << to_string(static_cast<Cause>(key.cause))
-       << "\", \"energy_j\": " << fmt(cell.energy_j)
-       << ", \"time_s\": " << fmt(cell.time_s) << "}"
+       << "\", \"energy_j\": " << fmt17(cell.energy_j)
+       << ", \"time_s\": " << fmt17(cell.time_s) << "}"
        << (++i < energy_.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"delay\": [\n";
@@ -104,7 +96,7 @@ void AttributionLedger::write_json(std::ostream& os) const {
     os << "    {\"media\": \"" << key.media
        << "\", \"freq_step\": " << key.freq_step << ", \"cause\": \""
        << to_string(static_cast<Cause>(key.cause))
-       << "\", \"delay_s\": " << fmt(cell.delay_s)
+       << "\", \"delay_s\": " << fmt17(cell.delay_s)
        << ", \"frames\": " << cell.frames << "}"
        << (++i < delay_.size() ? "," : "") << "\n";
   }

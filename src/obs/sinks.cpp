@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace dvs::obs {
 
 namespace {
@@ -20,29 +22,6 @@ std::string fmt_num(double v) {
   return buf;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Builds the {"k":v,...} field list of one JSONL line.
 class JsonFields {
  public:
@@ -56,7 +35,7 @@ class JsonFields {
     return raw(key, v ? "true" : "false");
   }
   JsonFields& str(std::string_view key, std::string_view v) {
-    return raw(key, "\"" + json_escape(v) + "\"");
+    return raw(key, "\"" + json::escape(v) + "\"");
   }
   [[nodiscard]] const std::string& body() const { return body_; }
 
@@ -231,7 +210,7 @@ int ChromeTraceSink::lane_for(const std::string& name) {
   const int lane = next_lane_++;
   lanes_.emplace(name, lane);
   emit(last_ts_us_, 'M', lane, "thread_name",
-       "{\"name\":\"" + json_escape(name) + "\"}");
+       "{\"name\":\"" + json::escape(name) + "\"}");
   return lane;
 }
 
@@ -257,7 +236,7 @@ void ChromeTraceSink::emit(double ts_us, char ph, int tid,
   if (!first_) out() << ",\n";
   first_ = false;
   last_ts_us_ = ts_us;
-  out() << "{\"name\":\"" << json_escape(name) << "\",\"ph\":\"" << ph
+  out() << "{\"name\":\"" << json::escape(name) << "\",\"ph\":\"" << ph
         << "\",\"ts\":" << fmt_num(ts_us) << ",\"pid\":1,\"tid\":" << tid;
   if (!args_json.empty()) out() << ",\"args\":" << args_json;
   out() << "}";
@@ -326,7 +305,7 @@ void ChromeTraceSink::on_event(const Event& event) {
     }
     void operator()(const DpmWakeup& p) {
       sink.emit(us, 'i', kDpmLane, "wakeup",
-                "{\"from\":\"" + json_escape(p.from_state) +
+                "{\"from\":\"" + json::escape(p.from_state) +
                     "\",\"latency_s\":" + fmt_num(p.latency_s) + "}");
     }
     void operator()(const ComponentState& p) {

@@ -2,9 +2,9 @@
 
 #include <cctype>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <stdexcept>
+#include <sstream>
+
+#include "common/json.hpp"
 
 namespace dvs::obs {
 
@@ -62,25 +62,9 @@ void write_openmetrics(const MetricsRegistry& reg, std::ostream& os) {
 
 void write_openmetrics_atomic(const MetricsRegistry& reg,
                               const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) {
-      throw std::runtime_error("write_openmetrics_atomic: cannot open " + tmp);
-    }
-    write_openmetrics(reg, os);
-    os.flush();
-    if (!os) {
-      throw std::runtime_error("write_openmetrics_atomic: write failed: " +
-                               tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw std::runtime_error("write_openmetrics_atomic: rename to " + path +
-                             ": " + ec.message());
-  }
+  std::ostringstream os;
+  write_openmetrics(reg, os);
+  json::write_file_atomic(path, os.str());
 }
 
 }  // namespace dvs::obs

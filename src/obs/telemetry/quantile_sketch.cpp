@@ -11,16 +11,13 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/json.hpp"
+
 namespace dvs::obs {
 
-namespace {
+using json::fmt17;
 
-/// %.17g: the shortest printf format that round-trips every finite double.
-std::string fmt17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+namespace {
 
 double parse_double(const std::string& tok, const char* what) {
   char* end = nullptr;
@@ -357,6 +354,19 @@ QuantileSketch QuantileSketch::read_text(std::istream& is) {
     s.d_[i] = parse_double(dt, "marker desired position");
   }
   return s;
+}
+
+std::string sketch_text(const QuantileSketch& s) {
+  if (s.empty()) return {};
+  std::ostringstream os;
+  s.write_text(os);
+  return os.str();
+}
+
+QuantileSketch sketch_from_text(const std::string& text) {
+  if (text.empty()) return QuantileSketch{};
+  std::istringstream is(text);
+  return QuantileSketch::read_text(is);
 }
 
 }  // namespace dvs::obs

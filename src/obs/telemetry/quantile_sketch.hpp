@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 namespace dvs::obs {
@@ -104,5 +105,11 @@ class QuantileSketch {
   std::array<double, kMarkers> n_{};
   std::array<double, kMarkers> d_{};
 };
+
+/// The sketch as one embeddable string: "" when empty (write_text would
+/// emit non-finite min/max), else the pinned dvs-sketch-v1 text.
+std::string sketch_text(const QuantileSketch& s);
+/// Inverse of sketch_text; throws std::runtime_error on malformed text.
+QuantileSketch sketch_from_text(const std::string& text);
 
 }  // namespace dvs::obs

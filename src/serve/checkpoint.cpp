@@ -1,8 +1,6 @@
 #include "serve/checkpoint.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <sstream>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/json.hpp"
@@ -10,69 +8,33 @@
 namespace dvs::serve {
 namespace {
 
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-/// Empty sketches serialize as "" (write_text would emit non-finite
-/// min/max); everything else embeds the pinned dvs-sketch-v1 text.
-std::string sketch_text(const obs::QuantileSketch& s) {
-  if (s.empty()) return {};
-  std::ostringstream os;
-  s.write_text(os);
-  return os.str();
-}
-
-obs::QuantileSketch sketch_from_text(const std::string& text) {
-  if (text.empty()) return obs::QuantileSketch{};
-  std::istringstream is(text);
-  return obs::QuantileSketch::read_text(is);
-}
-
 void write_metrics(std::ostream& os, const core::Metrics& m) {
-  os << "{\"duration\": " << fmt17(m.duration.value())
-     << ", \"total_energy\": " << fmt17(m.total_energy.value())
+  os << "{\"duration\": " << json::fmt17(m.duration.value())
+     << ", \"total_energy\": " << json::fmt17(m.total_energy.value())
      << ", \"component_energy\": [";
   for (std::size_t i = 0; i < m.component_energy.size(); ++i) {
     if (i != 0) os << ", ";
-    os << fmt17(m.component_energy[i].value());
+    os << json::fmt17(m.component_energy[i].value());
   }
-  os << "], \"average_power\": " << fmt17(m.average_power.value())
+  os << "], \"average_power\": " << json::fmt17(m.average_power.value())
      << ", \"frames_arrived\": " << m.frames_arrived
      << ", \"frames_admitted\": " << m.frames_admitted
      << ", \"frames_decoded\": " << m.frames_decoded
      << ", \"frames_dropped\": " << m.frames_dropped
-     << ", \"mean_frame_delay\": " << fmt17(m.mean_frame_delay.value())
-     << ", \"max_frame_delay\": " << fmt17(m.max_frame_delay.value())
-     << ", \"mean_buffered_frames\": " << fmt17(m.mean_buffered_frames)
+     << ", \"mean_frame_delay\": " << json::fmt17(m.mean_frame_delay.value())
+     << ", \"max_frame_delay\": " << json::fmt17(m.max_frame_delay.value())
+     << ", \"mean_buffered_frames\": " << json::fmt17(m.mean_buffered_frames)
      << ", \"cpu_switches\": " << m.cpu_switches
-     << ", \"mean_cpu_frequency\": " << fmt17(m.mean_cpu_frequency.value())
+     << ", \"mean_cpu_frequency\": " << json::fmt17(m.mean_cpu_frequency.value())
      << ", \"dpm_idle_periods\": " << m.dpm_idle_periods
      << ", \"dpm_sleeps\": " << m.dpm_sleeps
      << ", \"dpm_wakeups\": " << m.dpm_wakeups
      << ", \"dpm_total_wakeup_delay\": "
-     << fmt17(m.dpm_total_wakeup_delay.value())
+     << json::fmt17(m.dpm_total_wakeup_delay.value())
      << ", \"faults_injected\": " << m.faults_injected
      << ", \"watchdog_escalations\": " << m.watchdog_escalations
      << ", \"watchdog_recoveries\": " << m.watchdog_recoveries
-     << ", \"time_in_degraded\": " << fmt17(m.time_in_degraded.value()) << "}";
+     << ", \"time_in_degraded\": " << json::fmt17(m.time_in_degraded.value()) << "}";
 }
 
 core::Metrics read_metrics(const json::Value& v) {
@@ -122,10 +84,21 @@ fleet::FleetGroupResult read_group(const json::Value& v) {
   g.faults_injected =
       static_cast<std::uint64_t>(v.number_or("faults_injected", 0));
   g.sum_mean_delay_s = v.number_or("sum_mean_delay_s", 0.0);
-  g.delay_sketch = sketch_from_text(v.string_or("delay_sketch", ""));
-  g.energy_sketch = sketch_from_text(v.string_or("energy_sketch", ""));
-  g.dropped_sketch = sketch_from_text(v.string_or("dropped_sketch", ""));
+  g.delay_sketch = obs::sketch_from_text(v.string_or("delay_sketch", ""));
+  g.energy_sketch = obs::sketch_from_text(v.string_or("energy_sketch", ""));
+  g.dropped_sketch = obs::sketch_from_text(v.string_or("dropped_sketch", ""));
   return g;
+}
+
+/// A record's point/shard index; anything but an integer in [0, 2^53)
+/// cannot come from the writer, so it throws and the load treats the
+/// record as torn.
+std::size_t unit_index(const json::Value& v) {
+  const double x = v.as_number();
+  if (!(x >= 0.0 && x < 9007199254740992.0) || x != std::floor(x)) {
+    throw std::runtime_error("checkpoint: unit index out of range");
+  }
+  return static_cast<std::size_t>(x);
 }
 
 }  // namespace
@@ -134,27 +107,18 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
                                    const std::string& job_id,
                                    const std::string& kind,
                                    std::size_t flush_every)
-    : flush_every_(flush_every == 0 ? 1 : flush_every) {
-  std::error_code ec;
-  const bool fresh = !std::filesystem::exists(path, ec) ||
-                     std::filesystem::file_size(path, ec) == 0;
-  out_.open(path, std::ios::app);
-  if (!out_) {
-    throw std::runtime_error("CheckpointWriter: cannot open " + path);
-  }
-  if (fresh) {
-    out_ << "{\"schema\": \"" << kCheckpointSchema << "\", \"job\": \""
-         << escape(job_id) << "\", \"kind\": \"" << kind << "\"}\n";
-    out_.flush();
-  }
-}
+    : out_(json::append_jsonl(
+          path, std::string("{\"schema\": \"") + kCheckpointSchema +
+                    "\", \"job\": \"" + json::escape(job_id) +
+                    "\", \"kind\": \"" + kind + "\"}")),
+      flush_every_(flush_every == 0 ? 1 : flush_every) {}
 
 bool CheckpointWriter::append_point(std::size_t index,
                                     const core::Metrics& metrics,
                                     const obs::QuantileSketch& delay_sketch) {
   out_ << "{\"point\": " << index << ", \"metrics\": ";
   write_metrics(out_, metrics);
-  out_ << ", \"delay_sketch\": \"" << escape(sketch_text(delay_sketch))
+  out_ << ", \"delay_sketch\": \"" << json::escape(obs::sketch_text(delay_sketch))
        << "\"}\n";
   return record_done();
 }
@@ -168,15 +132,15 @@ bool CheckpointWriter::append_shard(std::size_t shard,
     if (i != 0) out_ << ", ";
     out_ << "{\"devices\": " << g.devices
          << ", \"wave_devices\": " << g.wave_devices
-         << ", \"energy_j\": " << fmt17(g.energy_j)
+         << ", \"energy_j\": " << json::fmt17(g.energy_j)
          << ", \"frames_decoded\": " << g.frames_decoded
          << ", \"frames_dropped\": " << g.frames_dropped
          << ", \"faults_injected\": " << g.faults_injected
-         << ", \"sum_mean_delay_s\": " << fmt17(g.sum_mean_delay_s)
-         << ", \"delay_sketch\": \"" << escape(sketch_text(g.delay_sketch))
-         << "\", \"energy_sketch\": \"" << escape(sketch_text(g.energy_sketch))
+         << ", \"sum_mean_delay_s\": " << json::fmt17(g.sum_mean_delay_s)
+         << ", \"delay_sketch\": \"" << json::escape(obs::sketch_text(g.delay_sketch))
+         << "\", \"energy_sketch\": \"" << json::escape(obs::sketch_text(g.energy_sketch))
          << "\", \"dropped_sketch\": \""
-         << escape(sketch_text(g.dropped_sketch)) << "\"}";
+         << json::escape(obs::sketch_text(g.dropped_sketch)) << "\"}";
   }
   out_ << "]}\n";
   return record_done();
@@ -197,51 +161,31 @@ void CheckpointWriter::flush() {
 
 CheckpointData load_checkpoint(const std::string& path) {
   CheckpointData data;
-  std::ifstream in(path);
-  if (!in) return data;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::ValuePtr doc;
-    try {
-      doc = json::parse(line);
-    } catch (const json::ParseError&) {
-      break;  // torn tail after a SIGKILL: keep the intact prefix
-    }
-    if (const json::Value* schema = doc->find("schema"); schema != nullptr) {
-      if (!schema->is_string() || schema->as_string() != kCheckpointSchema) {
-        throw std::runtime_error("checkpoint " + path +
-                                 ": header schema is not \"" +
-                                 std::string(kCheckpointSchema) + "\"");
-      }
-      data.job_id = doc->string_or("job", "");
-      data.kind = doc->string_or("kind", "");
-      continue;
-    }
-    try {
-      if (const json::Value* point = doc->find("point"); point != nullptr) {
-        core::RestoredPoint rp;
-        rp.metrics = read_metrics(doc->at("metrics"));
-        rp.delay_sketch = sketch_from_text(doc->string_or("delay_sketch", ""));
-        data.points[static_cast<std::size_t>(point->as_number())] =
-            std::move(rp);
-        continue;
-      }
-      if (const json::Value* shard = doc->find("shard"); shard != nullptr) {
-        fleet::FleetShardPartial part;
-        part.frames_total =
-            static_cast<std::uint64_t>(doc->number_or("frames_total", 0));
-        for (const json::ValuePtr& g : doc->at("groups").as_array()) {
-          part.groups.push_back(read_group(*g));
+  json::read_jsonl_prefix(
+      path, kCheckpointSchema, "checkpoint",
+      [&](const json::Value& header) {
+        data.job_id = header.string_or("job", "");
+        data.kind = header.string_or("kind", "");
+      },
+      [&](const json::Value& doc) {
+        if (const json::Value* point = doc.find("point"); point != nullptr) {
+          core::RestoredPoint rp;
+          rp.metrics = read_metrics(doc.at("metrics"));
+          rp.delay_sketch =
+              obs::sketch_from_text(doc.string_or("delay_sketch", ""));
+          data.points[unit_index(*point)] = std::move(rp);
+        } else if (const json::Value* shard = doc.find("shard");
+                   shard != nullptr) {
+          fleet::FleetShardPartial part;
+          part.frames_total =
+              static_cast<std::uint64_t>(doc.number_or("frames_total", 0));
+          for (const json::ValuePtr& g : doc.at("groups").as_array()) {
+            part.groups.push_back(read_group(*g));
+          }
+          data.shards[unit_index(*shard)] = std::move(part);
         }
-        data.shards[static_cast<std::size_t>(shard->as_number())] =
-            std::move(part);
-        continue;
-      }
-    } catch (const std::runtime_error&) {
-      break;  // shape-torn record or torn sketch text: stop at the prefix
-    }
-  }
+        return true;
+      });
   return data;
 }
 

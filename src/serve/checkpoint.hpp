@@ -21,8 +21,9 @@
 // the serial fold with the very same operand bytes.  A SIGKILL can tear
 // the buffered tail of the file — the loader keeps every line up to the
 // first unparsable one and discards the rest, which merely re-executes the
-// torn units.  Appending to an existing file on resume is supported (the
-// header is written only when the file starts empty).
+// torn units.  Appending to an existing file on resume is supported: the
+// writer first truncates a torn final line, and writes the header only
+// when the file starts empty.
 #pragma once
 
 #include <cstddef>
@@ -72,7 +73,8 @@ struct CheckpointData {
 };
 
 /// Loads a checkpoint file; a missing file yields empty data, a torn
-/// trailing line ends the load at the last intact record.  Throws
+/// trailing line — or a record whose unit index is not an integer in
+/// [0, 2^53) — ends the load at the last intact record.  Throws
 /// std::runtime_error when the header names a different schema.
 CheckpointData load_checkpoint(const std::string& path);
 

@@ -6,7 +6,6 @@
 #include <sys/inotify.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -32,33 +31,6 @@ namespace fs = std::filesystem;
 volatile std::sig_atomic_t g_stop = 0;
 
 void handle_stop(int) { g_stop = 1; }
-
-double now_unix() {
-  const auto now = std::chrono::system_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(now).count();
-}
-
-/// .json entries of `dir` (stems only), lexicographically sorted; dotfiles
-/// and foreign extensions are invisible to the queue.
-std::vector<std::string> job_stems(const fs::path& dir) {
-  std::vector<std::string> stems;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const fs::path& p = entry.path();
-    if (p.extension() != ".json") continue;
-    const std::string stem = p.stem().string();
-    if (stem.empty() || stem.front() == '.') continue;
-    stems.push_back(stem);
-  }
-  std::sort(stems.begin(), stems.end());
-  return stems;
-}
-
-void write_error_file(const fs::path& path, const std::string& what) {
-  std::ofstream os(path);
-  os << what << "\n";
-}
 
 /// Best-effort move that survives a pre-existing destination (a re-dropped
 /// job name): the old entry is removed first.
@@ -207,7 +179,7 @@ class DaemonTelemetry {
     s.jobs_failed = jobs_failed_;
     s.table_cache = detect::threshold_table_cache_stats();
     s.solve_cache = dpm::tismdp_solve_cache_stats();
-    const std::vector<std::string> queued = job_stems(dp_.queue);
+    const std::vector<std::string> queued = job_stems(dp_.queue.string());
     s.queue_depth = queued.size();
     if (has_active_) s.jobs.push_back(active_);
     for (const std::string& stem : queued) {
@@ -289,7 +261,7 @@ void process_job(const DaemonPaths& dp, const std::string& stem,
     if (!flight_note.empty()) {
       error_text += "\nflight dumps: " + flight_note;
     }
-    write_error_file(dp.failed / (stem + ".error.txt"), error_text);
+    std::ofstream(dp.failed / (stem + ".error.txt")) << error_text << "\n";
     replace_rename(job_file, dp.failed / (stem + ".json"));
     tel.job_failed(job_id, e.what(), flight_note);
     std::printf("serve: job %s failed: %s\n", stem.c_str(), e.what());
@@ -362,7 +334,7 @@ int run_daemon(const DaemonOptions& opts) {
 
   // Crash recovery: a previous daemon's running/ jobs come first — their
   // checkpoints are freshest and their artifacts are already half-built.
-  for (const std::string& stem : job_stems(dp.running)) {
+  for (const std::string& stem : job_stems(dp.running.string())) {
     if (g_stop != 0 || !budget_left()) break;
     std::printf("serve: recovering interrupted job %s\n", stem.c_str());
     std::fflush(stdout);
@@ -371,7 +343,7 @@ int run_daemon(const DaemonOptions& opts) {
   }
 
   while (g_stop == 0 && budget_left()) {
-    const std::vector<std::string> stems = job_stems(dp.queue);
+    const std::vector<std::string> stems = job_stems(dp.queue.string());
     if (stems.empty()) {
       if (opts.drain) break;
       wait_for_drop(watch.get(), opts.poll_ms);

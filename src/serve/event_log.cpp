@@ -2,33 +2,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <stdexcept>
 
 #include "common/json.hpp"
 
 namespace dvs::serve {
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-double now_unix() {
-  const auto now = std::chrono::system_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(now).count();
-}
 
 std::string fmt_ts(double ts) {
   char buf[64];
@@ -38,44 +16,21 @@ std::string fmt_ts(double ts) {
 
 }  // namespace
 
-EventLog::EventLog(const std::string& path) {
-  // A SIGKILL mid-append leaves a torn final line with no newline; an
-  // append-mode reopen would glue the next record onto that fragment and
-  // render the glued line unparsable — hiding every later event from
-  // readers.  Truncate back to the last complete line first (the WAL
-  // recovery discipline): the torn record was never durable, and its
-  // transition is re-narrated by the recovery events that follow.
-  std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
-    std::ifstream in(path, std::ios::binary);
-    std::string content{std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>()};
-    if (!content.empty() && content.back() != '\n') {
-      const std::size_t nl = content.rfind('\n');
-      std::filesystem::resize_file(
-          path, nl == std::string::npos ? 0 : nl + 1, ec);
-    }
-  }
+EventLog::EventLog(const std::string& path)
+    : out_(json::append_jsonl(
+          path, std::string("{\"schema\": \"") + kEventsSchema + "\"}")) {
+  // A SIGKILL-torn final record was never durable (append_jsonl dropped
+  // it): its transition is re-narrated by the recovery events that follow.
   // Resume the sequence counter from the intact prefix so seq stays
-  // monotone across daemon restarts (and past a SIGKILL-torn tail).
+  // monotone across daemon restarts.
   for (const ServeEvent& ev : load_events(path)) seq_ = ev.seq;
-  const bool fresh = !std::filesystem::exists(path, ec) ||
-                     std::filesystem::file_size(path, ec) == 0;
-  out_.open(path, std::ios::app);
-  if (!out_) {
-    throw std::runtime_error("EventLog: cannot open " + path);
-  }
-  if (fresh) {
-    out_ << "{\"schema\": \"" << kEventsSchema << "\"}\n";
-    out_.flush();
-  }
 }
 
 void EventLog::append(const std::string& type, const std::string& job,
                       const std::string& fields) {
   out_ << "{\"seq\": " << ++seq_ << ", \"ts\": " << fmt_ts(now_unix())
        << ", \"event\": \"" << type << "\"";
-  if (!job.empty()) out_ << ", \"job\": \"" << escape(job) << "\"";
+  if (!job.empty()) out_ << ", \"job\": \"" << json::escape(job) << "\"";
   if (!fields.empty()) out_ << ", " << fields;
   out_ << "}\n";
   out_.flush();
@@ -111,58 +66,66 @@ void EventLog::job_finished(const std::string& job, const std::string& kind,
 
 void EventLog::job_failed(const std::string& job, const std::string& error,
                           const std::string& flight_dir) {
-  std::string fields = "\"error\": \"" + escape(error) + "\"";
+  std::string fields = "\"error\": \"" + json::escape(error) + "\"";
   if (!flight_dir.empty()) {
-    fields += ", \"flight_dir\": \"" + escape(flight_dir) + "\"";
+    fields += ", \"flight_dir\": \"" + json::escape(flight_dir) + "\"";
   }
   append("job_failed", job, fields);
 }
 
 std::vector<ServeEvent> load_events(const std::string& path) {
   std::vector<ServeEvent> events;
-  std::ifstream in(path);
-  if (!in) return events;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::ValuePtr doc;
-    try {
-      doc = json::parse(line);
-    } catch (const json::ParseError&) {
-      break;  // torn tail after a SIGKILL: keep the intact prefix
-    }
-    if (const json::Value* schema = doc->find("schema"); schema != nullptr) {
-      if (!schema->is_string() || schema->as_string() != kEventsSchema) {
-        throw std::runtime_error("event log " + path +
-                                 ": header schema is not \"" +
-                                 std::string(kEventsSchema) + "\"");
-      }
-      continue;
-    }
-    try {
-      ServeEvent ev;
-      ev.seq = static_cast<std::uint64_t>(doc->number_or("seq", 0));
-      ev.ts = doc->number_or("ts", 0.0);
-      ev.type = doc->string_or("event", "");
-      ev.job = doc->string_or("job", "");
-      ev.kind = doc->string_or("kind", "");
-      ev.error = doc->string_or("error", "");
-      ev.flight_dir = doc->string_or("flight_dir", "");
-      ev.units_done = static_cast<std::size_t>(doc->number_or("units_done", 0));
-      ev.units_total =
-          static_cast<std::size_t>(doc->number_or("units_total", 0));
-      ev.executed = static_cast<std::size_t>(doc->number_or("executed", 0));
-      ev.restored = static_cast<std::size_t>(doc->number_or("restored", 0));
-      ev.pid = static_cast<int>(doc->number_or("pid", 0));
-      ev.jobs_processed =
-          static_cast<std::size_t>(doc->number_or("jobs_processed", 0));
-      if (ev.type.empty() || ev.seq == 0) break;  // shape-torn record
-      events.push_back(std::move(ev));
-    } catch (const std::runtime_error&) {
-      break;  // shape-torn record: stop at the prefix
-    }
-  }
+  json::read_jsonl_prefix(
+      path, kEventsSchema, "event log", {}, [&](const json::Value& doc) {
+        ServeEvent ev;
+        ev.seq = static_cast<std::uint64_t>(doc.number_or("seq", 0));
+        ev.ts = doc.number_or("ts", 0.0);
+        ev.type = doc.string_or("event", "");
+        ev.job = doc.string_or("job", "");
+        ev.kind = doc.string_or("kind", "");
+        ev.error = doc.string_or("error", "");
+        ev.flight_dir = doc.string_or("flight_dir", "");
+        ev.units_done =
+            static_cast<std::size_t>(doc.number_or("units_done", 0));
+        ev.units_total =
+            static_cast<std::size_t>(doc.number_or("units_total", 0));
+        ev.executed = static_cast<std::size_t>(doc.number_or("executed", 0));
+        ev.restored = static_cast<std::size_t>(doc.number_or("restored", 0));
+        ev.pid = static_cast<int>(doc.number_or("pid", 0));
+        ev.jobs_processed =
+            static_cast<std::size_t>(doc.number_or("jobs_processed", 0));
+        if (ev.type.empty() || ev.seq == 0) return false;  // shape-torn
+        events.push_back(std::move(ev));
+        return true;
+      });
   return events;
+}
+
+double now_unix() {
+  const auto now = std::chrono::system_clock::now().time_since_epoch();
+  return std::chrono::duration<double>(now).count();
+}
+
+std::string event_detail(const ServeEvent& ev) {
+  if (ev.type == "daemon_start") return "pid " + std::to_string(ev.pid);
+  if (ev.type == "daemon_stop") {
+    return "after " + std::to_string(ev.jobs_processed) + " job" +
+           (ev.jobs_processed == 1 ? "" : "s");
+  }
+  if (ev.type == "checkpoint_flush") {
+    return std::to_string(ev.units_done) + "/" +
+           std::to_string(ev.units_total) + " units durable";
+  }
+  if (ev.type == "job_finished") {
+    return ev.kind + ", " + std::to_string(ev.executed) + " executed, " +
+           std::to_string(ev.restored) + " restored";
+  }
+  if (ev.type == "job_failed") {
+    std::string d = ev.error;
+    if (!ev.flight_dir.empty()) d += " (flight dumps: " + ev.flight_dir + ")";
+    return d;
+  }
+  return {};
 }
 
 }  // namespace dvs::serve

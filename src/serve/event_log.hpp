@@ -92,4 +92,11 @@ class EventLog {
 /// different schema.
 std::vector<ServeEvent> load_events(const std::string& path);
 
+/// Wall-clock unix seconds, the `ts` of every event.
+double now_unix();
+
+/// One-line human detail of an event ("pid 42", "3/8 units durable", ...);
+/// empty for types without one.
+std::string event_detail(const ServeEvent& ev);
+
 }  // namespace dvs::serve

@@ -1,49 +1,80 @@
 #include "serve/job_runner.hpp"
 
-#include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <memory>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
-#include <chrono>
-
 #include "common/csv.hpp"
 #include "core/sweep.hpp"
-#include "fault/trace_transforms.hpp"
+#include "fault/fault_spec.hpp"
 #include "fleet/fleet_runner.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/status.hpp"
-#include "workload/clips.hpp"
-#include "workload/trace.hpp"
 
 namespace dvs::serve {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Optional checkpointing: writer + restored state live together so the
-/// restore map outlives the runner call.
-struct CheckpointSession {
+/// One job's unit bookkeeping, the same for every kind: checkpoint restore
+/// and durability, progress reports, and the outcome/summary unit counts.
+struct JobUnits {
+  /// Sweep and fleet jobs checkpoint when `paths` names a file; a run job
+  /// is a single unit and never does.
+  JobUnits(const JobSpec& spec, const JobPaths& paths, std::size_t total)
+      : spec(spec), paths(paths), total(total) {
+    const std::string& path = paths.checkpoint_path;
+    if (spec.kind == JobKind::Run || path.empty()) return;
+    restored = load_checkpoint(path);
+    if (!restored.empty() && restored.kind != to_string(spec.kind)) {
+      throw std::runtime_error("checkpoint " + path + " is for a " +
+                               restored.kind + " job, not " +
+                               to_string(spec.kind));
+    }
+    done = spec.kind == JobKind::Fleet
+               ? core::restored_units(restored.shards, total)
+               : core::restored_units(restored.points, total);
+    writer.emplace(path, spec.id, to_string(spec.kind), spec.checkpoint_every);
+  }
+
+  /// The job-level UnitOptions: pool size, heartbeat with the job id as
+  /// trace context, and the restored units of this kind.
+  template <class Partial>
+  void wire(core::UnitOptions<Partial>& o, int jobs,
+            const std::map<std::size_t, Partial>& units) const {
+    o.jobs = jobs;
+    o.heartbeat_path = paths.output_dir + "/heartbeat.jsonl";
+    o.heartbeat_job = spec.id;
+    if (!units.empty()) o.restored = &units;
+  }
+
+  /// One executed unit; `flushed` = its checkpoint record hit a flush.
+  void unit_done(bool flushed) {
+    if (paths.on_progress) paths.on_progress({++done, total, flushed});
+  }
+
+  /// Completes `summary` with the unit counts and writes it.
+  JobOutcome finish(const core::UnitCounts& units, double elapsed_s,
+                    JobSummary summary) const {
+    summary.job_id = spec.id;
+    summary.kind = to_string(spec.kind);
+    summary.units_total = total;
+    summary.executed = units.executed;
+    summary.restored = units.restored;
+    summary.elapsed_s = elapsed_s;
+    write_job_summary(summary, paths.output_dir + "/job_summary.json");
+    return JobOutcome{units.restored, units.executed};
+  }
+
+  const JobSpec& spec;
+  const JobPaths& paths;
+  std::size_t total;
+  std::size_t done = 0;  ///< restored + executed units so far
   CheckpointData restored;
   std::optional<CheckpointWriter> writer;
 };
-
-CheckpointSession open_checkpoint(const JobSpec& spec,
-                                  const std::string& path) {
-  CheckpointSession s;
-  if (path.empty()) return s;
-  s.restored = load_checkpoint(path);
-  if (!s.restored.empty() && s.restored.kind != to_string(spec.kind)) {
-    throw std::runtime_error("checkpoint " + path + " is for a " +
-                             s.restored.kind + " job, not " +
-                             to_string(spec.kind));
-  }
-  s.writer.emplace(path, spec.id, to_string(spec.kind), spec.checkpoint_every);
-  return s;
-}
 
 JobOutcome run_sweep_job(const JobSpec& spec, const JobPaths& paths,
                          int jobs) {
@@ -55,60 +86,35 @@ JobOutcome run_sweep_job(const JobSpec& spec, const JobPaths& paths,
   }
   if (!spec.sweep.policy.empty()) scenario.policies = {spec.sweep.policy};
 
-  CheckpointSession ckpt = open_checkpoint(spec, paths.checkpoint_path);
-  const std::size_t total = scenario.num_points();
-
+  JobUnits units(spec, paths, scenario.num_points());
   core::SweepOptions sopts;
-  sopts.jobs = jobs;
+  units.wire(sopts, jobs, units.restored.points);
   // Always collect quantiles: the cells CSV must carry the same percentile
   // columns whether the job ran straight through or resumed from a
   // checkpoint, and restored sketches can only merge into collected ones.
   sopts.collect_quantiles = true;
-  sopts.heartbeat_path = paths.output_dir + "/heartbeat.jsonl";
-  sopts.heartbeat_job = spec.id;
   // Anomaly auto-dumps land with the job's other artifacts, not the
   // daemon's CWD; the point/replicate in the name is the trace context
   // back to the checkpoint record.
   const std::string flight_dir = paths.output_dir + "/flight";
   fs::create_directories(flight_dir);
-  const std::string scenario_name = scenario.name;
-  sopts.configure_run = [flight_dir, scenario_name](const core::RunPoint& p,
-                                                    core::RunOptions& ropts) {
-    ropts.flight_dump_path = flight_dir + "/" + scenario_name + "_point" +
-                             std::to_string(p.index) + "_rep" +
-                             std::to_string(p.replicate) + ".flight.txt";
+  sopts.configure_run = core::flight_dumps_in(flight_dir, scenario.name);
+  sopts.on_point_checkpoint = [&units](const core::RunPoint& p,
+                                       const core::Metrics& m,
+                                       const obs::QuantileSketch& sketch) {
+    units.unit_done(units.writer &&
+                    units.writer->append_point(p.index, m, sketch));
   };
-  if (!ckpt.restored.points.empty()) sopts.restored = &ckpt.restored.points;
-  if (ckpt.writer || paths.on_progress) {
-    CheckpointWriter* w = ckpt.writer ? &*ckpt.writer : nullptr;
-    std::size_t done = ckpt.restored.points.size();
-    sopts.on_point_checkpoint = [w, &paths, total, done](
-                                    const core::RunPoint& p,
-                                    const core::Metrics& m,
-                                    const obs::QuantileSketch& sketch) mutable {
-      const bool flushed = w != nullptr && w->append_point(p.index, m, sketch);
-      if (paths.on_progress) paths.on_progress({++done, total, flushed});
-    };
-  }
 
   const core::SweepResult res = core::SweepRunner{sopts}.run(scenario);
-  if (ckpt.writer) ckpt.writer->flush();
+  if (units.writer) units.writer->flush();
 
   CsvWriter cells{paths.output_dir + "/sweep_cells.csv"};
   res.write_cells_csv(cells);
   CsvWriter points{paths.output_dir + "/sweep_points.csv"};
   res.write_points_csv(points);
 
-  JobOutcome out;
-  out.restored_units = ckpt.restored.points.size();
-  out.executed_units = res.points.size() - out.restored_units;
-
   JobSummary summary;
-  summary.job_id = spec.id;
-  summary.kind = to_string(spec.kind);
-  summary.units_total = total;
-  summary.executed = out.executed_units;
-  summary.restored = out.restored_units;
   for (const core::PointResult& p : res.points) {
     summary.frames_decoded += p.metrics.frames_decoded;
     summary.frames_dropped += p.metrics.frames_dropped;
@@ -121,9 +127,7 @@ JobOutcome run_sweep_job(const JobSpec& spec, const JobPaths& paths,
   for (const core::CellResult& c : res.cells) {
     summary.frame_delay_sketch.merge(c.delay_sketch);
   }
-  summary.elapsed_s = res.wall_seconds;
-  write_job_summary(summary, paths.output_dir + "/job_summary.json");
-  return out;
+  return units.finish(res.units, res.wall_seconds, std::move(summary));
 }
 
 JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
@@ -132,43 +136,23 @@ JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
   if (spec.fleet.devices > 0) fspec.num_devices = spec.fleet.devices;
   if (spec.seed_set) fspec.fleet_seed = spec.seed;
 
-  CheckpointSession ckpt = open_checkpoint(spec, paths.checkpoint_path);
-
   dvs::fleet::FleetOptions fopts;
-  fopts.jobs = jobs;
   if (spec.fleet.shard_size > 0) fopts.shard_size = spec.fleet.shard_size;
-  fopts.heartbeat_path = paths.output_dir + "/heartbeat.jsonl";
-  fopts.heartbeat_job = spec.id;
-  const std::size_t shards =
-      (fspec.num_devices + fopts.shard_size - 1) / fopts.shard_size;
-  if (!ckpt.restored.shards.empty()) fopts.restored = &ckpt.restored.shards;
-  if (ckpt.writer || paths.on_progress) {
-    CheckpointWriter* w = ckpt.writer ? &*ckpt.writer : nullptr;
-    std::size_t done = ckpt.restored.shards.size();
-    fopts.on_shard = [w, &paths, shards, done](
-                         std::size_t shard,
-                         const dvs::fleet::FleetShardPartial& part) mutable {
-      const bool flushed = w != nullptr && w->append_shard(shard, part);
-      if (paths.on_progress) paths.on_progress({++done, shards, flushed});
-    };
-  }
+  JobUnits units(spec, paths,
+                 (fspec.num_devices + fopts.shard_size - 1) / fopts.shard_size);
+  units.wire(fopts, jobs, units.restored.shards);
+  fopts.on_shard = [&units](std::size_t shard,
+                            const dvs::fleet::FleetShardPartial& part) {
+    units.unit_done(units.writer && units.writer->append_shard(shard, part));
+  };
 
   const dvs::fleet::FleetResult res = dvs::fleet::FleetRunner{fopts}.run(fspec);
-  if (ckpt.writer) ckpt.writer->flush();
+  if (units.writer) units.writer->flush();
 
   CsvWriter csv{paths.output_dir + "/fleet.csv"};
   res.write_csv(csv);
 
-  JobOutcome out;
-  out.restored_units = ckpt.restored.shards.size();
-  out.executed_units = shards - std::min(shards, out.restored_units);
-
   JobSummary summary;
-  summary.job_id = spec.id;
-  summary.kind = to_string(spec.kind);
-  summary.units_total = shards;
-  summary.executed = out.executed_units;
-  summary.restored = out.restored_units;
   summary.frames_decoded = res.total.frames_decoded;
   summary.frames_dropped = res.total.frames_dropped;
   summary.energy_j = res.total.energy_j;
@@ -176,24 +160,35 @@ JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
   // fleet-wide fold, already pinned in shard order by the runner.
   summary.device_delay_sketch = res.total.delay_sketch;
   summary.device_delay_sum_s = res.total.sum_mean_delay_s;
-  summary.elapsed_s = res.wall_seconds;
-  write_job_summary(summary, paths.output_dir + "/job_summary.json");
-  return out;
+  return units.finish(res.units, res.wall_seconds, std::move(summary));
 }
 
-JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths, int jobs) {
-  (void)jobs;  // a single engine run is inherently serial
-  const auto t0 = std::chrono::steady_clock::now();
-  // Observability attachments: a private registry harvests the frame-delay
-  // sketch for job_summary.json, and the flight recorder's auto-dump is
-  // routed next to the job's other artifacts.  Neither feeds the results.
-  obs::MetricsRegistry reg;
-  const std::string flight_dir = paths.output_dir + "/flight";
-  fs::create_directories(flight_dir);
+/// A run job is one unit: the single engine run is inherently serial.
+JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths) {
   const RunJob& r = spec.run;
-  const core::CpuAsset cpu_asset = core::build_cpu_asset("sa1100");
-  const hw::Sa1100& cpu = cpu_asset.cpu;
   const std::uint64_t seed = spec.seed_set ? spec.seed : 1;
+  const core::CpuAsset cpu = core::build_cpu_asset("sa1100");
+
+  core::WorkloadSpec workload;
+  if (r.session) {
+    core::SessionConfig scfg;
+    scfg.cycles = r.cycles;
+    if (r.seconds > 0.0) scfg.mpeg_segment = seconds(r.seconds);
+    workload = core::WorkloadSpec::usage_session(std::move(scfg));
+  } else if (r.media == "mp3") {
+    workload = core::WorkloadSpec::mp3(r.sequence);
+  } else {
+    // Run jobs play football for any clip name but terminator2.
+    workload = core::WorkloadSpec::mpeg(
+        r.clip == "terminator2" ? "terminator2" : "football",
+        seconds(r.seconds));
+  }
+  fault::FaultSpec faults;
+  if (!r.faults.empty()) {
+    faults = fault::combine_faults(fault::parse_fault_list(r.faults));
+  }
+  const core::WorkloadAsset asset = core::build_workload_asset(
+      workload, cpu.cpu, seed, faults, core::mix_seed(seed, 0xfa));
 
   core::DetectorFactoryConfig detector_cfg;
   core::RunAssembly assembly;
@@ -202,73 +197,36 @@ JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths, int jobs) {
     detector_cfg.prepare();
   }
   if (!r.policy.empty()) assembly.policy = r.policy;
+  assembly.delay_target =
+      r.delay > 0.0 ? seconds(r.delay) : workload.default_delay_target();
   assembly.service_cv2 = r.cv2;
   assembly.dpm.kind = *core::dpm_kind_from_string(r.dpm);
   assembly.dpm.max_delay = seconds(r.dpm_delay);
   assembly.engine_seed = seed;
+  if (!r.faults.empty()) assembly.faults = &faults;
+  core::RunOptions opts =
+      core::assemble_run_options(assembly, cpu, asset.idle, detector_cfg);
+  // Observability attachments: a private registry harvests the frame-delay
+  // sketch for job_summary.json, and the flight recorder's auto-dump is
+  // routed next to the job's other artifacts.  Neither feeds the results.
+  obs::MetricsRegistry reg;
+  opts.metrics = &reg;
+  const std::string flight_dir = paths.output_dir + "/flight";
+  fs::create_directories(flight_dir);
+  opts.flight_dump_path = flight_dir + "/run.flight.txt";
 
-  std::vector<fault::TraceFault> trace_faults;
-  std::vector<fault::FaultSpec> fault_specs;
-  if (!r.faults.empty()) {
-    fault_specs = fault::parse_fault_list(r.faults);
-    for (const fault::FaultSpec& f : fault_specs) {
-      trace_faults.insert(trace_faults.end(), f.trace_faults.begin(),
-                          f.trace_faults.end());
-    }
-    assembly.faults = &fault_specs.front();
-  }
-  Rng fault_rng{core::mix_seed(seed, 0xfa)};
-
-  core::Metrics m;
-  if (r.session) {
-    core::SessionConfig scfg;
-    scfg.cycles = r.cycles;
-    scfg.seed = seed;
-    if (r.seconds > 0.0) scfg.mpeg_segment = seconds(r.seconds);
-    core::Session session = core::build_session(scfg, cpu);
-    if (!trace_faults.empty()) {
-      for (core::PlaybackItem& item : session.items) {
-        item.trace = fault::apply_faults(item.trace, trace_faults, fault_rng);
-      }
-    }
-    assembly.delay_target = seconds(r.delay > 0.0 ? r.delay : 0.1);
-    core::RunOptions opts = core::assemble_run_options(
-        assembly, cpu_asset, session.idle_model, detector_cfg);
-    opts.metrics = &reg;
-    opts.flight_dump_path = flight_dir + "/run.flight.txt";
-    m = core::run_items(session.items, opts);
-  } else {
-    std::optional<workload::FrameTrace> trace;
-    std::optional<workload::DecoderModel> decoder;
-    if (r.media == "mp3") {
-      decoder = workload::reference_mp3_decoder(cpu.max_frequency());
-      Rng rng{seed};
-      trace = workload::build_mp3_trace(workload::mp3_sequence(r.sequence),
-                                        *decoder, rng);
-    } else {
-      decoder = workload::reference_mpeg_decoder(cpu.max_frequency());
-      workload::MpegClip clip = r.clip == "terminator2"
-                                    ? workload::terminator2_clip()
-                                    : workload::football_clip();
-      if (r.seconds > 0.0) {
-        clip.duration = seconds(std::min(r.seconds, clip.duration.value()));
-      }
-      Rng rng{seed};
-      trace = workload::build_mpeg_trace(clip, *decoder, rng);
-    }
-    if (!trace_faults.empty()) {
-      trace = fault::apply_faults(*trace, trace_faults, fault_rng);
-    }
-    const auto idle = core::default_idle_distribution();
-    const bool audio = trace->type() == workload::MediaType::Mp3Audio;
-    assembly.delay_target =
-        seconds(r.delay > 0.0 ? r.delay : (audio ? 0.15 : 0.1));
-    core::RunOptions opts =
-        core::assemble_run_options(assembly, cpu_asset, idle, detector_cfg);
-    opts.metrics = &reg;
-    opts.flight_dump_path = flight_dir + "/run.flight.txt";
-    m = core::run_single_trace(*trace, *decoder, opts);
-  }
+  JobUnits units(spec, paths, 1);
+  core::UnitPlan<core::Metrics> plan;
+  plan.n = 1;
+  plan.execute = [&](std::size_t) {
+    return core::run_items(*asset.items, opts);
+  };
+  plan.on_unit = [&units](std::size_t, const core::Metrics&) {
+    units.unit_done(false);
+  };
+  const core::UnitRun<core::Metrics> run =
+      core::run_units(core::UnitOptions<core::Metrics>{}, plan);
+  const core::Metrics& m = run.partials.front();
 
   // The run's machine artifact: a one-row CSV with the table-level numbers
   // (%.17g comes only from checkpoints; this is a report, not a fold input).
@@ -284,14 +242,7 @@ JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths, int jobs) {
       m.max_frame_delay.value(), static_cast<double>(m.cpu_switches),
       static_cast<double>(m.dpm_sleeps)});
 
-  JobOutcome out;
-  out.executed_units = 1;
-
   JobSummary summary;
-  summary.job_id = spec.id;
-  summary.kind = to_string(spec.kind);
-  summary.units_total = 1;
-  summary.executed = 1;
   summary.frames_decoded = m.frames_decoded;
   summary.frames_dropped = m.frames_dropped;
   summary.energy_j = m.total_energy.value();
@@ -299,12 +250,7 @@ JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths, int jobs) {
     summary.frame_delay_sketch = h->sketch();
     summary.frame_delay_sum_s = h->count() > 0 ? h->stats().sum() : 0.0;
   }
-  summary.elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  write_job_summary(summary, paths.output_dir + "/job_summary.json");
-  if (paths.on_progress) paths.on_progress({1, 1, false});
-  return out;
+  return units.finish(run.counts, run.wall_seconds, std::move(summary));
 }
 
 }  // namespace
@@ -317,7 +263,7 @@ JobOutcome run_job(const JobSpec& spec, const JobPaths& paths,
 
   JobOutcome out;
   switch (spec.kind) {
-    case JobKind::Run: out = run_run_job(spec, paths, jobs); break;
+    case JobKind::Run: out = run_run_job(spec, paths); break;
     case JobKind::Sweep: out = run_sweep_job(spec, paths, jobs); break;
     case JobKind::Fleet: out = run_fleet_job(spec, paths, jobs); break;
   }

@@ -4,6 +4,13 @@
 // runners, same CSV writers — plus the two things only a daemon needs:
 // checkpoint emission while running and checkpoint restore on entry.
 //
+// Every kind is units of the ordered-unit executor (core/units.hpp): sweep
+// points, fleet shards, and a run job as one unit.  One code path wires
+// any kind's checkpoint writer, restored units and progress reports, and
+// the executed/restored counts in JobOutcome and job_summary.json are the
+// executor's own, so stray or out-of-range checkpoint records can never
+// skew them.
+//
 // Process-wide warm state is deliberate: the change-point threshold table
 // (detect::shared_threshold_table) and TISMDP solutions (dpm solve cache)
 // are keyed caches that persist across run_job calls, so the second job of

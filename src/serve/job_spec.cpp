@@ -30,29 +30,9 @@ void check_keys(const json::Value& obj, const char* where,
   }
 }
 
-double number_field(const json::Value& obj, const std::string& key,
-                    double fallback) {
-  return obj.number_or(key, fallback);
-}
-
 bool bool_field(const json::Value& obj, const std::string& key, bool fallback) {
   const json::Value* v = obj.find(key);
   return v == nullptr ? fallback : v->as_bool();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -98,10 +78,10 @@ JobSpec JobSpec::parse(const json::Value& doc, const std::string& fallback_id) {
     spec.seed = static_cast<std::uint64_t>(seed->as_number());
     spec.seed_set = true;
   }
-  spec.jobs = static_cast<int>(number_field(doc, "jobs", 0));
+  spec.jobs = static_cast<int>(doc.number_or("jobs", 0));
   if (spec.jobs < 0) bad("\"jobs\" must be >= 0");
   spec.checkpoint_every =
-      static_cast<std::size_t>(number_field(doc, "checkpoint_every", 1));
+      static_cast<std::size_t>(doc.number_or("checkpoint_every", 1));
   if (spec.checkpoint_every == 0) spec.checkpoint_every = 1;
 
   for (const char* section : {"run", "sweep", "fleet"}) {
@@ -121,16 +101,16 @@ JobSpec JobSpec::parse(const json::Value& doc, const std::string& fallback_id) {
         spec.run.media = r->string_or("media", spec.run.media);
         spec.run.sequence = r->string_or("sequence", spec.run.sequence);
         spec.run.clip = r->string_or("clip", spec.run.clip);
-        spec.run.seconds = number_field(*r, "seconds", spec.run.seconds);
+        spec.run.seconds = r->number_or("seconds", spec.run.seconds);
         spec.run.session = bool_field(*r, "session", spec.run.session);
         spec.run.cycles =
-            static_cast<int>(number_field(*r, "cycles", spec.run.cycles));
+            static_cast<int>(r->number_or("cycles", spec.run.cycles));
         spec.run.detector = r->string_or("detector", spec.run.detector);
         spec.run.policy = r->string_or("policy", spec.run.policy);
         spec.run.dpm = r->string_or("dpm", spec.run.dpm);
-        spec.run.dpm_delay = number_field(*r, "dpm_delay", spec.run.dpm_delay);
-        spec.run.delay = number_field(*r, "delay", spec.run.delay);
-        spec.run.cv2 = number_field(*r, "cv2", spec.run.cv2);
+        spec.run.dpm_delay = r->number_or("dpm_delay", spec.run.dpm_delay);
+        spec.run.delay = r->number_or("delay", spec.run.delay);
+        spec.run.cv2 = r->number_or("cv2", spec.run.cv2);
         spec.run.faults = r->string_or("faults", spec.run.faults);
       }
       break;
@@ -142,7 +122,7 @@ JobSpec JobSpec::parse(const json::Value& doc, const std::string& fallback_id) {
                  {"scenario", "replicates", "faults", "policy"});
       spec.sweep.scenario = s->string_or("scenario", "");
       spec.sweep.replicates =
-          static_cast<int>(number_field(*s, "replicates", 0));
+          static_cast<int>(s->number_or("replicates", 0));
       spec.sweep.faults = s->string_or("faults", "");
       spec.sweep.policy = s->string_or("policy", "");
       break;
@@ -153,9 +133,9 @@ JobSpec JobSpec::parse(const json::Value& doc, const std::string& fallback_id) {
       check_keys(*f, "fleet section", {"name", "devices", "shard_size"});
       spec.fleet.name = f->string_or("name", "");
       spec.fleet.devices =
-          static_cast<std::size_t>(number_field(*f, "devices", 0));
+          static_cast<std::size_t>(f->number_or("devices", 0));
       spec.fleet.shard_size =
-          static_cast<std::size_t>(number_field(*f, "shard_size", 0));
+          static_cast<std::size_t>(f->number_or("shard_size", 0));
       break;
     }
   }
@@ -232,7 +212,7 @@ void JobSpec::write_json(std::ostream& os) const {
   std::ostringstream body;
   body << "{\n"
        << "  \"schema\": \"" << kJobSchema << "\",\n"
-       << "  \"id\": \"" << json_escape(id) << "\",\n"
+       << "  \"id\": \"" << json::escape(id) << "\",\n"
        << "  \"kind\": \"" << to_string(kind) << "\",\n";
   if (seed_set) body << "  \"seed\": " << seed << ",\n";
   body << "  \"jobs\": " << jobs << ",\n"
@@ -240,32 +220,32 @@ void JobSpec::write_json(std::ostream& os) const {
   switch (kind) {
     case JobKind::Run:
       body << "  \"run\": {\n"
-           << "    \"media\": \"" << json_escape(run.media) << "\",\n"
-           << "    \"sequence\": \"" << json_escape(run.sequence) << "\",\n"
-           << "    \"clip\": \"" << json_escape(run.clip) << "\",\n"
+           << "    \"media\": \"" << json::escape(run.media) << "\",\n"
+           << "    \"sequence\": \"" << json::escape(run.sequence) << "\",\n"
+           << "    \"clip\": \"" << json::escape(run.clip) << "\",\n"
            << "    \"seconds\": " << run.seconds << ",\n"
            << "    \"session\": " << (run.session ? "true" : "false") << ",\n"
            << "    \"cycles\": " << run.cycles << ",\n"
-           << "    \"detector\": \"" << json_escape(run.detector) << "\",\n"
-           << "    \"policy\": \"" << json_escape(run.policy) << "\",\n"
-           << "    \"dpm\": \"" << json_escape(run.dpm) << "\",\n"
+           << "    \"detector\": \"" << json::escape(run.detector) << "\",\n"
+           << "    \"policy\": \"" << json::escape(run.policy) << "\",\n"
+           << "    \"dpm\": \"" << json::escape(run.dpm) << "\",\n"
            << "    \"dpm_delay\": " << run.dpm_delay << ",\n"
            << "    \"delay\": " << run.delay << ",\n"
            << "    \"cv2\": " << run.cv2 << ",\n"
-           << "    \"faults\": \"" << json_escape(run.faults) << "\"\n"
+           << "    \"faults\": \"" << json::escape(run.faults) << "\"\n"
            << "  }\n";
       break;
     case JobKind::Sweep:
       body << "  \"sweep\": {\n"
-           << "    \"scenario\": \"" << json_escape(sweep.scenario) << "\",\n"
+           << "    \"scenario\": \"" << json::escape(sweep.scenario) << "\",\n"
            << "    \"replicates\": " << sweep.replicates << ",\n"
-           << "    \"faults\": \"" << json_escape(sweep.faults) << "\",\n"
-           << "    \"policy\": \"" << json_escape(sweep.policy) << "\"\n"
+           << "    \"faults\": \"" << json::escape(sweep.faults) << "\",\n"
+           << "    \"policy\": \"" << json::escape(sweep.policy) << "\"\n"
            << "  }\n";
       break;
     case JobKind::Fleet:
       body << "  \"fleet\": {\n"
-           << "    \"name\": \"" << json_escape(fleet.name) << "\",\n"
+           << "    \"name\": \"" << json::escape(fleet.name) << "\",\n"
            << "    \"devices\": " << fleet.devices << ",\n"
            << "    \"shard_size\": " << fleet.shard_size << "\n"
            << "  }\n";

@@ -1,9 +1,7 @@
 #include "serve/status.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,70 +9,15 @@
 
 namespace dvs::serve {
 namespace fs = std::filesystem;
-namespace {
-
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string sketch_text(const obs::QuantileSketch& s) {
-  if (s.empty()) return {};
-  std::ostringstream os;
-  s.write_text(os);
-  return os.str();
-}
-
-obs::QuantileSketch sketch_from_text(const std::string& text) {
-  if (text.empty()) return obs::QuantileSketch{};
-  std::istringstream is(text);
-  return obs::QuantileSketch::read_text(is);
-}
-
-/// Writes `text` to `path + ".tmp"` then renames over `path`.
-void replace_file_atomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) throw std::runtime_error("status: cannot open " + tmp);
-    os << text;
-    os.flush();
-    if (!os) throw std::runtime_error("status: write failed: " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw std::runtime_error("status: rename to " + path + ": " +
-                             ec.message());
-  }
-}
-
-}  // namespace
 
 void write_status_atomic(const ServeStatus& status, const std::string& path) {
   std::ostringstream os;
   os << "{\n  \"schema\": \"" << kStatusSchema << "\",\n"
      << "  \"pid\": " << status.pid << ",\n"
      << "  \"state\": \"" << status.state << "\",\n"
-     << "  \"started\": " << fmt17(status.started_unix) << ",\n"
-     << "  \"updated\": " << fmt17(status.updated_unix) << ",\n"
-     << "  \"uptime_s\": " << fmt17(status.uptime_s) << ",\n"
+     << "  \"started\": " << json::fmt17(status.started_unix) << ",\n"
+     << "  \"updated\": " << json::fmt17(status.updated_unix) << ",\n"
+     << "  \"uptime_s\": " << json::fmt17(status.uptime_s) << ",\n"
      << "  \"last_seq\": " << status.last_seq << ",\n"
      << "  \"jobs_done\": " << status.jobs_done << ",\n"
      << "  \"jobs_failed\": " << status.jobs_failed << ",\n"
@@ -89,16 +32,16 @@ void write_status_atomic(const ServeStatus& status, const std::string& path) {
      << "  },\n  \"jobs\": [";
   for (std::size_t i = 0; i < status.jobs.size(); ++i) {
     const JobStatus& j = status.jobs[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"id\": \"" << escape(j.id)
+    os << (i == 0 ? "\n" : ",\n") << "    {\"id\": \"" << json::escape(j.id)
        << "\", \"kind\": \"" << j.kind << "\", \"state\": \"" << j.state
        << "\", \"units_done\": " << j.units_done
        << ", \"units_total\": " << j.units_total
-       << ", \"elapsed_s\": " << fmt17(j.elapsed_s);
-    if (j.eta_s >= 0.0) os << ", \"eta_s\": " << fmt17(j.eta_s);
+       << ", \"elapsed_s\": " << json::fmt17(j.elapsed_s);
+    if (j.eta_s >= 0.0) os << ", \"eta_s\": " << json::fmt17(j.eta_s);
     os << "}";
   }
   os << (status.jobs.empty() ? "" : "\n  ") << "]\n}\n";
-  replace_file_atomic(path, os.str());
+  json::write_file_atomic(path, os.str());
 }
 
 ServeStatus load_status(const std::string& path) {
@@ -150,28 +93,26 @@ ServeStatus load_status(const std::string& path) {
 }
 
 void write_job_summary(const JobSummary& summary, const std::string& path) {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) throw std::runtime_error("job_summary: cannot open " + path);
+  std::ostringstream os;
   os << "{\n  \"schema\": \"" << kJobSummarySchema << "\",\n"
-     << "  \"job\": \"" << escape(summary.job_id) << "\",\n"
+     << "  \"job\": \"" << json::escape(summary.job_id) << "\",\n"
      << "  \"kind\": \"" << summary.kind << "\",\n"
      << "  \"units_total\": " << summary.units_total << ",\n"
      << "  \"executed\": " << summary.executed << ",\n"
      << "  \"restored\": " << summary.restored << ",\n"
      << "  \"frames_decoded\": " << summary.frames_decoded << ",\n"
      << "  \"frames_dropped\": " << summary.frames_dropped << ",\n"
-     << "  \"energy_j\": " << fmt17(summary.energy_j) << ",\n"
-     << "  \"elapsed_s\": " << fmt17(summary.elapsed_s) << ",\n"
-     << "  \"frame_delay_sum_s\": " << fmt17(summary.frame_delay_sum_s)
+     << "  \"energy_j\": " << json::fmt17(summary.energy_j) << ",\n"
+     << "  \"elapsed_s\": " << json::fmt17(summary.elapsed_s) << ",\n"
+     << "  \"frame_delay_sum_s\": " << json::fmt17(summary.frame_delay_sum_s)
      << ",\n"
      << "  \"frame_delay_sketch\": \""
-     << escape(sketch_text(summary.frame_delay_sketch)) << "\",\n"
-     << "  \"device_delay_sum_s\": " << fmt17(summary.device_delay_sum_s)
+     << json::escape(obs::sketch_text(summary.frame_delay_sketch)) << "\",\n"
+     << "  \"device_delay_sum_s\": " << json::fmt17(summary.device_delay_sum_s)
      << ",\n"
      << "  \"device_delay_sketch\": \""
-     << escape(sketch_text(summary.device_delay_sketch)) << "\"\n}\n";
-  os.flush();
-  if (!os) throw std::runtime_error("job_summary: write failed: " + path);
+     << json::escape(obs::sketch_text(summary.device_delay_sketch)) << "\"\n}\n";
+  json::write_file_atomic(path, os.str());
 }
 
 JobSummary load_job_summary(const std::string& path) {
@@ -194,11 +135,26 @@ JobSummary load_job_summary(const std::string& path) {
   s.elapsed_s = doc->number_or("elapsed_s", 0.0);
   s.frame_delay_sum_s = doc->number_or("frame_delay_sum_s", 0.0);
   s.frame_delay_sketch =
-      sketch_from_text(doc->string_or("frame_delay_sketch", ""));
+      obs::sketch_from_text(doc->string_or("frame_delay_sketch", ""));
   s.device_delay_sum_s = doc->number_or("device_delay_sum_s", 0.0);
   s.device_delay_sketch =
-      sketch_from_text(doc->string_or("device_delay_sketch", ""));
+      obs::sketch_from_text(doc->string_or("device_delay_sketch", ""));
   return s;
+}
+
+std::vector<std::string> job_stems(const std::string& dir) {
+  std::vector<std::string> stems;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file()) continue;
+    const fs::path p = entry.path();
+    if (p.extension() != ".json" || p.filename().string().front() == '.') {
+      continue;
+    }
+    stems.push_back(p.stem().string());
+  }
+  std::sort(stems.begin(), stems.end());
+  return stems;
 }
 
 obs::MetricsRegistry collect_daemon_metrics(const std::string& root) {
@@ -218,18 +174,7 @@ obs::MetricsRegistry collect_daemon_metrics(const std::string& root) {
       reg.histogram("serve.device_delay_s", 0.0, 2.0, 200);
 
   std::error_code ec;
-  std::vector<std::string> stems;
-  for (const auto& entry : fs::directory_iterator(root + "/done", ec)) {
-    if (!entry.is_regular_file()) continue;
-    const fs::path p = entry.path();
-    if (p.extension() != ".json" || p.filename().string().front() == '.') {
-      continue;
-    }
-    stems.push_back(p.stem().string());
-  }
-  std::sort(stems.begin(), stems.end());  // pinned fold order by job stem
-
-  for (const std::string& stem : stems) {
+  for (const std::string& stem : job_stems(root + "/done")) {
     ++reg.counter("serve.jobs_done");
     const std::string summary_path =
         root + "/done/" + stem + ".out/job_summary.json";
@@ -244,14 +189,7 @@ obs::MetricsRegistry collect_daemon_metrics(const std::string& root) {
     device_delay.absorb_sketch(s.device_delay_sketch, s.device_delay_sum_s);
   }
 
-  for (const auto& entry : fs::directory_iterator(root + "/failed", ec)) {
-    if (!entry.is_regular_file()) continue;
-    const fs::path p = entry.path();
-    if (p.extension() != ".json" || p.filename().string().front() == '.') {
-      continue;
-    }
-    ++reg.counter("serve.jobs_failed");
-  }
+  reg.counter("serve.jobs_failed") += job_stems(root + "/failed").size();
   return reg;
 }
 

@@ -96,6 +96,10 @@ void write_job_summary(const JobSummary& summary, const std::string& path);
 /// Throws std::runtime_error when missing/unreadable or on schema mismatch.
 JobSummary load_job_summary(const std::string& path);
 
+/// Sorted stems of the `<stem>.json` job files in `dir` (hidden files
+/// skipped); empty when `dir` does not exist.
+std::vector<std::string> job_stems(const std::string& dir);
+
 /// Folds every `done/<stem>.out/job_summary.json` under `root` (sorted
 /// stem order — deterministic in the set of completed jobs alone) plus the
 /// failed/ count into one registry: serve.jobs_done / serve.jobs_failed /

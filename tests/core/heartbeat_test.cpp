@@ -80,7 +80,7 @@ TEST(SweepHeartbeat, EveryRecordIsFlushedToDiskAsItIsWritten) {
   // Pins the per-record flush in the heartbeat writer.  An external monitor
   // tailing the file must see each record as soon as the point finishes, not
   // whenever the stream buffer happens to fill.  on_point fires just before
-  // write_heartbeat under the same lock, so at jobs=1 the k-th callback must
+  // the heartbeat record is written, under the same lock, so at jobs=1 the k-th callback must
   // find exactly k-1 complete, parseable lines already on disk.  If the
   // std::flush after each record is ever dropped, the early callbacks see an
   // empty file and this fails.
@@ -120,6 +120,31 @@ TEST(SweepHeartbeat, StderrSpellingRuns) {
   SweepRunner{opts}.run(spec);
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("\"done\":1"), std::string::npos);
+}
+
+TEST(SweepHeartbeat, JobIdIsEscapedOnEveryRecord) {
+  // The serve daemon stamps the job id on every record; ids come from user
+  // job files, so quotes and backslashes must not break the JSONL.
+  const std::string path = ::testing::TempDir() + "sweep_heartbeat_job.jsonl";
+  std::remove(path.c_str());
+  const std::string id = "a\"b\\c";
+  SweepOptions opts;
+  opts.jobs = 2;
+  opts.heartbeat_path = path;
+  opts.heartbeat_job = id;
+  const SweepResult res = SweepRunner{opts}.run(tiny_spec());
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) {
+    const json::ValuePtr beat = json::parse(line);  // throws -> test failure
+    EXPECT_EQ(beat->at("job").as_string(), id);
+    ++lines;
+  }
+  EXPECT_EQ(lines, res.points.size());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -158,6 +159,18 @@ TEST(FleetRunner, RejectsInvalidSpec) {
   FleetSpec spec = test_spec();
   spec.workloads.clear();
   EXPECT_THROW(FleetRunner{}.run(spec), std::invalid_argument);
+}
+
+TEST(FleetRunner, RejectsRestoredShardOfAnotherSliceGrid) {
+  // Restored partials come from checkpoint files: one whose group list
+  // does not match the spec's workload x policy grid must fail the run,
+  // not fold out of bounds or silently drop its devices.
+  const std::map<std::size_t, FleetShardPartial> restored{
+      {0, FleetShardPartial{}}};
+  FleetOptions opts;
+  opts.shard_size = 16;
+  opts.restored = &restored;
+  EXPECT_THROW(FleetRunner{opts}.run(test_spec(40)), std::logic_error);
 }
 
 }  // namespace

@@ -151,6 +151,13 @@ TEST(Checkpoint, TornTrailingLineKeepsIntactPrefix) {
   EXPECT_EQ(data.points.size(), 2u);  // torn point 2 is simply re-executed
   EXPECT_TRUE(data.points.count(0));
   EXPECT_TRUE(data.points.count(1));
+  {
+    // The resumed writer drops the torn fragment before appending, so the
+    // re-executed point's record loads instead of gluing onto it.
+    CheckpointWriter w(path, "j", "sweep", 1);
+    w.append_point(2, sample_metrics(), obs::QuantileSketch{});
+  }
+  EXPECT_EQ(load_checkpoint(path).points.size(), 3u);
   fs::remove(path);
 }
 

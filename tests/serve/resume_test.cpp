@@ -42,6 +42,23 @@ void truncate_to_lines(const fs::path& path, std::size_t lines) {
   for (const std::string& l : kept) out << l << "\n";
 }
 
+/// job_summary.json minus the lines that legitimately differ between an
+/// uninterrupted and a resumed run: the unit split and the wall time.
+std::string restore_invariant_summary(const std::string& dir) {
+  std::istringstream in(read_bytes(fs::path(dir) / "job_summary.json"));
+  std::string kept;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("  \"executed\":", 0) == 0 ||
+        line.rfind("  \"restored\":", 0) == 0 ||
+        line.rfind("  \"elapsed_s\":", 0) == 0) {
+      continue;
+    }
+    kept += line + "\n";
+  }
+  return kept;
+}
+
 class TempDir {
  public:
   explicit TempDir(const char* name)
@@ -108,6 +125,9 @@ TEST(ServeResume, SweepRestoresByteIdenticalCsvAtAnyJobs) {
         << "jobs=" << jobs;
     EXPECT_EQ(read_bytes(resumed.output_dir + "/sweep_points.csv"), ref_points)
         << "jobs=" << jobs;
+    EXPECT_EQ(restore_invariant_summary(resumed.output_dir),
+              restore_invariant_summary(ref.output_dir))
+        << "jobs=" << jobs;
     EXPECT_FALSE(fs::exists(ckpt));  // consumed on success
   }
 }
@@ -158,6 +178,76 @@ TEST(ServeResume, FleetRestoresByteIdenticalCsvAtAnyJobs) {
     EXPECT_EQ(out.executed_units, 3u) << "jobs=" << jobs;
     EXPECT_EQ(read_bytes(resumed.output_dir + "/fleet.csv"), ref_csv)
         << "jobs=" << jobs;
+    EXPECT_EQ(restore_invariant_summary(resumed.output_dir),
+              restore_invariant_summary(ref.output_dir))
+        << "jobs=" << jobs;
+  }
+}
+
+TEST(ServeResume, OutOfRangePointRecordsRestoreNothing) {
+  // Point records a 4-point job cannot own: past the unit count, negative,
+  // fractional, or beyond 2^53.  None may count as restored, the executed
+  // count must not wrap, and the CSVs must match an uninterrupted run.
+  TempDir tmp("serve_resume_out_of_range");
+  const JobSpec job = JobSpec::parse_text(
+      R"({"schema": "dvs-job-v1", "kind": "sweep",
+          "sweep": {"scenario": "quick"}})",
+      "sweep-range");
+  JobPaths ref;
+  ref.output_dir = (tmp.path() / "ref").string();
+  (void)run_job(job, ref, /*default_jobs=*/2);
+  const std::string ref_cells = read_bytes(ref.output_dir + "/sweep_cells.csv");
+  const std::string ref_points =
+      read_bytes(ref.output_dir + "/sweep_points.csv");
+
+  // A genuine point-0 record, re-indexed below.
+  std::string record;
+  {
+    const fs::path master = tmp.path() / "master.ckpt.jsonl";
+    CheckpointWriter w(master.string(), job.id, "sweep", 1);
+    core::SweepOptions sopts;
+    sopts.collect_quantiles = true;
+    sopts.on_point_checkpoint = [&w](const core::RunPoint& p,
+                                     const core::Metrics& m,
+                                     const obs::QuantileSketch& sketch) {
+      if (p.index == 0) w.append_point(p.index, m, sketch);
+    };
+    (void)core::SweepRunner{sopts}.run(*core::find_scenario("quick"));
+    w.flush();
+    std::istringstream lines(read_bytes(master));
+    std::getline(lines, record);  // header
+    std::getline(lines, record);
+  }
+  const std::string prefix = "{\"point\": 0,";
+  ASSERT_EQ(record.rfind(prefix, 0), 0u) << record;
+  const auto reindexed = [&](const std::string& index) {
+    return "{\"point\": " + index + "," + record.substr(prefix.size()) + "\n";
+  };
+  const std::string header = "{\"schema\": \"dvs-checkpoint-v1\", \"job\": \"" +
+                             job.id + "\", \"kind\": \"sweep\"}\n";
+  const std::vector<std::string> cases = {
+      reindexed("4") + reindexed("5") + reindexed("6") + reindexed("7") +
+          reindexed("1000"),
+      reindexed("-1"),
+      reindexed("1.5"),
+      reindexed("1e300"),
+      reindexed("9007199254740992")};
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const fs::path ckpt = tmp.path() / ("case" + std::to_string(k) + ".jsonl");
+    {
+      std::ofstream out(ckpt);
+      out << header << cases[k];
+    }
+    JobPaths resumed;
+    resumed.output_dir = (tmp.path() / ("out" + std::to_string(k))).string();
+    resumed.checkpoint_path = ckpt.string();
+    const JobOutcome out = run_job(job, resumed, 2);
+    EXPECT_EQ(out.executed_units, 4u) << "case " << k;
+    EXPECT_EQ(out.restored_units, 0u) << "case " << k;
+    EXPECT_EQ(read_bytes(resumed.output_dir + "/sweep_cells.csv"), ref_cells)
+        << "case " << k;
+    EXPECT_EQ(read_bytes(resumed.output_dir + "/sweep_points.csv"), ref_points)
+        << "case " << k;
   }
 }
 

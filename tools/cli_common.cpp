@@ -1,9 +1,13 @@
 #include "cli_common.hpp"
 
 #include <cstdlib>
+#include <ctime>
+#include <fstream>
+#include <iostream>
 #include <optional>
 
 #include "policy/governor_factory.hpp"
+#include "serve/job_spec.hpp"
 
 namespace dvs::cli {
 
@@ -16,12 +20,14 @@ void usage(const char* msg) {
   std::exit(2);
 }
 
+const char* flag_value(int argc, char** argv, int i) {
+  if (i + 1 >= argc) usage("missing argument value");
+  return argv[i + 1];
+}
+
 CliOptions parse_flags(int argc, char** argv, int first) {
   CliOptions o;
-  auto need = [&](int i) -> const char* {
-    if (i + 1 >= argc) usage("missing argument value");
-    return argv[i + 1];
-  };
+  const auto need = [&](int i) { return flag_value(argc, argv, i); };
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--media") { o.media = need(i); ++i; }
@@ -85,12 +91,11 @@ CliOptions parse_flags(int argc, char** argv, int first) {
 }
 
 core::DetectorKind detector_kind(const std::string& name) {
-  if (name == "ideal") return core::DetectorKind::Ideal;
-  if (name == "change-point" || name == "cp") return core::DetectorKind::ChangePoint;
-  if (name == "ema" || name == "exp-average") return core::DetectorKind::ExpAverage;
-  if (name == "max") return core::DetectorKind::Max;
-  if (name == "sliding-window") return core::DetectorKind::SlidingWindow;
-  usage(("unknown detector " + name).c_str());
+  try {
+    return serve::resolve_detector(name);
+  } catch (const std::invalid_argument&) {
+    usage(("unknown detector " + name).c_str());
+  }
 }
 
 core::DpmSpec dpm_spec(const CliOptions& o) {
@@ -137,6 +142,55 @@ void print_metrics(std::FILE* out, const core::Metrics& m) {
                  m.watchdog_escalations, m.watchdog_recoveries,
                  m.time_in_degraded.value());
   }
+}
+
+bool write_document(const std::string& path, const char* what,
+                    std::FILE* hout,
+                    const std::function<void(std::ostream&)>& write) {
+  if (path.empty()) return true;
+  if (path == "-") {
+    write(std::cout);
+    return true;
+  }
+  std::ofstream os{path};
+  if (!os) {
+    std::fprintf(stderr, "dvs_sim: cannot open %s\n", path.c_str());
+    return false;
+  }
+  write(os);
+  std::fprintf(hout, "%s -> %s\n", what, path.c_str());
+  return true;
+}
+
+void warn_clamped(const obs::MetricsRegistry& registry) {
+  for (const auto& [name, frac] : registry.clamped_histograms(0.01)) {
+    std::fprintf(stderr,
+                 "dvs_sim: warning: histogram %s clamped %.1f%% of samples"
+                 " outside its bin range (see underflow/overflow in the"
+                 " metrics JSON; sketch quantiles remain exact-range)\n",
+                 name.c_str(), frac * 100.0);
+  }
+}
+
+bool open_telemetry(const CliOptions& o, obs::TelemetrySnapshotter& telemetry) {
+  if (o.telemetry_jsonl == "-") {
+    usage("--telemetry-jsonl needs a file path"
+          " (stdout is reserved for machine documents)");
+  }
+  if (o.telemetry_jsonl.empty() || telemetry.open(o.telemetry_jsonl)) {
+    return true;
+  }
+  std::fprintf(stderr, "dvs_sim: cannot open %s\n", o.telemetry_jsonl.c_str());
+  return false;
+}
+
+std::string fmt_local_time(double unix_s, const char* format) {
+  const std::time_t t = static_cast<std::time_t>(unix_s);
+  std::tm tm{};
+  localtime_r(&t, &tm);
+  char buf[32];
+  std::strftime(buf, sizeof buf, format, &tm);
+  return buf;
 }
 
 }  // namespace dvs::cli

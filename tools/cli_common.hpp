@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,8 @@
 #include "core/metrics.hpp"
 #include "core/scenario.hpp"
 #include "fault/fault_spec.hpp"
+#include "obs/metrics_registry.hpp"
+#include "obs/telemetry/snapshotter.hpp"
 
 namespace dvs::cli {
 
@@ -85,6 +89,9 @@ struct CliOptions {
 /// Prints `msg` and exits 2 (the CLI's usage-error code).
 [[noreturn]] void usage(const char* msg);
 
+/// argv[i + 1], the value of the flag at argv[i]; a usage error if absent.
+const char* flag_value(int argc, char** argv, int i);
+
 /// Parses the shared flag vocabulary starting at argv[first]; exits via
 /// usage() on unknown flags or missing values.
 CliOptions parse_flags(int argc, char** argv, int first);
@@ -100,6 +107,25 @@ core::DpmSpec dpm_spec(const CliOptions& o);
 std::vector<fault::FaultSpec> resolve_faults(const std::string& csv);
 
 void print_metrics(std::FILE* out, const core::Metrics& m);
+
+/// Writes one machine document to `path` ("-" = stdout; empty = nothing)
+/// and names the file on `hout`.  False, after an error message, when the
+/// file cannot be opened.
+bool write_document(const std::string& path, const char* what,
+                    std::FILE* hout,
+                    const std::function<void(std::ostream&)>& write);
+
+/// Warns on stderr about every histogram that folded more than 1% of its
+/// samples into its underflow/overflow counters.
+void warn_clamped(const obs::MetricsRegistry& registry);
+
+/// Opens --telemetry-jsonl when given (a usage error for "-": stdout is
+/// reserved for machine documents).  False, after an error message, when
+/// the file cannot be opened.
+bool open_telemetry(const CliOptions& o, obs::TelemetrySnapshotter& telemetry);
+
+/// `unix_s` as local time in strftime `format`.
+std::string fmt_local_time(double unix_s, const char* format);
 
 // ---- subcommand entry points --------------------------------------------------
 

@@ -38,10 +38,6 @@ int cmd_fleet(const CliOptions& o) {
   if (o.fleet.empty()) {
     usage("fleet needs a fleet name (try `dvs_sim list fleets`)");
   }
-  if (o.telemetry_jsonl == "-") {
-    usage("--telemetry-jsonl needs a file path"
-          " (stdout is reserved for machine documents)");
-  }
   const fleet::FleetSpec* found = fleet::find_fleet(o.fleet);
   if (found == nullptr) {
     std::fprintf(stderr,
@@ -58,15 +54,9 @@ int cmd_fleet(const CliOptions& o) {
   if (o.shard_size > 0) fopts.shard_size = o.shard_size;
   fopts.heartbeat_path = o.heartbeat;
   obs::TelemetrySnapshotter telemetry;
-  if (!o.telemetry_jsonl.empty()) {
-    if (!telemetry.open(o.telemetry_jsonl)) {
-      std::fprintf(stderr, "dvs_sim: cannot open %s\n",
-                   o.telemetry_jsonl.c_str());
-      return 2;
-    }
-    if (o.telemetry_every > 0.0) telemetry.set_min_interval(o.telemetry_every);
-    fopts.telemetry = &telemetry;
-  }
+  if (!open_telemetry(o, telemetry)) return 2;
+  if (o.telemetry_every > 0.0) telemetry.set_min_interval(o.telemetry_every);
+  if (telemetry.active()) fopts.telemetry = &telemetry;
 
   const fleet::FleetResult res = fleet::FleetRunner{fopts}.run(spec);
 

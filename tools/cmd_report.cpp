@@ -549,54 +549,8 @@ int report_self_profile(const std::string& path) {
 
 // ---- serve daemon tree -----------------------------------------------------
 
-std::string fmt_wall(double ts) {
-  const std::time_t t = static_cast<std::time_t>(ts);
-  std::tm tm{};
-  localtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%d %H:%M:%S", &tm);
-  return buf;
-}
 
-std::string event_detail(const serve::ServeEvent& ev) {
-  if (ev.type == "daemon_start") return "pid " + std::to_string(ev.pid);
-  if (ev.type == "daemon_stop") {
-    return "after " + std::to_string(ev.jobs_processed) + " job" +
-           (ev.jobs_processed == 1 ? "" : "s");
-  }
-  if (ev.type == "checkpoint_flush") {
-    return std::to_string(ev.units_done) + "/" +
-           std::to_string(ev.units_total) + " units durable";
-  }
-  if (ev.type == "job_finished") {
-    return ev.kind + ", " + std::to_string(ev.executed) + " executed, " +
-           std::to_string(ev.restored) + " restored";
-  }
-  if (ev.type == "job_failed") {
-    std::string d = ev.error;
-    if (!ev.flight_dir.empty()) d += " (flight dumps: " + ev.flight_dir + ")";
-    return d;
-  }
-  return {};
-}
-
-/// Sorted file stems of `dir` entries with the given extension; empty when
-/// the directory does not exist (a daemon that never finished a job).
-std::vector<std::string> sorted_stems(const std::string& dir,
-                                      const std::string& ext) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> stems;
-  std::error_code ec;
-  for (const fs::directory_entry& e : fs::directory_iterator(dir, ec)) {
-    const fs::path& p = e.path();
-    if (p.extension() == ext && !p.filename().string().empty() &&
-        p.filename().string()[0] != '.') {
-      stems.push_back(p.stem().string());
-    }
-  }
-  std::sort(stems.begin(), stems.end());
-  return stems;
-}
+constexpr const char* kWallFormat = "%Y-%m-%d %H:%M:%S";
 
 /// Renders the --serve-root section: the daemon's lifecycle event
 /// timeline (dvs-events-v1 — the intact prefix; a SIGKILL-torn tail is
@@ -615,19 +569,19 @@ int report_serve_root(const std::string& root) {
     std::printf("(no lifecycle events at %s/events.jsonl)\n\n", root.c_str());
   } else {
     std::printf("%zu lifecycle events, %s .. %s\n\n", events.size(),
-                fmt_wall(events.front().ts).c_str(),
-                fmt_wall(events.back().ts).c_str());
+                fmt_local_time(events.front().ts, kWallFormat).c_str(),
+                fmt_local_time(events.back().ts, kWallFormat).c_str());
     TextTable t{"event timeline"};
     t.set_header({"seq", "time", "event", "job", "detail"});
     for (const serve::ServeEvent& ev : events) {
-      t.add_row({std::to_string(ev.seq), fmt_wall(ev.ts), ev.type, ev.job,
-                 event_detail(ev)});
+      t.add_row({std::to_string(ev.seq), fmt_local_time(ev.ts, kWallFormat),
+                 ev.type, ev.job, serve::event_detail(ev)});
     }
     t.print();
     std::printf("\n");
   }
 
-  const std::vector<std::string> done = sorted_stems(root + "/done", ".json");
+  const std::vector<std::string> done = serve::job_stems(root + "/done");
   if (!done.empty()) {
     TextTable t{"completed jobs"};
     t.set_header({"job", "kind", "units", "restored", "frames", "dropped",
@@ -662,8 +616,7 @@ int report_serve_root(const std::string& root) {
     std::printf("\n");
   }
 
-  const std::vector<std::string> failed =
-      sorted_stems(root + "/failed", ".json");
+  const std::vector<std::string> failed = serve::job_stems(root + "/failed");
   if (!failed.empty()) {
     TextTable t{"failed jobs"};
     t.set_header({"job", "error"});

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <optional>
 #include <vector>
 
@@ -38,10 +37,6 @@ int cmd_run(const CliOptions& o) {
     usage("--metrics-json/--ledger-json/--metrics-openmetrics: at most one"
           " may target stdout (-); write the others to files");
   }
-  if (o.telemetry_jsonl == "-") {
-    usage("--telemetry-jsonl needs a file path"
-          " (stdout is reserved for machine documents)");
-  }
   const bool json_to_stdout = stdout_docs > 0;
   std::FILE* hout = json_to_stdout ? stderr : stdout;
 
@@ -68,24 +63,15 @@ int cmd_run(const CliOptions& o) {
   }
   obs::MetricsRegistry registry;
   obs::TelemetrySnapshotter telemetry;
-  if (!o.telemetry_jsonl.empty() && !telemetry.open(o.telemetry_jsonl)) {
-    std::fprintf(stderr, "dvs_sim: cannot open %s\n", o.telemetry_jsonl.c_str());
-    return 2;
-  }
+  if (!open_telemetry(o, telemetry)) return 2;
   obs::SpanProfiler profiler;
   obs::AttributionLedger ledger;
 
   // Single-run fault injection: all named specs' workload perturbations
   // apply in order; the first spec supplies the watchdog and hardware plan.
-  std::vector<fault::TraceFault> trace_faults;
-  std::vector<fault::FaultSpec> fault_specs;
-  if (!o.faults.empty()) {
-    fault_specs = resolve_faults(o.faults);
-    for (const fault::FaultSpec& f : fault_specs) {
-      trace_faults.insert(trace_faults.end(), f.trace_faults.begin(),
-                          f.trace_faults.end());
-    }
-  }
+  const fault::FaultSpec faults =
+      o.faults.empty() ? fault::FaultSpec{}
+                       : fault::combine_faults(resolve_faults(o.faults));
   Rng fault_rng{core::mix_seed(o.seed, 0xfa)};
 
   core::RunAssembly assembly;
@@ -94,7 +80,7 @@ int cmd_run(const CliOptions& o) {
   assembly.service_cv2 = o.cv2;
   assembly.dpm = dpm_spec(o);
   assembly.engine_seed = o.seed;
-  if (!fault_specs.empty()) assembly.faults = &fault_specs.front();
+  if (!o.faults.empty()) assembly.faults = &faults;
 
   // Observability attachments ride on top of the assembled options; they
   // never feed the simulation result.
@@ -126,9 +112,10 @@ int cmd_run(const CliOptions& o) {
     scfg.seed = o.seed;
     if (o.seconds_limit > 0.0) scfg.mpeg_segment = seconds(o.seconds_limit);
     core::Session session = core::build_session(scfg, cpu);
-    if (!trace_faults.empty()) {
+    if (!faults.trace_faults.empty()) {
       for (core::PlaybackItem& item : session.items) {
-        item.trace = fault::apply_faults(item.trace, trace_faults, fault_rng);
+        item.trace =
+            fault::apply_faults(item.trace, faults.trace_faults, fault_rng);
       }
     }
     assembly.delay_target = seconds(o.delay > 0.0 ? o.delay : 0.1);
@@ -167,8 +154,8 @@ int cmd_run(const CliOptions& o) {
       usage(("unknown media " + o.media).c_str());
     }
 
-    if (!trace_faults.empty()) {
-      trace = fault::apply_faults(*trace, trace_faults, fault_rng);
+    if (!faults.trace_faults.empty()) {
+      trace = fault::apply_faults(*trace, faults.trace_faults, fault_rng);
     }
 
     if (!o.save_trace.empty()) {
@@ -206,46 +193,15 @@ int cmd_run(const CliOptions& o) {
     }
     std::fprintf(hout, "\n");
   }
-  if (!o.metrics_json.empty()) {
-    if (json_to_stdout) {
-      registry.write_json(std::cout);
-    } else {
-      std::ofstream os{o.metrics_json};
-      if (!os) {
-        std::fprintf(stderr, "dvs_sim: cannot open %s\n", o.metrics_json.c_str());
-        return 1;
-      }
-      registry.write_json(os);
-      std::fprintf(hout, "metrics json -> %s\n", o.metrics_json.c_str());
-    }
-  }
-  if (!o.ledger_json.empty()) {
-    if (o.ledger_json == "-") {
-      ledger.write_json(std::cout);
-    } else {
-      std::ofstream os{o.ledger_json};
-      if (!os) {
-        std::fprintf(stderr, "dvs_sim: cannot open %s\n", o.ledger_json.c_str());
-        return 1;
-      }
-      ledger.write_json(os);
-      std::fprintf(hout, "ledger json -> %s\n", o.ledger_json.c_str());
-    }
-  }
-
-  if (!o.metrics_openmetrics.empty()) {
-    if (o.metrics_openmetrics == "-") {
-      obs::write_openmetrics(registry, std::cout);
-    } else {
-      std::ofstream os{o.metrics_openmetrics};
-      if (!os) {
-        std::fprintf(stderr, "dvs_sim: cannot open %s\n",
-                     o.metrics_openmetrics.c_str());
-        return 1;
-      }
-      obs::write_openmetrics(registry, os);
-      std::fprintf(hout, "openmetrics -> %s\n", o.metrics_openmetrics.c_str());
-    }
+  if (!write_document(o.metrics_json, "metrics json", hout,
+                      [&](std::ostream& os) { registry.write_json(os); }) ||
+      !write_document(o.ledger_json, "ledger json", hout,
+                      [&](std::ostream& os) { ledger.write_json(os); }) ||
+      !write_document(o.metrics_openmetrics, "openmetrics", hout,
+                      [&](std::ostream& os) {
+                        obs::write_openmetrics(registry, os);
+                      })) {
+    return 1;
   }
   if (telemetry.active()) {
     std::fprintf(hout, "telemetry jsonl -> %s (%zu snapshots)\n",
@@ -265,13 +221,7 @@ int cmd_run(const CliOptions& o) {
   }
   // Clamped-mass warning: a histogram silently folding >1% of its samples
   // into the underflow/overflow counters means the binned view is lying.
-  for (const auto& [name, frac] : registry.clamped_histograms(0.01)) {
-    std::fprintf(stderr,
-                 "dvs_sim: warning: histogram %s clamped %.1f%% of samples"
-                 " outside its bin range (see underflow/overflow in the"
-                 " metrics JSON; sketch quantiles remain exact-range)\n",
-                 name.c_str(), frac * 100.0);
-  }
+  warn_clamped(registry);
 
   if (!o.power_csv.empty()) {
     CsvWriter csv{o.power_csv};

@@ -33,10 +33,7 @@ std::uint64_t parse_count(const std::string& flag, const char* text,
 
 int cmd_serve(int argc, char** argv, int first) {
   serve::DaemonOptions opts;
-  auto need = [&](int i) -> const char* {
-    if (i + 1 >= argc) usage("missing argument value");
-    return argv[i + 1];
-  };
+  const auto need = [&](int i) { return flag_value(argc, argv, i); };
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     if (!a.empty() && a[0] != '-') {

@@ -49,26 +49,19 @@ int cmd_status(int argc, char** argv, int first) {
   }
 
   const std::string path = root + "/status.json";
-  if (json) {
-    // The file already is the machine API; echo it verbatim (but validate
-    // first so a missing/foreign file is an error, not silent garbage).
-    try {
-      (void)serve::load_status(path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "dvs_sim status: %s\n", e.what());
-      return 1;
-    }
-    std::ifstream in(path);
-    std::cout << in.rdbuf();
-    return 0;
-  }
-
   serve::ServeStatus s;
   try {
     s = serve::load_status(path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dvs_sim status: %s\n", e.what());
     return 1;
+  }
+  if (json) {
+    // The file already is the machine API; echo it verbatim once it has
+    // validated, so a missing/foreign file is an error, not silent garbage.
+    std::ifstream in(path);
+    std::cout << in.rdbuf();
+    return 0;
   }
 
   std::printf("daemon: %s (pid %d), uptime %s, last event seq %llu\n",

@@ -1,8 +1,6 @@
 // `dvs_sim sweep`: run a scenario grid (core/scenario.hpp registry) through
 // the parallel SweepRunner.  Results are bit-identical at any --jobs level.
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 
 #include "cli_common.hpp"
 #include "common/csv.hpp"
@@ -41,18 +39,8 @@ int run_scenario(const CliOptions& o, std::FILE* hout,
   sopts.heartbeat_path = o.heartbeat;
   if (!o.flight_dump_dir.empty()) {
     // Arm a per-point auto-dump so anomalies anywhere in the grid leave a
-    // post-mortem artifact (CI uploads this directory on failure).  The
-    // scenario name and point index make the file name unique; attaching
-    // observability here keeps the simulation inputs untouched, so results
-    // stay bit-identical across --jobs.
-    const std::string dir = o.flight_dump_dir;
-    const std::string scenario = spec.name;
-    sopts.configure_run = [dir, scenario](const core::RunPoint& p,
-                                          core::RunOptions& ropts) {
-      ropts.flight_dump_path = dir + "/" + scenario + "_point" +
-                               std::to_string(p.index) + "_rep" +
-                               std::to_string(p.replicate) + ".flight.txt";
-    };
+    // post-mortem artifact (CI uploads this directory on failure).
+    sopts.configure_run = core::flight_dumps_in(o.flight_dump_dir, spec.name);
   }
   const core::SweepResult res = core::SweepRunner{sopts}.run(spec);
 
@@ -134,10 +122,6 @@ int cmd_sweep(const CliOptions& o) {
     usage("--metrics-json - and --metrics-openmetrics - both target stdout;"
           " write at least one to a file");
   }
-  if (o.telemetry_jsonl == "-") {
-    usage("--telemetry-jsonl needs a file path"
-          " (stdout is reserved for machine documents)");
-  }
   const bool json_to_stdout =
       o.metrics_json == "-" || o.metrics_openmetrics == "-";
   std::FILE* hout = json_to_stdout ? stderr : stdout;
@@ -148,56 +132,26 @@ int cmd_sweep(const CliOptions& o) {
       !o.metrics_json.empty() || !o.metrics_openmetrics.empty();
   obs::MetricsRegistry registry;
   obs::TelemetrySnapshotter telemetry;
-  if (!o.telemetry_jsonl.empty()) {
-    if (!telemetry.open(o.telemetry_jsonl)) {
-      std::fprintf(stderr, "dvs_sim: cannot open %s\n", o.telemetry_jsonl.c_str());
-      return 2;
-    }
-    // For a sweep, --telemetry-every throttles on wall time between
-    // finished points (0 = snapshot every point).
-    if (o.telemetry_every > 0.0) telemetry.set_min_interval(o.telemetry_every);
-  }
+  if (!open_telemetry(o, telemetry)) return 2;
+  // For a sweep, --telemetry-every throttles on wall time between finished
+  // points (0 = snapshot every point).
+  if (o.telemetry_every > 0.0) telemetry.set_min_interval(o.telemetry_every);
   const int rc = run_scenario(o, hout, want_metrics ? &registry : nullptr,
                               telemetry.active() ? &telemetry : nullptr);
   if (rc != 0) return rc;
-  if (!o.metrics_json.empty()) {
-    if (o.metrics_json == "-") {
-      registry.write_json(std::cout);
-    } else {
-      std::ofstream os{o.metrics_json};
-      if (!os) {
-        std::fprintf(stderr, "dvs_sim: cannot open %s\n", o.metrics_json.c_str());
-        return 1;
-      }
-      registry.write_json(os);
-      std::fprintf(hout, "metrics json -> %s\n", o.metrics_json.c_str());
-    }
-  }
-  if (!o.metrics_openmetrics.empty()) {
-    if (o.metrics_openmetrics == "-") {
-      obs::write_openmetrics(registry, std::cout);
-    } else {
-      std::ofstream os{o.metrics_openmetrics};
-      if (!os) {
-        std::fprintf(stderr, "dvs_sim: cannot open %s\n",
-                     o.metrics_openmetrics.c_str());
-        return 1;
-      }
-      obs::write_openmetrics(registry, os);
-      std::fprintf(hout, "openmetrics -> %s\n", o.metrics_openmetrics.c_str());
-    }
+  if (!write_document(o.metrics_json, "metrics json", hout,
+                      [&](std::ostream& os) { registry.write_json(os); }) ||
+      !write_document(o.metrics_openmetrics, "openmetrics", hout,
+                      [&](std::ostream& os) {
+                        obs::write_openmetrics(registry, os);
+                      })) {
+    return 1;
   }
   if (telemetry.active()) {
     std::fprintf(hout, "telemetry jsonl -> %s (%zu snapshots)\n",
                  o.telemetry_jsonl.c_str(), telemetry.snapshots_written());
   }
-  for (const auto& [name, frac] : registry.clamped_histograms(0.01)) {
-    std::fprintf(stderr,
-                 "dvs_sim: warning: histogram %s clamped %.1f%% of samples"
-                 " outside its bin range (see underflow/overflow in the"
-                 " metrics JSON; sketch quantiles remain exact-range)\n",
-                 name.c_str(), frac * 100.0);
-  }
+  warn_clamped(registry);
   return 0;
 }
 

@@ -6,7 +6,6 @@
 // `--since N` starts after sequence number N; `--events a,b` filters by
 // event type.
 #include <cstdio>
-#include <ctime>
 #include <chrono>
 #include <set>
 #include <sstream>
@@ -21,36 +20,12 @@ namespace dvs::cli {
 
 namespace {
 
-std::string fmt_clock(double ts) {
-  const std::time_t t = static_cast<std::time_t>(ts);
-  std::tm tm{};
-  localtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%H:%M:%S", &tm);
-  return buf;
-}
-
 void print_event(const serve::ServeEvent& ev) {
-  std::string detail;
-  if (ev.type == "daemon_start") {
-    detail = "pid " + std::to_string(ev.pid);
-  } else if (ev.type == "daemon_stop") {
-    detail = "after " + std::to_string(ev.jobs_processed) + " job" +
-             (ev.jobs_processed == 1 ? "" : "s");
-  } else if (ev.type == "checkpoint_flush") {
-    detail = std::to_string(ev.units_done) + "/" +
-             std::to_string(ev.units_total) + " units durable";
-  } else if (ev.type == "job_finished") {
-    detail = ev.kind + ", " + std::to_string(ev.executed) + " executed, " +
-             std::to_string(ev.restored) + " restored";
-  } else if (ev.type == "job_failed") {
-    detail = ev.error;
-    if (!ev.flight_dir.empty()) detail += " (flight dumps: " + ev.flight_dir + ")";
-  }
+  const std::string detail = serve::event_detail(ev);
   std::printf("#%llu %s %-16s %s%s%s\n",
               static_cast<unsigned long long>(ev.seq),
-              fmt_clock(ev.ts).c_str(), ev.type.c_str(), ev.job.c_str(),
-              ev.job.empty() || detail.empty() ? "" : " ",
+              fmt_local_time(ev.ts, "%H:%M:%S").c_str(), ev.type.c_str(),
+              ev.job.c_str(), ev.job.empty() || detail.empty() ? "" : " ",
               detail.c_str());
   std::fflush(stdout);
 }
@@ -62,10 +37,7 @@ int cmd_tail(int argc, char** argv, int first) {
   std::uint64_t since = 0;
   bool follow = true;
   std::set<std::string> wanted;
-  auto need = [&](int i) -> const char* {
-    if (i + 1 >= argc) usage("missing argument value");
-    return argv[i + 1];
-  };
+  const auto need = [&](int i) { return flag_value(argc, argv, i); };
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     if (!a.empty() && a[0] != '-') {

@@ -150,11 +150,6 @@ using namespace dvs;
 
 namespace {
 
-int dispatch_run(int argc, char** argv, int first) {
-  const cli::CliOptions o = cli::parse_flags(argc, argv, first);
-  return cli::cmd_run(o);
-}
-
 int dispatch_sweep(int argc, char** argv, int first) {
   // Accept the scenario as a positional operand (`dvs_sim sweep table5`)
   // or via the legacy --scenario flag.
@@ -185,11 +180,6 @@ int dispatch_fleet(int argc, char** argv, int first) {
   return cli::cmd_fleet(o);
 }
 
-int dispatch_report(int argc, char** argv, int first) {
-  const cli::CliOptions o = cli::parse_flags(argc, argv, first);
-  return cli::cmd_report(o);
-}
-
 int dispatch_list(int argc, char** argv, int first) {
   std::string what = "both";
   if (first < argc) {
@@ -215,13 +205,13 @@ int dispatch_list(int argc, char** argv, int first) {
 int main(int argc, char** argv) {
   if (argc < 2) cli::usage("no subcommand given");
   const std::string cmd = argv[1];
-  if (cmd == "run") return dispatch_run(argc, argv, 2);
+  if (cmd == "run") return cli::cmd_run(cli::parse_flags(argc, argv, 2));
   if (cmd == "sweep") return dispatch_sweep(argc, argv, 2);
   if (cmd == "fleet") return dispatch_fleet(argc, argv, 2);
   if (cmd == "serve") return cli::cmd_serve(argc, argv, 2);
   if (cmd == "status") return cli::cmd_status(argc, argv, 2);
   if (cmd == "tail") return cli::cmd_tail(argc, argv, 2);
-  if (cmd == "report") return dispatch_report(argc, argv, 2);
+  if (cmd == "report") return cli::cmd_report(cli::parse_flags(argc, argv, 2));
   if (cmd == "list") return dispatch_list(argc, argv, 2);
   if (cmd == "--help" || cmd == "-h") cli::usage("help requested");
   cli::usage(("unknown subcommand " + cmd +
