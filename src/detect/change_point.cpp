@@ -109,35 +109,33 @@ bool ChangePointDetector::detect(Seconds now) {
     cand_pos_.push_back(j);
   }
 
-  // Scan every candidate ratio; require the best margin to clear the
-  // scan-level calibration (see ThresholdTable::scan_margin).
+  // Scan every candidate ratio through the table's precomputed rows (ln r
+  // and the interpolated threshold are per-table constants); require the
+  // best margin to clear the scan-level calibration (see
+  // ThresholdTable::scan_margin).
   double best_margin = -std::numeric_limits<double>::infinity();
   double best_stat = -std::numeric_limits<double>::infinity();
   double best_threshold = 0.0;
-  double best_ratio = 1.0;
   std::size_t best_k = 0;
-  for (double r : thresholds_->ratios()) {
-    const double log_r = std::log(r);
+  for (const ThresholdTable::ScanRow& row : thresholds_->scan_rows()) {
     double stat = -std::numeric_limits<double>::infinity();
     std::size_t k = 0;
     // Candidates are stored in scan (descending-position) order with a
     // strict improvement test, matching the reference scan's tie-break:
     // among equal statistics the latest change position wins.
     for (std::size_t c = 0; c < cand_sum_.size(); ++c) {
-      const double lnp = static_cast<double>(cand_len_[c]) * log_r -
-                         (r - 1.0) * cand_sum_[c];
+      const double lnp = static_cast<double>(cand_len_[c]) * row.log_ratio -
+                         (row.ratio - 1.0) * cand_sum_[c];
       if (lnp > stat) {
         stat = lnp;
         k = cand_pos_[c];
       }
     }
-    const double threshold = thresholds_->threshold_for_ratio(r);
-    const double margin = stat - threshold;
+    const double margin = stat - row.threshold;
     if (margin > best_margin) {
       best_margin = margin;
       best_stat = stat;
-      best_threshold = threshold;
-      best_ratio = r;
+      best_threshold = row.threshold;
       best_k = k;
     }
   }
@@ -166,7 +164,6 @@ bool ChangePointDetector::detect(Seconds now) {
   settling_ = window_.size();
   ++changes_;
   change_times_.push_back(now);
-  (void)best_ratio;
   if (has_decision_observer()) {
     notify_decision(now, DetectorDecisionInfo{
                              best_stat,

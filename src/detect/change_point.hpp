@@ -8,9 +8,11 @@
 //                      - (lambda_n - lambda_o) sum_{j>k} x_j ]
 //
 // against the threshold characterized off-line for that rate ratio
-// (ThresholdTable).  When the threshold is exceeded there is >= 99.5%
-// likelihood the rate changed: the estimate moves to the maximum-likelihood
-// rate of the post-change tail, and the pre-change samples are discarded.
+// (ThresholdTable, whose precomputed scan rows carry ln r and the threshold
+// of every grid ratio, so a check takes no logarithm and no interpolation).
+// When the threshold is exceeded there is >= 99.5% likelihood the rate
+// changed: the estimate moves to the maximum-likelihood rate of the
+// post-change tail, and the pre-change samples are discarded.
 //
 // "Only the sum of interarrival (or decoding) times needs to be updated
 // upon every arrival" — the suffix-sum evaluation in

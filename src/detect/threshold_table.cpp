@@ -79,6 +79,11 @@ ThresholdTable::ThresholdTable(const ChangePointConfig& cfg) : cfg_(cfg) {
     margins.add(best);
   }
   scan_margin_ = std::max(0.0, margins.quantile(cfg.confidence));
+
+  scan_rows_.reserve(ratios_.size());
+  for (double r : ratios_) {
+    scan_rows_.push_back(ScanRow{r, std::log(r), threshold_for_ratio(r)});
+  }
 }
 
 double ThresholdTable::threshold_for_ratio(double r) const {

@@ -17,6 +17,13 @@
 // only on (m, r, candidate-k set), so one Monte-Carlo pass per *ratio*
 // covers every rate pair with that ratio; thresholds for intermediate
 // ratios interpolate in log-ratio space.
+//
+// The on-line detector scans the same fixed ratio grid on every check, so
+// the table also precomputes one scan row per grid ratio, {r, ln r,
+// threshold(r)}.  A check then costs one multiply-add per (ratio,
+// candidate) and no logarithm or interpolation.  The rows are built once by
+// the constructor and are immutable afterwards, so a table shared across
+// threads (detect/table_cache.hpp) needs no further synchronisation.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +65,13 @@ double max_log_likelihood_ratio(const std::vector<double>& normalized_window,
 /// Table of detection thresholds indexed by rate ratio.
 class ThresholdTable {
  public:
+  /// One ratio of the on-line scan with its per-table invariants.
+  struct ScanRow {
+    double ratio;
+    double log_ratio;  ///< std::log(ratio)
+    double threshold;  ///< threshold_for_ratio(ratio)
+  };
+
   /// Runs the Monte-Carlo characterization (deterministic given cfg).
   explicit ThresholdTable(const ChangePointConfig& cfg);
 
@@ -75,6 +89,9 @@ class ThresholdTable {
   /// All candidate ratios the detector scans (grid powers and reciprocals).
   [[nodiscard]] const std::vector<double>& ratios() const { return ratios_; }
 
+  /// The detector's scan rows, one per ratio in ratios() order.
+  [[nodiscard]] const std::vector<ScanRow>& scan_rows() const { return scan_rows_; }
+
   /// The characterized (ratio, threshold) pairs, ascending by ratio.
   [[nodiscard]] const std::vector<std::pair<double, double>>& entries() const {
     return entries_;
@@ -86,6 +103,7 @@ class ThresholdTable {
   ChangePointConfig cfg_;
   std::vector<std::pair<double, double>> entries_;  ///< (ratio, threshold)
   std::vector<double> ratios_;
+  std::vector<ScanRow> scan_rows_;  ///< derived from ratios_ and entries_
   double scan_margin_ = 0.0;
 };
 

@@ -19,12 +19,16 @@ FrequencyPolicy::FrequencyPolicy(const hw::Sa1100& cpu,
   DVS_CHECK_MSG(service_cv2_ >= 0.0, "FrequencyPolicy: cv2 must be >= 0");
   DVS_CHECK_MSG(curve_.strictly_monotone() && curve_.increasing(),
                 "FrequencyPolicy: performance curve must be strictly increasing");
+  step_perf_.reserve(cpu_->num_steps());
+  for (std::size_t s = 0; s < cpu_->num_steps(); ++s) {
+    step_perf_.push_back(curve_(cpu_->frequency_at(s).value()));
+  }
 }
 
 std::size_t FrequencyPolicy::select_step(Hertz arrival_rate,
                                          Hertz service_rate_at_max,
                                          double buffered_frames) const {
-  const std::size_t top = cpu_->num_steps() - 1;
+  const std::size_t top = step_perf_.size() - 1;
   if (arrival_rate.value() <= 0.0 || service_rate_at_max.value() <= 0.0) return top;
 
   Hertz required =
@@ -45,10 +49,9 @@ std::size_t FrequencyPolicy::select_step(Hertz arrival_rate,
   if (required_ratio >= 1.0) return top;  // saturated: run flat out
 
   for (std::size_t s = 0; s <= top; ++s) {
-    const double perf = curve_(cpu_->frequency_at(s).value());
     // Relative epsilon: a step whose performance matches the requirement to
     // within rounding is sufficient.
-    if (perf >= required_ratio * (1.0 - 1e-9)) return s;
+    if (step_perf_[s] >= required_ratio * (1.0 - 1e-9)) return s;
   }
   return top;
 }
@@ -57,8 +60,8 @@ Hertz FrequencyPolicy::decode_rate_at(std::size_t step,
                                       Hertz service_rate_at_max) const {
   DVS_CHECK_MSG(service_rate_at_max.value() > 0.0,
                 "FrequencyPolicy: non-positive service rate");
-  const double perf = curve_(cpu_->frequency_at(step).value());
-  return Hertz{perf * service_rate_at_max.value()};
+  DVS_CHECK_MSG(step < step_perf_.size(), "FrequencyPolicy: step out of range");
+  return Hertz{step_perf_[step] * service_rate_at_max.value()};
 }
 
 Hertz FrequencyPolicy::sustainable_arrival_rate_at(

@@ -13,7 +13,14 @@
 // frequency-performance curve (Figures 4/5) maps back to the lowest
 // sufficient frequency step.  The voltage follows the V(f) table (Fig. 3)
 // automatically — hw::SmartBadge couples them.
+//
+// The curve and the CPU's step ladder are fixed for the policy's lifetime,
+// so the constructor evaluates the curve once per step and every decision
+// scans that per-step performance table; the curve is not evaluated after
+// construction.
 #pragma once
+
+#include <vector>
 
 #include "common/piecewise_linear.hpp"
 #include "common/units.hpp"
@@ -53,7 +60,7 @@ class FrequencyPolicy {
 
   /// The decode rate achieved at step `s` when the application decodes at
   /// `service_rate_at_max` on the top step (the "CPU rate" curve of
-  /// Figure 9).
+  /// Figure 9).  Throws for a step outside the CPU's table.
   [[nodiscard]] Hertz decode_rate_at(std::size_t step,
                                      Hertz service_rate_at_max) const;
 
@@ -70,6 +77,8 @@ class FrequencyPolicy {
  private:
   const hw::Sa1100* cpu_;
   PiecewiseLinear curve_;
+  /// curve_(frequency of step s), indexed by step; filled by the constructor.
+  std::vector<double> step_perf_;
   Seconds target_delay_;
   double service_cv2_;
 };

@@ -43,6 +43,18 @@ TEST(ThresholdTable, ThresholdsAreFiniteAndGrowWithRatio) {
   EXPECT_THROW((void)(shared_table()->threshold_for_ratio(0.0)), std::logic_error);
 }
 
+TEST(ThresholdTable, ScanRowsMatchPerRatioEvaluation) {
+  const ThresholdTable& table = *shared_table();
+  const auto& rows = table.scan_rows();
+  ASSERT_EQ(rows.size(), table.ratios().size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double r = table.ratios()[i];
+    EXPECT_EQ(rows[i].ratio, r) << "row " << i;
+    EXPECT_EQ(rows[i].log_ratio, std::log(r)) << "row " << i;
+    EXPECT_EQ(rows[i].threshold, table.threshold_for_ratio(r)) << "row " << i;
+  }
+}
+
 TEST(ThresholdTable, FalsePositiveRateMatchesConfidence) {
   // Under the null (no change) the statistic exceeds the threshold with
   // probability ~1 - confidence = 0.5%.

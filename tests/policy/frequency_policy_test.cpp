@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "hw/cpu_catalog.hpp"
+#include "queue/mg1.hpp"
 #include "queue/mm1.hpp"
 #include "workload/trace.hpp"
 
@@ -118,6 +123,94 @@ TEST(FrequencyPolicy, QueueFeedbackRaisesStep) {
     EXPECT_GE(s, prev);
     prev = s;
   }
+}
+
+/// Reference select_step: the same arithmetic, but the performance curve is
+/// evaluated at every step on every decision instead of read from a table.
+std::size_t curve_scan_select_step(const FrequencyPolicy& p, Hertz arrival_rate,
+                                   Hertz service_rate_at_max,
+                                   double buffered_frames) {
+  const hw::Sa1100& c = p.cpu();
+  const std::size_t top = c.num_steps() - 1;
+  if (arrival_rate.value() <= 0.0 || service_rate_at_max.value() <= 0.0) return top;
+  const Seconds d = p.target_delay();
+  Hertz required =
+      p.service_cv2() == 1.0
+          ? queue::Mm1::required_service_rate(arrival_rate, d)
+          : queue::Mg1::required_service_rate(arrival_rate, d, p.service_cv2());
+  const double steady_occupancy = arrival_rate.value() * d.value() + 1.0;
+  const double excess = buffered_frames - steady_occupancy;
+  if (excess > 0.0) required += Hertz{excess / (10.0 * d.value())};
+  const double required_ratio = required.value() / service_rate_at_max.value();
+  if (required_ratio >= 1.0) return top;
+  for (std::size_t s = 0; s <= top; ++s) {
+    const double perf = p.performance_curve()(c.frequency_at(s).value());
+    if (perf >= required_ratio * (1.0 - 1e-9)) return s;
+  }
+  return top;
+}
+
+TEST(FrequencyPolicy, SelectStepMatchesCurveScan) {
+  const std::vector<hw::Sa1100> cpus{hw::Sa1100{}, hw::crusoe_like(),
+                                     hw::frequency_only_sa1100()};
+  Rng rng{0xf00dULL};
+  std::size_t draws = 0;
+  for (const hw::Sa1100& c : cpus) {
+    for (const bool mpeg : {false, true}) {
+      const auto dec = mpeg ? workload::reference_mpeg_decoder(c.max_frequency())
+                            : workload::reference_mp3_decoder(c.max_frequency());
+      for (const double cv2 : {1.0, 0.003}) {
+        const FrequencyPolicy p{c, dec.performance_curve(c), seconds(0.1), cv2};
+        for (int i = 0; i < 2000; ++i, ++draws) {
+          // Mostly ordinary rates and backlogs, with zero, negative and
+          // saturating estimates mixed in.
+          double lambda = rng.uniform(0.0, 120.0);
+          double mu = rng.uniform(1.0, 150.0);
+          double queued = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.0, 60.0);
+          const double kind = rng.uniform();
+          if (kind < 0.05) {
+            lambda = 0.0;
+          } else if (kind < 0.10) {
+            lambda = -rng.uniform(0.0, 50.0);
+          } else if (kind < 0.15) {
+            mu = 0.0;
+          } else if (kind < 0.20) {
+            mu = -rng.uniform(0.0, 50.0);
+          } else if (kind < 0.30) {
+            mu = rng.uniform(0.1, 1.0) * lambda;  // saturating
+          } else if (kind < 0.60) {
+            // Aim the epsilon-scaled required ratio at a step's performance
+            // to within a few ulps, where a table entry off by one ulp
+            // would flip the chosen step.
+            const std::size_t s = rng.uniform_index(c.num_steps());
+            const double perf = p.performance_curve()(c.frequency_at(s).value());
+            const Hertz required =
+                cv2 == 1.0 ? queue::Mm1::required_service_rate(hertz(lambda), seconds(0.1))
+                           : queue::Mg1::required_service_rate(hertz(lambda),
+                                                               seconds(0.1), cv2);
+            mu = required.value() * (1.0 - 1e-9) / perf;
+            const double toward = rng.bernoulli(0.5) ? 0.0 : 2.0 * mu;
+            for (auto ulps = rng.uniform_index(5); ulps > 0; --ulps) {
+              mu = std::nextafter(mu, toward);
+            }
+            queued = 0.0;
+          }
+          EXPECT_EQ(p.select_step(hertz(lambda), hertz(mu), queued),
+                    curve_scan_select_step(p, hertz(lambda), hertz(mu), queued))
+              << "lambda " << lambda << " mu " << mu << " queued " << queued;
+        }
+        for (std::size_t s = 0; s < c.num_steps(); ++s) {
+          const double perf = p.performance_curve()(c.frequency_at(s).value());
+          for (const double mu : {1.0, 48.0, 100.0, 137.25}) {
+            EXPECT_EQ(p.decode_rate_at(s, hertz(mu)).value(), perf * mu) << "step " << s;
+          }
+        }
+        EXPECT_THROW((void)(p.decode_rate_at(c.num_steps(), hertz(48.0))),
+                     std::logic_error);
+      }
+    }
+  }
+  EXPECT_GE(draws, 10000u);
 }
 
 TEST(FrequencyPolicy, RejectsBadConstruction) {
