@@ -1,12 +1,12 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "obs/scoped_timer.hpp"
 #include "policy/governor_factory.hpp"
 
 namespace dvs::core {
@@ -41,20 +41,18 @@ Engine::Engine(EngineConfig cfg, std::vector<PlaybackItem> items)
       flight_->set_auto_dump(cfg_.flight_dump_path);
     }
   }
+  // One probe for every decision site; null when no sink is on, so an
+  // uninstrumented run pays one pointer test per site.
+  probe_ = obs::Probe::make(
+      {cfg_.trace, cfg_.metrics, cfg_.ledger, flight_.get()});
   pm_ = std::make_unique<dpm::PowerManager>(sim_, badge_, cfg_.dpm_policy,
-                                            cfg_.seed ^ 0xd9a17ULL);
-  pm_->set_observability(cfg_.trace, cfg_.metrics);
-  pm_->set_ledger(cfg_.ledger);
-  pm_->set_flight(flight_.get());
+                                            cfg_.seed ^ 0xd9a17ULL,
+                                            probe_.get());
   if (cfg_.hw_faults.any()) {
     // A dedicated substream of the engine seed, disjoint from the DPM's,
     // so adding hardware faults never perturbs the fault-free draws.
-    injector_ =
-        std::make_unique<fault::HwFaultInjector>(cfg_.hw_faults,
-                                                 cfg_.seed ^ 0xfa017ULL);
-    injector_->set_trace(cfg_.trace);
-    injector_->set_ledger(cfg_.ledger);
-    injector_->set_flight(flight_.get());
+    injector_ = std::make_unique<fault::HwFaultInjector>(
+        cfg_.hw_faults, cfg_.seed ^ 0xfa017ULL, probe_.get());
     pm_->set_wakeup_fault_hook(
         [this](Seconds now) { return injector_->wakeup_penalty(now); });
   }
@@ -66,15 +64,12 @@ Engine::Engine(EngineConfig cfg, std::vector<PlaybackItem> items)
       mhz.push_back(badge_.cpu().frequency_at(s).value());
     }
     cfg_.ledger->set_freq_table(std::move(mhz));
-    install_accrual_observers();
   }
-  if (cfg_.metrics != nullptr) {
-    delay_hist_ = &cfg_.metrics->histogram("frames.delay_s", 0.0, 2.0, 200);
-    decode_hist_ = &cfg_.metrics->histogram("frames.decode_s", 0.0, 0.2, 200);
-    detect_latency_hist_ =
-        &cfg_.metrics->histogram("detector.detection_latency_s", 0.0, 60.0, 120);
-    delay_violation_hist_ =
-        &cfg_.metrics->histogram("frames.delay_over_target", 0.0, 10.0, 100);
+  if (probe_ != nullptr) {
+    for (std::size_t i = 0; i < badge_.num_components(); ++i) {
+      badge_.component(static_cast<hw::BadgeComponentId>(i))
+          .attach_probe(probe_.get(), static_cast<std::uint16_t>(i));
+    }
   }
   if (cfg_.profiler != nullptr) {
     // Pre-register the span tree so the hot path is a timestamp plus two
@@ -90,91 +85,6 @@ Engine::Engine(EngineConfig cfg, std::vector<PlaybackItem> items)
     span_telemetry_ = profiler_->node(root, "telemetry_snapshot");
     profiler_->enter(root);
   }
-  if (tracing()) install_component_observers();
-  if (flight_ != nullptr) {
-    // Raw-pointer hook, not the std::function observer: the flight recorder
-    // is on by default, and the dispatch cost of a std::function per state
-    // change is what pushed the always-on overhead past its budget.
-    for (std::size_t i = 0; i < badge_.num_components(); ++i) {
-      badge_.component(static_cast<hw::BadgeComponentId>(i))
-          .set_flight_recorder(flight_.get(), static_cast<std::uint16_t>(i));
-    }
-  }
-}
-
-void Engine::install_component_observers() {
-  for (std::size_t i = 0; i < badge_.num_components(); ++i) {
-    badge_.component(static_cast<hw::BadgeComponentId>(i))
-        .set_state_observer([this](const hw::Component& c,
-                                   hw::PowerState from, hw::PowerState to,
-                                   Seconds at) {
-          cfg_.trace->record(
-              at.value(), obs::ComponentState{c.name(), hw::to_string(from),
-                                              hw::to_string(to),
-                                              c.current_power().value()});
-        });
-  }
-}
-
-void Engine::install_accrual_observers() {
-  // The ledger receives the exact energy deltas the Metrics totals are
-  // built from; at observer time the component still describes the interval
-  // that elapsed (mutators accrue before changing state), so the charge key
-  // is simply its current state — "wake" while a wakeup transition runs.
-  for (std::size_t i = 0; i < badge_.num_components(); ++i) {
-    badge_.component(static_cast<hw::BadgeComponentId>(i))
-        .set_accrual_observer(
-            [this](const hw::Component& c, Joules delta, Seconds dt) {
-              cfg_.ledger->charge_energy(
-                  c.name(),
-                  c.transitioning() ? "wake"
-                                    : std::string(hw::to_string(c.state())),
-                  delta.value(), dt.value());
-            });
-  }
-}
-
-void Engine::wire_governor_observability(policy::Governor& gov) {
-  gov.set_trace(cfg_.trace);
-  gov.set_ledger(cfg_.ledger);
-  gov.set_flight(flight_.get());
-  if (!observing() && cfg_.ledger == nullptr) return;
-  const auto wire = [this](detect::RateDetector* det, const char* stream) {
-    if (det == nullptr) return;
-    det->set_decision_observer(
-        [this, stream](Seconds at, const detect::DetectorDecisionInfo& info) {
-          if (tracing()) {
-            cfg_.trace->record(at.value(),
-                               obs::DetectorDecision{stream, info.ln_p_max,
-                                                     info.threshold,
-                                                     info.detected,
-                                                     info.rate.value()});
-          }
-          if (info.detected && cfg_.ledger != nullptr) {
-            cfg_.ledger->set_cause(obs::Cause::DetectorChange);
-          }
-          if (cfg_.metrics == nullptr) return;
-          ++cfg_.metrics->counter("detector.decisions");
-          if (info.detected) {
-            ++cfg_.metrics->counter("detector.changes");
-            if (rate_change_at_) {
-              detect_latency_hist_->add((at - *rate_change_at_).value());
-              rate_change_at_.reset();
-            }
-          }
-        });
-  };
-  wire(gov.arrival_detector(), "arrival");
-  wire(gov.service_detector(), "service");
-}
-
-void Engine::record_detector_sample(const policy::Governor& gov,
-                                    std::string_view stream, Seconds now,
-                                    Seconds interval, Hertz estimate) {
-  const std::string name = gov.detector_name();
-  cfg_.trace->record(now.value(), obs::DetectorSample{stream, name,
-                                                      interval.value(),
-                                                      estimate.value()});
 }
 
 policy::Governor& Engine::governor_for(workload::MediaType type) {
@@ -206,6 +116,7 @@ void Engine::ensure_media_context(const PlaybackItem& item) {
     // Build the governor for this media type through the policy factory.
     policy::GovernorContext ctx{badge_, item.decoder, cfg_.target_delay,
                                 cfg_.service_cv2};
+    ctx.probe = probe_.get();
     // A per-media substream of the engine seed, disjoint from the DPM's
     // (0xd9a17) and the fault injector's (0xfa017): learning policies draw
     // exploration randomness here without perturbing either.
@@ -229,7 +140,6 @@ void Engine::ensure_media_context(const PlaybackItem& item) {
       };
     }
     slot = policy::GovernorFactory::instance().create(cfg_.policy, ctx);
-    wire_governor_observability(*slot);
     slot->enable_watchdog(cfg_.watchdog, cfg_.target_delay);
     if (injector_ != nullptr) {
       slot->set_step_filter(
@@ -241,7 +151,7 @@ void Engine::ensure_media_context(const PlaybackItem& item) {
     slot->initialize(item.nominal_arrival, item.nominal_service_at_max, now);
     // The detectors start from nominal rates; the gap to the clip's true
     // rates is the change the detector has to find.
-    rate_change_at_ = now;
+    if (probe_ != nullptr) probe_->rate_change(now);
   }
   return;
 }
@@ -280,7 +190,7 @@ void Engine::handle_arrival() {
     note_frequency(now);
     gov.initialize(item.nominal_arrival, item.nominal_service_at_max, now);
     prev_arrival_.reset();
-    rate_change_at_ = now;
+    if (probe_ != nullptr) probe_->rate_change(now);
   }
 
   start_wlan_burst(std::max(now, device_ready_));
@@ -288,20 +198,12 @@ void Engine::handle_arrival() {
   const workload::MediaType media = item.trace.type();
   const bool accepted =
       buffer_.push(workload::Frame{tf.id, media, now, tf.work}, now);
-  if (tracing()) {
+  if (probe_ != nullptr) {
     if (accepted) {
-      cfg_.trace->record(now.value(), obs::FrameArrival{tf.id,
-                                                        workload::to_string(media),
-                                                        buffer_.size()});
+      probe_->frame_arrival(now, tf.id, media, buffer_.size());
     } else {
-      cfg_.trace->record(now.value(),
-                         obs::FrameDrop{tf.id, workload::to_string(media)});
+      probe_->frame_drop(now, tf.id, media);
     }
-  }
-  if (!accepted && flight_ != nullptr) {
-    flight_->record(now.value(), obs::FlightEventType::FrameDrop,
-                    static_cast<std::uint16_t>(media_index(media)),
-                    static_cast<float>(tf.id), 0.0F);
   }
 
   // Arrival-rate sample, gated against idle gaps — and against tail drops:
@@ -313,9 +215,9 @@ void Engine::handle_arrival() {
       const Seconds gap = now - *prev_arrival_;
       if (gap.value() > 0.0 && gap < cfg_.session_gap_threshold) {
         gov.on_arrival(now, gap, static_cast<double>(buffer_.size()));
-        if (tracing() && gov.adaptive()) {
-          record_detector_sample(gov, "arrival", now, gap,
-                                 gov.arrival_estimate());
+        if (probe_ != nullptr && probe_->tracing() && gov.adaptive()) {
+          probe_->detector_sample(now, "arrival", gov.detector_name(), gap,
+                                  gov.arrival_estimate());
         }
       }
     }
@@ -383,10 +285,8 @@ void Engine::handle_decode_start() {
   const MegaHertz f = badge_.cpu_frequency();
   const Seconds pure = dec.decode_time(f, frame.work);
 
-  if (tracing()) {
-    cfg_.trace->record(now.value(),
-                       obs::DecodeStart{frame.id, workload::to_string(frame.type),
-                                        f.value(), switch_latency.value()});
+  if (probe_ != nullptr) {
+    probe_->decode_start(now, frame.id, frame.type, f, switch_latency);
   }
 
   // The memory is busy only for the frequency-independent stall portion of
@@ -418,26 +318,9 @@ void Engine::handle_decode_complete(workload::Frame frame, Seconds pure_decode,
   deactivate_components(frame.type, now);
   busy_ = false;
   const Seconds delay = now - frame.arrival;
-  if (delay_hist_ != nullptr) delay_hist_->add(delay.value());
-  if (decode_hist_ != nullptr) decode_hist_->add(pure_decode.value());
-  if (tracing()) {
-    cfg_.trace->record(now.value(),
-                       obs::DecodeDone{frame.id, workload::to_string(frame.type),
-                                       pure_decode.value(), delay.value(),
-                                       buffer_.size()});
-  }
-  if (delay_violation_hist_ != nullptr) {
-    delay_violation_hist_->add(delay.value() / cfg_.target_delay.value());
-  }
-  if (cfg_.ledger != nullptr) {
-    cfg_.ledger->charge_delay(std::string(workload::to_string(frame.type)),
-                              delay.value());
-  }
-  if (flight_ != nullptr) {
-    flight_->record(now.value(), obs::FlightEventType::DecodeDone,
-                    static_cast<std::uint16_t>(media_index(frame.type)),
-                    static_cast<float>(delay.value()),
-                    static_cast<float>(buffer_.size()));
+  if (probe_ != nullptr) {
+    probe_->decode_done(now, frame.id, frame.type, pure_decode, delay,
+                        buffer_.size(), cfg_.target_delay);
   }
   policy::Governor& gov = governor_for(frame.type);
   {
@@ -447,9 +330,9 @@ void Engine::handle_decode_complete(workload::Frame frame, Seconds pure_decode,
     gov.on_decode_complete(now, pure_decode, freq,
                            static_cast<double>(buffer_.size()), delay);
   }
-  if (tracing() && gov.adaptive()) {
-    record_detector_sample(gov, "service", now, pure_decode,
-                           gov.service_estimate_at_max());
+  if (probe_ != nullptr && probe_->tracing() && gov.adaptive()) {
+    probe_->detector_sample(now, "service", gov.detector_name(), pure_decode,
+                            gov.service_estimate_at_max());
   }
 
   if (!buffer_.empty()) {
@@ -573,8 +456,8 @@ Metrics Engine::run() {
       cfg_.telemetry_every.value() > 0.0) {
     schedule_telemetry_snapshot(cfg_.telemetry_every);
   }
+  const auto started = std::chrono::steady_clock::now();
   try {
-    obs::ScopedTimer timer{cfg_.metrics, "wall.engine_run_s"};
     sim_.run();
   } catch (...) {
     // Abnormal exit: finalize trace sinks so JSONL/Chrome output stays
@@ -588,6 +471,13 @@ Metrics Engine::run() {
     } catch (...) {
     }
     throw;
+  }
+  if (cfg_.metrics != nullptr) {
+    // Wall-clock self-profile: the simulator's speed, not simulated time.
+    cfg_.metrics->gauge("wall.engine_run_s") +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      started)
+            .count();
   }
   const Seconds end = std::max(sim_.now(), items_.back().end);
   Metrics m = collect(end);

@@ -40,6 +40,7 @@
 #include "obs/attribution.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/probe.hpp"
 #include "obs/telemetry/snapshotter.hpp"
 #include "obs/telemetry/span_profiler.hpp"
 #include "obs/trace_recorder.hpp"
@@ -190,19 +191,6 @@ class Engine {
   void note_frequency(Seconds now);
   Metrics collect(Seconds end);
 
-  // ---- observability ------------------------------------------------------
-  [[nodiscard]] bool tracing() const {
-    return cfg_.trace != nullptr && cfg_.trace->active();
-  }
-  [[nodiscard]] bool observing() const {
-    return tracing() || cfg_.metrics != nullptr;
-  }
-  void install_component_observers();
-  void install_accrual_observers();
-  void wire_governor_observability(policy::Governor& gov);
-  void record_detector_sample(const policy::Governor& gov,
-                              std::string_view stream, Seconds now,
-                              Seconds interval, Hertz estimate);
   void fill_registry(const Metrics& m);
 
   EngineConfig cfg_;
@@ -212,6 +200,8 @@ class Engine {
   sim::Simulator sim_;
   queue::FrameBuffer buffer_;
   std::unique_ptr<obs::FlightRecorder> flight_;
+  /// Every decision site's instrumentation; null when no sink is on.
+  std::unique_ptr<obs::Probe> probe_;
   std::unique_ptr<dpm::PowerManager> pm_;
   std::unique_ptr<fault::HwFaultInjector> injector_;
   // Indexed by media_index(): governor_for() on the per-frame path is an
@@ -246,17 +236,6 @@ class Engine {
   std::uint64_t frames_arrived_ = 0;
   std::vector<std::pair<double, double>> power_trace_;
   bool ran_ = false;
-
-  // Observability state (null when metrics are off).
-  obs::HistogramMetric* delay_hist_ = nullptr;
-  obs::HistogramMetric* decode_hist_ = nullptr;
-  obs::HistogramMetric* detect_latency_hist_ = nullptr;
-  /// Frame delay as a multiple of the target — the degradation fingerprint
-  /// (mass above 1.0 = delay-target violations).
-  obs::HistogramMetric* delay_violation_hist_ = nullptr;
-  /// Time of the last workload rate change (item start / item switch) not
-  /// yet acknowledged by a detector — feeds the detection-latency histogram.
-  std::optional<Seconds> rate_change_at_;
 
   // Self-profiling span tree (ids valid only when profiler_ != nullptr;
   // every use is guarded by the null test in ScopedSpan).

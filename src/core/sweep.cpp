@@ -121,6 +121,9 @@ WorkloadAsset build_workload_asset(const WorkloadSpec& w,
       asset.items = std::make_shared<const std::vector<PlaybackItem>>(
           std::move(session.items));
       asset.idle = session.idle_model;
+      asset.session_duration = session.duration;
+      asset.media_time = session.media_time;
+      asset.idle_time = session.idle_time;
       break;
     }
   }

@@ -65,6 +65,11 @@ CpuAsset build_cpu_asset(const std::string& name);
 struct WorkloadAsset {
   std::shared_ptr<const std::vector<PlaybackItem>> items;
   dpm::IdleDistributionPtr idle;
+  /// Session workloads: the timeline's length and its media/idle split
+  /// (zero for single-trace workloads).
+  Seconds session_duration{0.0};
+  Seconds media_time{0.0};
+  Seconds idle_time{0.0};
 };
 
 /// Builds the prepared trace(s) + idle model for one workload row.  Fault

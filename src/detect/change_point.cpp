@@ -19,6 +19,7 @@ ChangePointDetector::ChangePointDetector(const ChangePointConfig& cfg)
     : ChangePointDetector(std::make_shared<const ThresholdTable>(cfg)) {}
 
 void ChangePointDetector::reset(Hertz initial) {
+  clear_decision();
   window_.clear();
   samples_since_check_ = 0;
   settling_ = 0;
@@ -31,6 +32,7 @@ void ChangePointDetector::reset(Hertz initial) {
 Hertz ChangePointDetector::on_sample(Seconds now, Seconds interval) {
   DVS_CHECK_MSG(interval.value() > 0.0, "ChangePointDetector: non-positive interval");
   const ChangePointConfig& cfg = thresholds_->config();
+  clear_decision();
 
   window_.push(interval.value());
   if (settling_ < cfg.window) ++settling_;
@@ -141,12 +143,8 @@ bool ChangePointDetector::detect(Seconds now) {
   }
   const bool found = best_margin > thresholds_->scan_margin();
   if (!found) {
-    if (has_decision_observer()) {
-      notify_decision(now, DetectorDecisionInfo{
-                               best_stat,
-                               best_threshold + thresholds_->scan_margin(),
-                               false, rate_});
-    }
+    record_decision(DetectorDecisionInfo{
+        best_stat, best_threshold + thresholds_->scan_margin(), false, rate_});
     return false;
   }
 
@@ -164,12 +162,8 @@ bool ChangePointDetector::detect(Seconds now) {
   settling_ = window_.size();
   ++changes_;
   change_times_.push_back(now);
-  if (has_decision_observer()) {
-    notify_decision(now, DetectorDecisionInfo{
-                             best_stat,
-                             best_threshold + thresholds_->scan_margin(),
-                             true, rate_});
-  }
+  record_decision(DetectorDecisionInfo{
+      best_stat, best_threshold + thresholds_->scan_margin(), true, rate_});
   return true;
 }
 

@@ -9,7 +9,6 @@
 // detector at all.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -18,9 +17,9 @@
 namespace dvs::detect {
 
 /// One evaluation of a detector's decision rule (for change-point: the
-/// likelihood test of Section 3.1).  Reported to an optional observer so
-/// the observability layer can trace ln P_max and the verdict without the
-/// detector knowing about sinks.
+/// likelihood test of Section 3.1).  The detector keeps the one its latest
+/// sample made, so the caller can report ln P_max and the verdict without
+/// the detector knowing about observability.
 struct DetectorDecisionInfo {
   double ln_p_max = 0.0;   ///< best test statistic over the candidate set
   double threshold = 0.0;  ///< level it had to clear (incl. scan margin)
@@ -44,25 +43,25 @@ class RateDetector {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Installs an observer called on every decision-rule evaluation.
-  /// Detectors without an explicit decision rule (EMA, sliding window)
-  /// never call it.
-  using DecisionObserver =
-      std::function<void(Seconds now, const DetectorDecisionInfo&)>;
-  void set_decision_observer(DecisionObserver observer) {
-    observer_ = std::move(observer);
+  /// The decision-rule evaluation the latest on_sample() made, or null
+  /// when that sample did not evaluate the rule.  Detectors without an
+  /// explicit decision rule (EMA, sliding window) always return null.
+  [[nodiscard]] const DetectorDecisionInfo* last_decision() const {
+    return decided_ ? &decision_ : nullptr;
   }
 
  protected:
-  [[nodiscard]] bool has_decision_observer() const {
-    return static_cast<bool>(observer_);
-  }
-  void notify_decision(Seconds now, const DetectorDecisionInfo& info) const {
-    if (observer_) observer_(now, info);
+  /// Implementations with a decision rule clear the record at the start of
+  /// every sample (and on reset) and set it when the rule runs.
+  void clear_decision() { decided_ = false; }
+  void record_decision(const DetectorDecisionInfo& info) {
+    decision_ = info;
+    decided_ = true;
   }
 
  private:
-  DecisionObserver observer_;
+  DetectorDecisionInfo decision_;
+  bool decided_ = false;
 };
 
 using RateDetectorPtr = std::unique_ptr<RateDetector>;

@@ -7,17 +7,14 @@
 namespace dvs::dpm {
 
 PowerManager::PowerManager(sim::Simulator& sim, hw::SmartBadge& badge,
-                           DpmPolicyPtr policy, std::uint64_t seed)
-    : sim_(&sim), badge_(&badge), policy_(std::move(policy)), rng_(seed) {
+                           DpmPolicyPtr policy, std::uint64_t seed,
+                           obs::Probe* probe)
+    : sim_(&sim),
+      badge_(&badge),
+      policy_(std::move(policy)),
+      rng_(seed),
+      probe_(probe) {
   DVS_CHECK_MSG(policy_ != nullptr, "PowerManager: null policy");
-}
-
-void PowerManager::set_observability(obs::TraceRecorder* trace,
-                                     obs::MetricsRegistry* metrics) {
-  trace_ = trace;
-  idle_hist_ = metrics == nullptr
-                   ? nullptr
-                   : &metrics->histogram("dpm.idle_period_s", 0.0, 120.0, 240);
 }
 
 void PowerManager::cancel_pending() {
@@ -30,77 +27,50 @@ void PowerManager::on_idle_enter(Seconds now,
   DVS_CHECK_MSG(!asleep(), "PowerManager: idle entry while asleep");
   ++idle_periods_;
   idle_started_at_ = now;
-  if (tracing()) {
-    trace_->record(now.value(), obs::DpmIdleEnter{
-                                    idle_length_hint ? idle_length_hint->value()
-                                                     : -1.0});
-  }
-  if (flight_ != nullptr) {
-    flight_->record(now.value(), obs::FlightEventType::DpmIdleEnter, 0,
-                    static_cast<float>(idle_length_hint
-                                           ? idle_length_hint->value()
-                                           : -1.0),
-                    0.0F);
-  }
+  if (probe_ != nullptr) probe_->dpm_idle_enter(now, idle_length_hint);
   SleepPlan plan = policy_->plan(idle_length_hint, rng_);
   plan.validate();
   for (const SleepStep& step : plan.steps) {
     const hw::PowerState target = step.state;
     pending_.push_back(sim_->schedule_at(now + step.after, [this, target] {
       // Deepening while idle is instantaneous in the component model.
-      // set_all accrues the pre-sleep interval first, so switching the
-      // ledger cause afterwards charges only the slept time to the DPM.
+      // set_all accrues the pre-sleep interval first, so the probe's cause
+      // switch afterwards charges only the slept time to the DPM.
       badge_->set_all(target, sim_->now());
       depth_ = target;
       ++sleeps_;
-      if (tracing()) {
-        trace_->record(sim_->now().value(),
-                       obs::DpmSleepCommand{hw::to_string(target)});
-      }
-      if (ledger_ != nullptr) ledger_->set_cause(obs::Cause::DpmSleep);
-      if (flight_ != nullptr) {
-        flight_->record(sim_->now().value(), obs::FlightEventType::DpmSleep,
-                        static_cast<std::uint16_t>(target), 0.0F, 0.0F);
-      }
+      if (probe_ != nullptr) probe_->dpm_sleep(sim_->now(), target);
     }));
   }
 }
 
 Seconds PowerManager::on_request(Seconds now) {
   cancel_pending();
-  Seconds idle_length{0.0};
-  if (idle_started_at_.has_value()) {
-    // Feedback for adaptive policies: the idle period just ended.
-    idle_length = now - *idle_started_at_;
-    policy_->on_idle_period_end(idle_length);
-    if (idle_hist_ != nullptr) idle_hist_->add(idle_length.value());
-    idle_started_at_.reset();
+  if (!idle_started_at_.has_value()) {
+    // A request during playback ends nothing; only an idle period sleeps.
+    DVS_CHECK_MSG(!asleep(), "PowerManager: asleep outside an idle period");
+    return now;
   }
-  if (!asleep()) return now;
+  // Feedback for adaptive policies: the idle period just ended.
+  const Seconds idle_length = now - *idle_started_at_;
+  idle_started_at_.reset();
+  policy_->on_idle_period_end(idle_length);
 
   // Wake every component back to idle; the decode path will activate what
   // it needs.  The badge reports the slowest wakeup.  The set_all accrual
-  // closes the slept interval under the DpmSleep cause; the wakeup
-  // transition that follows is charged to DpmWakeup.
+  // closes the slept interval under the DpmSleep cause; the probe then
+  // charges the wakeup transition that follows to DpmWakeup.
   const hw::PowerState was = depth_;
-  badge_->set_all(hw::PowerState::Idle, now);
-  if (ledger_ != nullptr) ledger_->set_cause(obs::Cause::DpmWakeup);
+  if (asleep()) badge_->set_all(hw::PowerState::Idle, now);
+  if (probe_ != nullptr) probe_->idle_period_end(idle_length, was);
+  if (!asleep()) return now;
   Seconds ready = badge_->latest_wakeup_completion(now);
   if (wakeup_fault_hook_) ready += wakeup_fault_hook_(now);
   const Seconds delay = ready - now;
   total_wakeup_delay_ += delay;
   ++wakeups_;
   depth_ = hw::PowerState::Idle;
-  if (tracing()) {
-    trace_->record(now.value(), obs::DpmWakeup{hw::to_string(was), delay.value(),
-                                               idle_length.value()});
-  }
-  if (flight_ != nullptr) {
-    flight_->record(now.value(), obs::FlightEventType::DpmWakeup,
-                    static_cast<std::uint16_t>(was),
-                    static_cast<float>(delay.value()),
-                    static_cast<float>(idle_length.value()));
-  }
+  if (probe_ != nullptr) probe_->dpm_wakeup(now, was, delay, idle_length);
   if (ready > now) {
     sim_->schedule_at(ready, [this] { badge_->finish_wakeups(sim_->now()); });
   } else {

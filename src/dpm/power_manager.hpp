@@ -14,18 +14,17 @@
 #include "common/rng.hpp"
 #include "dpm/policy.hpp"
 #include "hw/smartbadge.hpp"
-#include "obs/attribution.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/metrics_registry.hpp"
-#include "obs/trace_recorder.hpp"
+#include "obs/probe.hpp"
 #include "sim/simulator.hpp"
 
 namespace dvs::dpm {
 
 class PowerManager {
  public:
+  /// `probe` (may be null) receives idle entries, sleep commands, wakeups
+  /// and the end of every idle period.
   PowerManager(sim::Simulator& sim, hw::SmartBadge& badge, DpmPolicyPtr policy,
-               std::uint64_t seed);
+               std::uint64_t seed, obs::Probe* probe = nullptr);
 
   /// The system has drained its queue and gone idle.  `idle_length_hint` is
   /// the true upcoming idle length when the caller knows it (trace-driven
@@ -47,20 +46,6 @@ class PowerManager {
 
   [[nodiscard]] const DpmPolicy& policy() const { return *policy_; }
 
-  /// Attaches observability: trace events for idle-enter / sleep / wakeup,
-  /// and an idle-period-length histogram in the registry.  Either pointer
-  /// may be null.
-  void set_observability(obs::TraceRecorder* trace, obs::MetricsRegistry* metrics);
-
-  /// Attaches the attribution ledger: sleep commands and wakeups switch its
-  /// cause, so the energy of a slept interval (and of the wakeup
-  /// transition that ends it) is charged to the DPM decision.  May be null.
-  void set_ledger(obs::AttributionLedger* ledger) { ledger_ = ledger; }
-
-  /// Attaches the flight recorder (idle-enter / sleep / wakeup records).
-  /// May be null.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
-
   /// Fault-injection hook: called once per wakeup with the current time,
   /// returns extra wakeup latency (a delayed or failed-and-retried standby
   /// exit).  The extra delay counts toward total_wakeup_delay() like any
@@ -72,19 +57,13 @@ class PowerManager {
 
  private:
   void cancel_pending();
-  [[nodiscard]] bool tracing() const {
-    return trace_ != nullptr && trace_->active();
-  }
 
   sim::Simulator* sim_;
   hw::SmartBadge* badge_;
   DpmPolicyPtr policy_;
   Rng rng_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::AttributionLedger* ledger_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Probe* probe_;
   WakeupFaultHook wakeup_fault_hook_;
-  obs::HistogramMetric* idle_hist_ = nullptr;
   hw::PowerState depth_ = hw::PowerState::Idle;  ///< deepest commanded state
   std::optional<Seconds> idle_started_at_;       ///< open idle period, if any
   std::vector<sim::EventId> pending_;

@@ -1,12 +1,12 @@
 #include "fault/hw_faults.hpp"
 
 #include "common/check.hpp"
-#include "obs/event.hpp"
 
 namespace dvs::fault {
 
-HwFaultInjector::HwFaultInjector(const HwFaultPlan& plan, std::uint64_t seed)
-    : plan_(plan), rng_(seed) {
+HwFaultInjector::HwFaultInjector(const HwFaultPlan& plan, std::uint64_t seed,
+                                 obs::Probe* probe)
+    : plan_(plan), rng_(seed), probe_(probe) {
   DVS_CHECK_MSG(plan_.wakeup_delay_prob >= 0.0 && plan_.wakeup_delay_prob <= 1.0 &&
                     plan_.wakeup_fail_prob >= 0.0 && plan_.wakeup_fail_prob <= 1.0 &&
                     plan_.freq_fail_prob >= 0.0 && plan_.freq_fail_prob <= 1.0,
@@ -17,35 +17,21 @@ HwFaultInjector::HwFaultInjector(const HwFaultPlan& plan, std::uint64_t seed)
                 "HwFaultPlan: delays must be non-negative");
 }
 
-void HwFaultInjector::record(Seconds now, std::string_view kind,
-                             double magnitude) {
-  if (trace_ != nullptr && trace_->active()) {
-    trace_->record(now.value(), obs::FaultInjected{kind, magnitude});
-  }
-  if (ledger_ != nullptr) ledger_->set_cause(obs::Cause::Fault);
-  if (flight_ != nullptr) {
-    // Stable fault-kind codes for the compact record (docs/OBSERVABILITY.md).
-    std::uint16_t code = 0;
-    if (kind == "wakeup_fail") code = 1;
-    else if (kind == "freq_fail") code = 2;
-    else if (kind == "rail_stuck") code = 3;
-    flight_->record(now.value(), obs::FlightEventType::FaultInjected, code,
-                    static_cast<float>(magnitude), 0.0F);
-    flight_->trigger(now.value(), "fault-injected");
-  }
-}
-
 Seconds HwFaultInjector::wakeup_penalty(Seconds now) {
   Seconds penalty{0.0};
   if (plan_.wakeup_fail_prob > 0.0 && rng_.bernoulli(plan_.wakeup_fail_prob)) {
     penalty += plan_.wakeup_retry_delay;
     ++wakeup_faults_;
-    record(now, "wakeup_fail", plan_.wakeup_retry_delay.value());
+    if (probe_ != nullptr) {
+      probe_->fault(now, "wakeup_fail", plan_.wakeup_retry_delay.value());
+    }
   }
   if (plan_.wakeup_delay_prob > 0.0 && rng_.bernoulli(plan_.wakeup_delay_prob)) {
     penalty += plan_.wakeup_extra_delay;
     ++wakeup_faults_;
-    record(now, "wakeup_delay", plan_.wakeup_extra_delay.value());
+    if (probe_ != nullptr) {
+      probe_->fault(now, "wakeup_delay", plan_.wakeup_extra_delay.value());
+    }
   }
   return penalty;
 }
@@ -56,12 +42,16 @@ std::size_t HwFaultInjector::filter_step(Seconds now, std::size_t current,
   if (plan_.rail_stuck_at.value() >= 0.0 && now >= plan_.rail_stuck_at &&
       now < plan_.rail_stuck_at + plan_.rail_stuck_duration) {
     ++rail_faults_;
-    record(now, "rail_stuck", static_cast<double>(desired));
+    if (probe_ != nullptr) {
+      probe_->fault(now, "rail_stuck", static_cast<double>(desired));
+    }
     return current;
   }
   if (plan_.freq_fail_prob > 0.0 && rng_.bernoulli(plan_.freq_fail_prob)) {
     ++freq_faults_;
-    record(now, "freq_fail", static_cast<double>(desired));
+    if (probe_ != nullptr) {
+      probe_->fault(now, "freq_fail", static_cast<double>(desired));
+    }
     return current;
   }
   return desired;

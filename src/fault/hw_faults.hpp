@@ -21,9 +21,7 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "obs/attribution.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/trace_recorder.hpp"
+#include "obs/probe.hpp"
 
 namespace dvs::fault {
 
@@ -49,18 +47,9 @@ struct HwFaultPlan {
 
 class HwFaultInjector {
  public:
-  HwFaultInjector(const HwFaultPlan& plan, std::uint64_t seed);
-
-  /// Optional tracing: each fired fault records a FaultInjected event.
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
-
-  /// Optional attribution: each fired fault switches the ledger cause to
-  /// Fault (the time that follows is the fault's bill).  May be null.
-  void set_ledger(obs::AttributionLedger* ledger) { ledger_ = ledger; }
-
-  /// Optional flight recorder: fired faults land in the ring and trigger a
-  /// post-mortem dump.  May be null.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
+  /// `probe` (may be null) receives every fault that fires.
+  HwFaultInjector(const HwFaultPlan& plan, std::uint64_t seed,
+                  obs::Probe* probe = nullptr);
 
   /// Extra wakeup latency for the standby exit happening at `now`
   /// (zero when no fault fires).  Called once per wakeup.
@@ -80,13 +69,9 @@ class HwFaultInjector {
   [[nodiscard]] std::uint64_t rail_faults() const { return rail_faults_; }
 
  private:
-  void record(Seconds now, std::string_view kind, double magnitude);
-
   HwFaultPlan plan_;
   Rng rng_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::AttributionLedger* ledger_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  obs::Probe* probe_;
   std::uint64_t wakeup_faults_ = 0;
   std::uint64_t freq_faults_ = 0;
   std::uint64_t rail_faults_ = 0;

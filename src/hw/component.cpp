@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/probe.hpp"
 
 namespace dvs::hw {
 
@@ -42,12 +42,16 @@ void Component::accrue(Seconds now) {
   DVS_CHECK_MSG(now >= last_accrual_, spec_.name + ": time moved backwards");
   const Seconds dt = now - last_accrual_;
   // Skipping the empty interval is bit-identical (x + 0.0 == x) and keeps
-  // the observer quiet on the frequent same-timestamp accruals.
+  // the probe quiet on the frequent same-timestamp accruals.
   if (dt.value() <= 0.0) return;
   const Joules delta = energy(current_power(), dt);
   energy_ += delta;
   last_accrual_ = now;
-  if (accrual_observer_) accrual_observer_(*this, delta, dt);
+  // state_/transitioning_ still describe the interval that elapsed: every
+  // mutator accrues before changing state.
+  if (probe_ != nullptr) {
+    probe_->accrual(spec_.name, state_, transitioning_, delta, dt);
+  }
 }
 
 Seconds Component::set_state(PowerState s, Seconds now) {
@@ -76,14 +80,10 @@ Seconds Component::set_state(PowerState s, Seconds now) {
 
 void Component::notify_state_change(PowerState from, PowerState to,
                                     Seconds now) {
-  if (flight_ != nullptr) {
-    flight_->record(now.value(), obs::FlightEventType::ComponentState,
-                    static_cast<std::uint16_t>(
-                        (static_cast<unsigned>(flight_index_) << 8) |
-                        static_cast<unsigned>(to)),
-                    static_cast<float>(current_power().value()), 0.0F);
+  if (probe_ != nullptr) {
+    probe_->component_state(now, probe_index_, spec_.name, from, to,
+                            current_power());
   }
-  if (observer_) observer_(*this, from, to, now);
 }
 
 void Component::finish_wakeup(Seconds now) {

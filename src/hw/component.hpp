@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/check.hpp"
@@ -19,7 +18,7 @@
 #include "hw/power_state.hpp"
 
 namespace dvs::obs {
-class FlightRecorder;
+class Probe;
 }  // namespace dvs::obs
 
 namespace dvs::hw {
@@ -99,35 +98,14 @@ class Component {
   /// Number of wakeups started.
   [[nodiscard]] int wakeup_count() const { return wakeups_; }
 
-  /// Observer called after every actual state change (not on same-state
-  /// commands).  Null by default; the observability layer installs one to
-  /// build per-component power-state timelines.
-  using StateObserver =
-      std::function<void(const Component&, PowerState from, PowerState to,
-                         Seconds now)>;
-  void set_state_observer(StateObserver observer) {
-    observer_ = std::move(observer);
-  }
-
-  /// Observer called from accrue() with the exact energy delta just added
-  /// to the integral, whenever a non-empty interval elapses.  At call time
-  /// state()/transitioning() still describe the interval that elapsed (all
-  /// mutators accrue *before* changing state), so attribution layers can
-  /// read them directly.  Null by default; an unobserved component pays one
-  /// pointer test per accrual.
-  using AccrualObserver =
-      std::function<void(const Component&, Joules delta, Seconds dt)>;
-  void set_accrual_observer(AccrualObserver observer) {
-    accrual_observer_ = std::move(observer);
-  }
-
-  /// Always-on flight-recorder hook: a raw pointer, not a std::function —
-  /// the ring store must stay a few ns so the recorder can run on every
-  /// state change of every run.  `index` tags records as
-  /// code=(index<<8)|state.  Null disables (the default).
-  void set_flight_recorder(obs::FlightRecorder* recorder, std::uint16_t index) {
-    flight_ = recorder;
-    flight_index_ = index;
+  /// Attaches the run's instrumentation probe: every actual state change
+  /// (not same-state commands) and every non-empty energy accrual reports
+  /// to it.  `index` is the component's badge slot, which tags its flight
+  /// records.  Null (the default) disables; a detached component pays one
+  /// pointer test per state change and per accrual.
+  void attach_probe(obs::Probe* probe, std::uint16_t index) {
+    probe_ = probe;
+    probe_index_ = index;
   }
 
  private:
@@ -141,10 +119,8 @@ class Component {
   Joules energy_{0.0};
   int sleep_transitions_ = 0;
   int wakeups_ = 0;
-  StateObserver observer_;
-  AccrualObserver accrual_observer_;
-  obs::FlightRecorder* flight_ = nullptr;
-  std::uint16_t flight_index_ = 0;
+  obs::Probe* probe_ = nullptr;
+  std::uint16_t probe_index_ = 0;
 };
 
 }  // namespace dvs::hw

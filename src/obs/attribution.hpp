@@ -6,11 +6,11 @@
 // consumed them.  "Cause" is the most recent policy decision class when the
 // interval elapsed: a detector change-point, a watchdog escalation or
 // recovery, a DPM sleep/wakeup transition, an injected fault — or Nominal
-// when no decision has intervened since the run (or the last media switch)
-// started.
+// when no decision has intervened since the run started.  The cause is
+// sticky: a media switch does not reset it.
 //
-// Feeding happens at the hardware layer's energy-accrual points (see
-// hw::Component::set_accrual_observer): the ledger receives the *identical*
+// Feeding happens at the hardware layer's energy-accrual points (through
+// obs::Probe::accrual): the ledger receives the *identical*
 // double-precision energy deltas that the Metrics totals are built from, so
 // per-key sums reconcile with Metrics::total_energy to ~1e-15 relative —
 // the 1e-9 contract in the reconciliation test has three orders of margin.
@@ -31,10 +31,10 @@
 namespace dvs::obs {
 
 /// The policy-decision class an interval of time (and its energy/delay) is
-/// charged to.  Updated by hooks in the governor, power manager, and fault
-/// injector; every interval belongs to the most recent decision.
+/// charged to.  Updated by the probe's detector, watchdog, DPM and fault
+/// events; every interval belongs to the most recent decision.
 enum class Cause : std::uint8_t {
-  Nominal = 0,       ///< no policy decision since the run/item started
+  Nominal = 0,       ///< no policy decision since the run started
   DetectorChange,    ///< a detector declared a workload change-point
   WatchdogEscalate,  ///< the watchdog clamped the governor to the top step
   WatchdogRecover,   ///< the watchdog handed control back to the policy

@@ -1,5 +1,6 @@
 // SpanProfiler: nested hierarchical wall-time spans for the simulator's
-// own hot path — the structured successor of ScopedTimer's single gauge.
+// own hot path — a tree of handler timings, where the engine's
+// `wall.engine_run_s` gauge is one number for the whole event loop.
 //
 // Each node of the span tree carries total ticks, call count, and (after
 // finalize) self time = total − children.  Instrumented code pre-registers

@@ -10,9 +10,10 @@ DvsGovernor::DvsGovernor(hw::SmartBadge& badge,
                          const workload::DecoderModel& decoder,
                          FrequencyPolicy policy,
                          detect::RateDetectorPtr arrival_detector,
-                         detect::RateDetectorPtr service_detector)
+                         detect::RateDetectorPtr service_detector,
+                         obs::Probe* probe)
     : DvsGovernor(badge, decoder, std::move(policy), std::move(arrival_detector),
-                  std::move(service_detector), /*adaptive=*/true) {
+                  std::move(service_detector), probe, /*adaptive=*/true) {
   DVS_CHECK_MSG(arrival_detector_ && service_detector_,
                 "DvsGovernor: adaptive governor needs both detectors");
 }
@@ -21,8 +22,9 @@ DvsGovernor::DvsGovernor(hw::SmartBadge& badge,
                          const workload::DecoderModel& decoder,
                          FrequencyPolicy policy,
                          detect::RateDetectorPtr arrival_detector,
-                         detect::RateDetectorPtr service_detector, bool adaptive)
-    : Governor(badge),
+                         detect::RateDetectorPtr service_detector,
+                         obs::Probe* probe, bool adaptive)
+    : Governor(badge, probe),
       decoder_(&decoder),
       policy_(std::move(policy)),
       arrival_detector_(std::move(arrival_detector)),
@@ -32,10 +34,11 @@ DvsGovernor::DvsGovernor(hw::SmartBadge& badge,
 
 std::unique_ptr<DvsGovernor> DvsGovernor::max_performance(
     hw::SmartBadge& badge, const workload::DecoderModel& decoder,
-    FrequencyPolicy policy) {
+    FrequencyPolicy policy, obs::Probe* probe) {
   // Private ctor: make_unique cannot reach it.
-  return std::unique_ptr<DvsGovernor>(new DvsGovernor(
-      badge, decoder, std::move(policy), nullptr, nullptr, /*adaptive=*/false));
+  return std::unique_ptr<DvsGovernor>(
+      new DvsGovernor(badge, decoder, std::move(policy), nullptr, nullptr,
+                      probe, /*adaptive=*/false));
 }
 
 Seconds DvsGovernor::initialize(Hertz arrival_rate, Hertz service_rate_at_max,
@@ -56,6 +59,7 @@ void DvsGovernor::on_arrival(Seconds now, Seconds interarrival,
   last_queue_len_ = buffered_frames;
   if (interarrival.value() <= 0.0) return;  // coincident arrivals carry no rate info
   arrival_detector_->on_sample(now, interarrival);
+  report_decision(now, "arrival", *arrival_detector_);
   recompute();
 }
 
@@ -67,6 +71,7 @@ void DvsGovernor::on_decode_complete(Seconds now, Seconds decode_time,
   const Seconds normalized = decoder_->normalize_to_max(decode_time, during);
   if (normalized.value() > 0.0) {
     service_detector_->on_sample(now, normalized);
+    report_decision(now, "service", *service_detector_);
   }
   if (watchdog_ && frame_delay.value() >= 0.0) {
     switch (watchdog_->on_frame(now, frame_delay, buffered_frames)) {
@@ -77,37 +82,15 @@ void DvsGovernor::on_decode_complete(Seconds now, Seconds decode_time,
         arrival_detector_->reset(arrival_detector_->current_rate());
         service_detector_->reset(service_detector_->current_rate());
         degraded_ = true;
-        if (trace() != nullptr && trace()->active()) {
-          trace()->record(now.value(),
-                          obs::WatchdogEscalate{
-                              frame_delay.value(), buffered_frames,
-                              watchdog_->current_backoff().value()});
-        }
-        if (ledger() != nullptr) {
-          ledger()->set_cause(obs::Cause::WatchdogEscalate);
-        }
-        if (flight() != nullptr) {
-          flight()->record(now.value(), obs::FlightEventType::WatchdogEscalate,
-                           0, static_cast<float>(frame_delay.value()),
-                           static_cast<float>(buffered_frames));
-          flight()->trigger(now.value(), "watchdog-escalate");
+        if (probe() != nullptr) {
+          probe()->watchdog_escalate(now, frame_delay, buffered_frames,
+                                     watchdog_->current_backoff());
         }
         break;
       case WatchdogAction::kRecover:
         degraded_ = false;
-        if (trace() != nullptr && trace()->active()) {
-          trace()->record(now.value(),
-                          obs::WatchdogRecover{
-                              watchdog_->last_episode_length().value()});
-        }
-        if (ledger() != nullptr) {
-          ledger()->set_cause(obs::Cause::WatchdogRecover);
-        }
-        if (flight() != nullptr) {
-          flight()->record(
-              now.value(), obs::FlightEventType::WatchdogRecover, 0,
-              static_cast<float>(watchdog_->last_episode_length().value()),
-              0.0F);
+        if (probe() != nullptr) {
+          probe()->watchdog_recover(now, watchdog_->last_episode_length());
         }
         break;
       case WatchdogAction::kNone:
@@ -121,6 +104,15 @@ void DvsGovernor::enable_watchdog(const WatchdogConfig& cfg,
                                   Seconds target_delay) {
   if (!adaptive() || !cfg.enabled) return;
   watchdog_ = std::make_unique<Watchdog>(cfg, target_delay);
+}
+
+void DvsGovernor::report_decision(Seconds now, std::string_view stream,
+                                  const detect::RateDetector& detector) const {
+  if (probe() == nullptr) return;
+  if (const detect::DetectorDecisionInfo* d = detector.last_decision()) {
+    probe()->detector_decision(now, stream, d->ln_p_max, d->threshold,
+                               d->detected, d->rate);
+  }
 }
 
 void DvsGovernor::recompute() {

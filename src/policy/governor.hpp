@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "detect/detector.hpp"
 #include "hw/smartbadge.hpp"
@@ -30,15 +31,18 @@ namespace dvs::policy {
 
 class DvsGovernor : public Governor {
  public:
-  /// An adaptive governor.  Both detectors must be non-null.
+  /// An adaptive governor.  Both detectors must be non-null.  `probe`
+  /// (may be null) also receives the detectors' decisions and the
+  /// watchdog's escalations and recoveries.
   DvsGovernor(hw::SmartBadge& badge, const workload::DecoderModel& decoder,
               FrequencyPolicy policy, detect::RateDetectorPtr arrival_detector,
-              detect::RateDetectorPtr service_detector);
+              detect::RateDetectorPtr service_detector,
+              obs::Probe* probe = nullptr);
 
   /// The "Max" baseline: pins the CPU at the top step and ignores samples.
   static std::unique_ptr<DvsGovernor> max_performance(
       hw::SmartBadge& badge, const workload::DecoderModel& decoder,
-      FrequencyPolicy policy);
+      FrequencyPolicy policy, obs::Probe* probe = nullptr);
 
   Seconds initialize(Hertz arrival_rate, Hertz service_rate_at_max,
                      Seconds now) override;
@@ -71,19 +75,15 @@ class DvsGovernor : public Governor {
   /// True while the watchdog holds the governor at the top step.
   [[nodiscard]] bool degraded() const override { return degraded_; }
 
-  /// Detector access for observability wiring (null for the Max governor).
-  [[nodiscard]] detect::RateDetector* arrival_detector() override {
-    return arrival_detector_.get();
-  }
-  [[nodiscard]] detect::RateDetector* service_detector() override {
-    return service_detector_.get();
-  }
-
  private:
   DvsGovernor(hw::SmartBadge& badge, const workload::DecoderModel& decoder,
               FrequencyPolicy policy, detect::RateDetectorPtr arrival_detector,
-              detect::RateDetectorPtr service_detector, bool adaptive);
+              detect::RateDetectorPtr service_detector, obs::Probe* probe,
+              bool adaptive);
 
+  /// Reports the decision `detector`'s latest sample made, if any.
+  void report_decision(Seconds now, std::string_view stream,
+                       const detect::RateDetector& detector) const;
   void recompute();
 
   const workload::DecoderModel* decoder_;

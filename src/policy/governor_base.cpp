@@ -10,22 +10,10 @@ Seconds Governor::apply(Seconds now) {
   if (target == badge_->cpu_step()) return Seconds{0.0};
   ++retunes_;
   const Seconds latency = badge_->set_cpu_step(target, now);
-  if (trace_ != nullptr && trace_->active()) {
-    trace_->record(now.value(),
-                   obs::FreqCommit{badge_->cpu_step(),
-                                   badge_->cpu_frequency().value(),
-                                   badge_->cpu_voltage().value(),
-                                   latency.value()});
+  if (probe_ != nullptr) {
+    probe_->freq_commit(now, badge_->cpu_step(), badge_->cpu_frequency(),
+                        badge_->cpu_voltage(), latency);
   }
-  if (flight_ != nullptr) {
-    flight_->record(now.value(), obs::FlightEventType::FreqCommit,
-                    static_cast<std::uint16_t>(badge_->cpu_step()),
-                    static_cast<float>(badge_->cpu_frequency().value()),
-                    static_cast<float>(latency.value()));
-  }
-  // After the commit: the accrual inside set_cpu_step closed the interval
-  // at the *old* step; everything from here on runs at the new one.
-  if (ledger_ != nullptr) ledger_->set_freq_step(badge_->cpu_step());
   return latency;
 }
 

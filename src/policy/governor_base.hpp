@@ -6,12 +6,11 @@
 //   initialize / on_arrival / on_decode_complete / desired_step / apply
 //
 // The base class owns everything that is policy-invariant: the hardware
-// handle, the committed-step bookkeeping, and the observability attach
-// points (trace recorder, attribution ledger, flight recorder, hardware
-// step filter).  apply() is the single commit path — every implementation
-// pays the same switch latency, emits the same FreqCommit events, and
-// updates the ledger's frequency regime the same way, so the attribution /
-// flight-recorder / telemetry hooks keep working for any policy.
+// handle, the committed-step bookkeeping, the instrumentation probe and the
+// hardware step filter.  apply() is the single commit path — every
+// implementation pays the same switch latency and reports the same
+// freq_commit to the probe, so traces, the ledger's frequency regime and
+// the flight recorder keep working for any policy.
 //
 // Concrete policies are constructed through the string-keyed
 // GovernorFactory (policy/governor_factory.hpp), never by the engine
@@ -22,19 +21,20 @@
 #include <memory>
 #include <string>
 
-#include "detect/detector.hpp"
 #include "hw/smartbadge.hpp"
-#include "obs/attribution.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/trace_recorder.hpp"
+#include "obs/probe.hpp"
 #include "policy/watchdog.hpp"
 
 namespace dvs::policy {
 
 class Governor {
  public:
-  explicit Governor(hw::SmartBadge& badge)
-      : badge_(&badge), desired_step_(badge.cpu().num_steps() - 1) {}
+  /// `probe` receives every commit (and the policy's own decisions); null
+  /// when the run is uninstrumented.
+  explicit Governor(hw::SmartBadge& badge, obs::Probe* probe = nullptr)
+      : badge_(&badge),
+        probe_(probe),
+        desired_step_(badge.cpu().num_steps() - 1) {}
   virtual ~Governor() = default;
   Governor(const Governor&) = delete;
   Governor& operator=(const Governor&) = delete;
@@ -66,7 +66,7 @@ class Governor {
   /// Commits the desired step to the hardware (called at decode
   /// boundaries).  Returns the switch latency paid (zero if unchanged).
   /// Shared across all policies: this is the one place steps are committed,
-  /// faults are filtered, and FreqCommit observability is emitted.
+  /// faults are filtered, and freq_commit is reported.
   Seconds apply(Seconds now);
 
   /// True when the policy adapts to observed samples (false for pinned
@@ -80,19 +80,6 @@ class Governor {
 
   /// Number of committed frequency switches.
   [[nodiscard]] int retune_count() const { return retunes_; }
-
-  /// Attaches a trace recorder; apply() then emits a FreqCommit event for
-  /// every committed switch.  May be null (tracing off).
-  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
-
-  /// Attaches the attribution ledger: committed steps update its
-  /// frequency-step regime (after the commit, so the switch interval
-  /// charges the old step).  May be null.
-  void set_ledger(obs::AttributionLedger* ledger) { ledger_ = ledger; }
-
-  /// Attaches the flight recorder: frequency commits land in the ring.
-  /// May be null.
-  void set_flight(obs::FlightRecorder* flight) { flight_ = flight; }
 
   /// Arms the graceful-degradation watchdog.  Policies without a
   /// degradation story ignore it.
@@ -116,31 +103,17 @@ class Governor {
       std::function<std::size_t(Seconds, std::size_t, std::size_t)>;
   void set_step_filter(StepFilter filter) { step_filter_ = std::move(filter); }
 
-  /// Detector access for observability wiring.  Null for policies that do
-  /// not run detect::RateDetector instances (pinned baselines, learned
-  /// policies with internal estimators) — callers must handle null.
-  [[nodiscard]] virtual detect::RateDetector* arrival_detector() {
-    return nullptr;
-  }
-  [[nodiscard]] virtual detect::RateDetector* service_detector() {
-    return nullptr;
-  }
-
  protected:
   [[nodiscard]] hw::SmartBadge& badge() { return *badge_; }
   [[nodiscard]] const hw::SmartBadge& badge() const { return *badge_; }
   void set_desired_step(std::size_t step) { desired_step_ = step; }
-  [[nodiscard]] obs::TraceRecorder* trace() const { return trace_; }
-  [[nodiscard]] obs::AttributionLedger* ledger() const { return ledger_; }
-  [[nodiscard]] obs::FlightRecorder* flight() const { return flight_; }
+  [[nodiscard]] obs::Probe* probe() const { return probe_; }
 
  private:
   hw::SmartBadge* badge_;
+  obs::Probe* probe_;
   std::size_t desired_step_;
   int retunes_ = 0;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::AttributionLedger* ledger_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
   StepFilter step_filter_;
 };
 

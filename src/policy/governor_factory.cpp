@@ -15,7 +15,7 @@ GovernorPtr build_paper(const GovernorContext& ctx) {
     // No detector axis: degenerate to the pinned baseline, matching the
     // engine's historical behavior for the Max detector kind.
     return DvsGovernor::max_performance(ctx.badge, ctx.decoder,
-                                        ctx.make_frequency_policy());
+                                        ctx.make_frequency_policy(), ctx.probe);
   }
   // Build in declaration order — deterministic even if a detector factory
   // ever consumes shared state.
@@ -23,21 +23,21 @@ GovernorPtr build_paper(const GovernorContext& ctx) {
   detect::RateDetectorPtr service = ctx.make_service_detector();
   if (!arrival || !service) {
     return DvsGovernor::max_performance(ctx.badge, ctx.decoder,
-                                        ctx.make_frequency_policy());
+                                        ctx.make_frequency_policy(), ctx.probe);
   }
-  return std::make_unique<DvsGovernor>(ctx.badge, ctx.decoder,
-                                       ctx.make_frequency_policy(),
-                                       std::move(arrival), std::move(service));
+  return std::make_unique<DvsGovernor>(
+      ctx.badge, ctx.decoder, ctx.make_frequency_policy(), std::move(arrival),
+      std::move(service), ctx.probe);
 }
 
 GovernorPtr build_max(const GovernorContext& ctx) {
   return DvsGovernor::max_performance(ctx.badge, ctx.decoder,
-                                      ctx.make_frequency_policy());
+                                      ctx.make_frequency_policy(), ctx.probe);
 }
 
 GovernorPtr build_qdpm(const GovernorContext& ctx) {
   return std::make_unique<QdpmGovernor>(ctx.badge, ctx.decoder,
-                                        ctx.target_delay, ctx.seed);
+                                        ctx.target_delay, ctx.seed, ctx.probe);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 //
 // The engine never names a concrete governor type.  It fills a
 // GovernorContext — the hardware handle, the decoder model, the delay
-// target, optional detector builders, and a deterministic seed substream —
+// target, optional detector builders, a deterministic seed substream and
+// the run's instrumentation probe —
 // and asks the factory for a policy by name.  Builtins:
 //
 //   "paper"  the paper's detector-driven DVS governor (DvsGovernor); falls
@@ -49,6 +50,8 @@ struct GovernorContext {
   std::function<detect::RateDetectorPtr()> make_service_detector{};
   /// Deterministic substream for stochastic policies (Q-DPM exploration).
   std::uint64_t seed = 0;
+  /// The run's instrumentation probe; null when the run is uninstrumented.
+  obs::Probe* probe = nullptr;
 
   [[nodiscard]] FrequencyPolicy make_frequency_policy() const {
     return FrequencyPolicy{badge.cpu(),

@@ -19,8 +19,9 @@ constexpr double kMaxPenalty = 10.0;
 
 QdpmGovernor::QdpmGovernor(hw::SmartBadge& badge,
                            const workload::DecoderModel& decoder,
-                           Seconds target_delay, std::uint64_t seed, Config cfg)
-    : Governor(badge),
+                           Seconds target_delay, std::uint64_t seed, Config cfg,
+                           obs::Probe* probe)
+    : Governor(badge, probe),
       decoder_(&decoder),
       cfg_(cfg),
       target_delay_(target_delay),
@@ -31,8 +32,9 @@ QdpmGovernor::QdpmGovernor(hw::SmartBadge& badge,
 
 QdpmGovernor::QdpmGovernor(hw::SmartBadge& badge,
                            const workload::DecoderModel& decoder,
-                           Seconds target_delay, std::uint64_t seed)
-    : QdpmGovernor(badge, decoder, target_delay, seed, Config{}) {}
+                           Seconds target_delay, std::uint64_t seed,
+                           obs::Probe* probe)
+    : QdpmGovernor(badge, decoder, target_delay, seed, Config{}, probe) {}
 
 std::size_t QdpmGovernor::state_of(double buffered_frames) const {
   double rho = kMaxLoad;

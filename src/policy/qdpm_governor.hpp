@@ -41,11 +41,13 @@ class QdpmGovernor final : public Governor {
   };
 
   QdpmGovernor(hw::SmartBadge& badge, const workload::DecoderModel& decoder,
-               Seconds target_delay, std::uint64_t seed, Config cfg);
+               Seconds target_delay, std::uint64_t seed, Config cfg,
+               obs::Probe* probe = nullptr);
   /// Default-Config overload (a default argument would need the nested
   /// aggregate complete before the enclosing class is).
   QdpmGovernor(hw::SmartBadge& badge, const workload::DecoderModel& decoder,
-               Seconds target_delay, std::uint64_t seed);
+               Seconds target_delay, std::uint64_t seed,
+               obs::Probe* probe = nullptr);
 
   Seconds initialize(Hertz arrival_rate, Hertz service_rate_at_max,
                      Seconds now) override;

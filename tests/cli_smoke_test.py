@@ -201,6 +201,29 @@ def main():
         for word in ("run", "sweep", "fleet", "serve", "report", "list"):
             if word not in err:
                 fail(f"usage error for {bad} does not name {word!r}:\n{err}")
+    # Malformed numbers and unknown clip names are usage errors (exit 2)
+    # naming the flag — not an uncaught exception (exit 134), a silently
+    # truncated value, a wrapped-around seed, or a substituted clip.
+    for args, flag in ((["run", "--seconds", "abc"], "--seconds"),
+                       (["run", "--session", "--cycles", "3x"], "--cycles"),
+                       (["run", "--seed", "-1"], "--seed"),
+                       (["run", "--delay", "0.1s"], "--delay"),
+                       (["run", "--telemetry-every", "nan"],
+                        "--telemetry-every"),
+                       (["sweep", "quick", "--jobs", "2.5"], "--jobs"),
+                       (["run", "--media", "mpeg", "--clip", "fooball"],
+                        "fooball")):
+        proc = subprocess.run([binary] + args,
+                              capture_output=True, text=True, timeout=60)
+        if proc.returncode != 2 or flag not in proc.stderr:
+            fail(f"`{' '.join(args)}` should be a usage error naming {flag} "
+                 f"(exit 2), got {proc.returncode}\n{proc.stderr}")
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([binary, "tail", tmp, "--since", "x1"],
+                              capture_output=True, text=True, timeout=60)
+        if proc.returncode != 2 or "--since" not in proc.stderr:
+            fail(f"`tail --since x1` should be a usage error (exit 2), "
+                 f"got {proc.returncode}\n{proc.stderr}")
     proc = subprocess.run([binary, "sweep"],
                           capture_output=True, text=True, timeout=60)
     if proc.returncode == 0:

@@ -1,6 +1,11 @@
 #include "cli_common.hpp"
 
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <iostream>
@@ -25,36 +30,64 @@ const char* flag_value(int argc, char** argv, int i) {
   return argv[i + 1];
 }
 
+std::uint64_t parse_count(const std::string& flag, const char* text,
+                          std::uint64_t max) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || stop != end || v > max) {
+    usage((flag + " needs an integer from 0 to " + std::to_string(max) +
+           ", got '" + text + "'")
+              .c_str());
+  }
+  return v;
+}
+
+double parse_number(const std::string& flag, const char* text) {
+  const char* end = text + std::strlen(text);
+  double v = 0.0;
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || stop != end || !std::isfinite(v)) {
+    usage((flag + " needs a number, got '" + text + "'").c_str());
+  }
+  return v;
+}
+
 CliOptions parse_flags(int argc, char** argv, int first) {
   CliOptions o;
   const auto need = [&](int i) { return flag_value(argc, argv, i); };
+  const auto count = [&](const std::string& flag, int i, std::uint64_t max) {
+    return parse_count(flag, need(i), max);
+  };
+  const auto int_count = [&](const std::string& flag, int i) {
+    return static_cast<int>(parse_count(flag, need(i), INT_MAX));
+  };
+  const auto number = [&](const std::string& flag, int i) {
+    return parse_number(flag, need(i));
+  };
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--media") { o.media = need(i); ++i; }
     else if (a == "--sequence") { o.sequence = need(i); ++i; }
     else if (a == "--clip") { o.clip = need(i); ++i; }
-    else if (a == "--seconds") { o.seconds_limit = std::stod(need(i)); ++i; }
+    else if (a == "--seconds") { o.seconds_limit = number(a, i); ++i; }
     else if (a == "--session") { o.session = true; }
-    else if (a == "--cycles") { o.cycles = std::stoi(need(i)); ++i; }
+    else if (a == "--cycles") { o.cycles = int_count(a, i); ++i; }
     else if (a == "--detector") { o.detector = need(i); ++i; }
     else if (a == "--policy") { o.policy = need(i); ++i; }
-    else if (a == "--ema-gain") { o.ema_gain = std::stod(need(i)); ++i; }
-    else if (a == "--delay") { o.delay = std::stod(need(i)); ++i; }
-    else if (a == "--cv2") { o.cv2 = std::stod(need(i)); ++i; }
+    else if (a == "--ema-gain") { o.ema_gain = number(a, i); ++i; }
+    else if (a == "--delay") { o.delay = number(a, i); ++i; }
+    else if (a == "--cv2") { o.cv2 = number(a, i); ++i; }
     else if (a == "--dpm") { o.dpm = need(i); ++i; }
-    else if (a == "--dpm-delay") { o.dpm_delay = std::stod(need(i)); ++i; }
-    else if (a == "--seed") { o.seed = std::stoull(need(i)); o.seed_set = true; ++i; }
+    else if (a == "--dpm-delay") { o.dpm_delay = number(a, i); ++i; }
+    else if (a == "--seed") { o.seed = count(a, i, UINT64_MAX); o.seed_set = true; ++i; }
     else if (a == "--scenario") { o.scenario = need(i); ++i; }
     else if (a == "--faults") { o.faults = need(i); ++i; }
-    else if (a == "--jobs") { o.jobs = std::stoi(need(i)); ++i; }
-    else if (a == "--devices") {
-      o.devices = static_cast<std::size_t>(std::stoull(need(i))); ++i;
-    }
+    else if (a == "--jobs") { o.jobs = int_count(a, i); ++i; }
+    else if (a == "--devices") { o.devices = count(a, i, SIZE_MAX); ++i; }
     else if (a == "--fleet-csv") { o.fleet_csv = need(i); ++i; }
-    else if (a == "--shard-size") {
-      o.shard_size = static_cast<std::size_t>(std::stoull(need(i))); ++i;
-    }
-    else if (a == "--replicates") { o.replicates = std::stoi(need(i)); ++i; }
+    else if (a == "--shard-size") { o.shard_size = count(a, i, SIZE_MAX); ++i; }
+    else if (a == "--replicates") { o.replicates = int_count(a, i); ++i; }
     else if (a == "--sweep-csv") { o.sweep_csv = need(i); ++i; }
     else if (a == "--save-trace") { o.save_trace = need(i); ++i; }
     else if (a == "--load-trace") { o.load_trace = need(i); ++i; }
@@ -67,17 +100,20 @@ CliOptions parse_flags(int argc, char** argv, int first) {
     else if (a == "--flight-dump") { o.flight_dump = need(i); ++i; }
     else if (a == "--flight-dump-dir") { o.flight_dump_dir = need(i); ++i; }
     else if (a == "--flight-capacity") {
-      o.flight_capacity = static_cast<std::size_t>(std::stoull(need(i))); ++i;
+      o.flight_capacity = count(a, i, SIZE_MAX); ++i;
     }
     else if (a == "--no-flight-recorder") { o.no_flight = true; }
     else if (a == "--heartbeat") { o.heartbeat = need(i); ++i; }
     else if (a == "--telemetry-jsonl") { o.telemetry_jsonl = need(i); ++i; }
-    else if (a == "--telemetry-every") { o.telemetry_every = std::stod(need(i)); ++i; }
+    else if (a == "--telemetry-every") { o.telemetry_every = number(a, i); ++i; }
     else if (a == "--metrics-openmetrics") { o.metrics_openmetrics = need(i); ++i; }
     else if (a == "--self-profile") { o.self_profile = need(i); ++i; }
     else if (a == "--serve-root") { o.serve_root = need(i); ++i; }
     else if (a == "--help" || a == "-h") { usage("help requested"); }
     else { usage(("unknown option " + a).c_str()); }
+  }
+  if (o.clip != "football" && o.clip != "terminator2") {
+    usage(("unknown clip " + o.clip + " (known: football, terminator2)").c_str());
   }
   if (!o.policy.empty() && !policy::GovernorFactory::instance().has(o.policy)) {
     std::string known;

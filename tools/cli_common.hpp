@@ -6,6 +6,7 @@
 // cmd_sweep.cpp / cmd_list.cpp; the dispatcher is tools/dvs_sim_cli.cpp.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <ostream>
@@ -92,8 +93,18 @@ struct CliOptions {
 /// argv[i + 1], the value of the flag at argv[i]; a usage error if absent.
 const char* flag_value(int argc, char** argv, int i);
 
+/// The value of integer flag `flag`: decimal digits only, at most `max`.
+/// Signs, junk and overflow are usage errors.
+std::uint64_t parse_count(const std::string& flag, const char* text,
+                          std::uint64_t max);
+
+/// The value of numeric flag `flag`: one whole finite decimal number (a
+/// leading minus and an exponent are fine).  Junk, a trailing suffix,
+/// inf and nan are usage errors.
+double parse_number(const std::string& flag, const char* text);
+
 /// Parses the shared flag vocabulary starting at argv[first]; exits via
-/// usage() on unknown flags or missing values.
+/// usage() on unknown flags, missing values or malformed numbers.
 CliOptions parse_flags(int argc, char** argv, int first);
 
 core::DetectorKind detector_kind(const std::string& name);

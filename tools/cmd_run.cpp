@@ -1,9 +1,8 @@
 // `dvs_sim run`: one engine session over a single trace or a mixed
 // audio/video/idle session, with optional fault injection and trace sinks.
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "cli_common.hpp"
@@ -16,7 +15,6 @@
 #include "obs/telemetry/snapshotter.hpp"
 #include "obs/telemetry/span_profiler.hpp"
 #include "obs/trace_recorder.hpp"
-#include "workload/clips.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_io.hpp"
 
@@ -72,7 +70,7 @@ int cmd_run(const CliOptions& o) {
   const fault::FaultSpec faults =
       o.faults.empty() ? fault::FaultSpec{}
                        : fault::combine_faults(resolve_faults(o.faults));
-  Rng fault_rng{core::mix_seed(o.seed, 0xfa)};
+  const std::uint64_t fault_seed = core::mix_seed(o.seed, 0xfa);
 
   core::RunAssembly assembly;
   assembly.detector = detector_kind(o.detector);
@@ -82,103 +80,93 @@ int cmd_run(const CliOptions& o) {
   assembly.engine_seed = o.seed;
   if (!o.faults.empty()) assembly.faults = &faults;
 
-  // Observability attachments ride on top of the assembled options; they
-  // never feed the simulation result.
-  const auto attach_observability = [&](core::RunOptions& opts) {
-    if (recorder.active()) opts.trace = &recorder;
-    // The registry backs three sinks: metrics JSON, the OpenMetrics
-    // exposition, and the quantiles inside telemetry snapshots.
-    const bool want_metrics = !o.metrics_json.empty() ||
-                              !o.metrics_openmetrics.empty() ||
-                              !o.telemetry_jsonl.empty();
-    if (want_metrics) opts.metrics = &registry;
-    if (!o.power_csv.empty()) opts.power_sample_period = seconds(1.0);
-    if (telemetry.active()) {
-      opts.telemetry = &telemetry;
-      opts.telemetry_every =
-          seconds(o.telemetry_every > 0.0 ? o.telemetry_every : 1.0);
-    }
-    if (!o.self_profile.empty()) opts.profiler = &profiler;
-    if (!o.ledger_json.empty()) opts.ledger = &ledger;
-    opts.flight_recorder = !o.no_flight;
-    if (o.flight_capacity != 0) opts.flight_capacity = o.flight_capacity;
-    opts.flight_dump_path = o.flight_dump;
-  };
-
-  core::Metrics m;
-  if (o.session) {
-    core::SessionConfig scfg;
-    scfg.cycles = o.cycles;
-    scfg.seed = o.seed;
-    if (o.seconds_limit > 0.0) scfg.mpeg_segment = seconds(o.seconds_limit);
-    core::Session session = core::build_session(scfg, cpu);
+  // The items to play: a loaded trace, or a generated workload built the
+  // way sweep points, fleet devices and serve run jobs build theirs.
+  core::WorkloadAsset asset;
+  Seconds default_delay{0.1};
+  if (!o.session && !o.load_trace.empty()) {
+    workload::FrameTrace trace = workload::load_trace(o.load_trace);
+    const workload::MediaType type = trace.type();
+    const bool audio = type == workload::MediaType::Mp3Audio;
     if (!faults.trace_faults.empty()) {
-      for (core::PlaybackItem& item : session.items) {
-        item.trace =
-            fault::apply_faults(item.trace, faults.trace_faults, fault_rng);
-      }
+      Rng fault_rng{fault_seed};
+      trace = fault::apply_faults(trace, faults.trace_faults, fault_rng);
     }
-    assembly.delay_target = seconds(o.delay > 0.0 ? o.delay : 0.1);
-    core::RunOptions opts = core::assemble_run_options(
-        assembly, cpu_asset, session.idle_model, detector_cfg);
-    attach_observability(opts);
-    std::fprintf(hout, "session: %.0f s (%.0f media / %.0f idle), %zu items\n\n",
-                 session.duration.value(), session.media_time.value(),
-                 session.idle_time.value(), session.items.size());
-    m = core::run_items(session.items, opts);
+    const Seconds end = trace.duration();
+    asset.items = std::make_shared<const std::vector<core::PlaybackItem>>(
+        std::vector<core::PlaybackItem>{core::PlaybackItem{
+            std::move(trace),
+            audio ? workload::reference_mp3_decoder(cpu.max_frequency())
+                  : workload::reference_mpeg_decoder(cpu.max_frequency()),
+            core::default_nominal_arrival(type),
+            core::default_nominal_service(type), end}});
+    asset.idle = core::default_idle_distribution();
+    default_delay = seconds(audio ? 0.15 : 0.1);
   } else {
-    std::optional<workload::FrameTrace> trace;
-    std::optional<workload::DecoderModel> decoder;
-    if (!o.load_trace.empty()) {
-      trace = workload::load_trace(o.load_trace);
-      decoder = trace->type() == workload::MediaType::Mp3Audio
-                    ? workload::reference_mp3_decoder(cpu.max_frequency())
-                    : workload::reference_mpeg_decoder(cpu.max_frequency());
+    core::WorkloadSpec workload;
+    if (o.session) {
+      core::SessionConfig scfg;
+      scfg.cycles = o.cycles;
+      if (o.seconds_limit > 0.0) scfg.mpeg_segment = seconds(o.seconds_limit);
+      workload = core::WorkloadSpec::usage_session(std::move(scfg));
     } else if (o.media == "mp3") {
-      decoder = workload::reference_mp3_decoder(cpu.max_frequency());
-      Rng rng{o.seed};
-      trace = workload::build_mp3_trace(workload::mp3_sequence(o.sequence),
-                                        *decoder, rng);
+      workload = core::WorkloadSpec::mp3(o.sequence);
     } else if (o.media == "mpeg") {
-      decoder = workload::reference_mpeg_decoder(cpu.max_frequency());
-      workload::MpegClip clip = o.clip == "terminator2"
-                                    ? workload::terminator2_clip()
-                                    : workload::football_clip();
-      if (o.seconds_limit > 0.0) {
-        clip.duration = seconds(
-            std::min(o.seconds_limit, clip.duration.value()));
-      }
-      Rng rng{o.seed};
-      trace = workload::build_mpeg_trace(clip, *decoder, rng);
+      workload = core::WorkloadSpec::mpeg(o.clip, seconds(o.seconds_limit));
     } else {
       usage(("unknown media " + o.media).c_str());
     }
-
-    if (!faults.trace_faults.empty()) {
-      trace = fault::apply_faults(*trace, faults.trace_faults, fault_rng);
-    }
-
-    if (!o.save_trace.empty()) {
-      workload::save_trace(*trace, o.save_trace);
-      // Through hout, not stdout: `--save-trace x --metrics-json -` must not
-      // interleave prose into the JSON stream.
-      std::fprintf(hout, "wrote %zu frames to %s\n", trace->size(),
-                   o.save_trace.c_str());
-      return 0;
-    }
-
-    const auto idle = core::default_idle_distribution();
-    const bool audio = trace->type() == workload::MediaType::Mp3Audio;
-    assembly.delay_target =
-        seconds(o.delay > 0.0 ? o.delay : (audio ? 0.15 : 0.1));
-    core::RunOptions opts =
-        core::assemble_run_options(assembly, cpu_asset, idle, detector_cfg);
-    attach_observability(opts);
-    std::fprintf(hout, "trace: %zu frames over %.0f s (%s)\n\n", trace->size(),
-                 trace->duration().value(),
-                 std::string(workload::to_string(trace->type())).c_str());
-    m = core::run_single_trace(*trace, *decoder, opts);
+    asset = core::build_workload_asset(workload, cpu, o.seed, faults,
+                                       fault_seed);
+    default_delay = workload.default_delay_target();
   }
+
+  if (!o.session && !o.save_trace.empty()) {
+    const workload::FrameTrace& trace = asset.items->front().trace;
+    workload::save_trace(trace, o.save_trace);
+    // Through hout, not stdout: `--save-trace x --metrics-json -` must not
+    // interleave prose into the JSON stream.
+    std::fprintf(hout, "wrote %zu frames to %s\n", trace.size(),
+                 o.save_trace.c_str());
+    return 0;
+  }
+
+  assembly.delay_target = o.delay > 0.0 ? seconds(o.delay) : default_delay;
+  core::RunOptions opts =
+      core::assemble_run_options(assembly, cpu_asset, asset.idle, detector_cfg);
+
+  // Observability attachments ride on top of the assembled options; they
+  // never feed the simulation result.
+  if (recorder.active()) opts.trace = &recorder;
+  // The registry backs three sinks: metrics JSON, the OpenMetrics
+  // exposition, and the quantiles inside telemetry snapshots.
+  const bool want_metrics = !o.metrics_json.empty() ||
+                            !o.metrics_openmetrics.empty() ||
+                            !o.telemetry_jsonl.empty();
+  if (want_metrics) opts.metrics = &registry;
+  if (!o.power_csv.empty()) opts.power_sample_period = seconds(1.0);
+  if (telemetry.active()) {
+    opts.telemetry = &telemetry;
+    opts.telemetry_every =
+        seconds(o.telemetry_every > 0.0 ? o.telemetry_every : 1.0);
+  }
+  if (!o.self_profile.empty()) opts.profiler = &profiler;
+  if (!o.ledger_json.empty()) opts.ledger = &ledger;
+  opts.flight_recorder = !o.no_flight;
+  if (o.flight_capacity != 0) opts.flight_capacity = o.flight_capacity;
+  opts.flight_dump_path = o.flight_dump;
+
+  if (o.session) {
+    std::fprintf(hout, "session: %.0f s (%.0f media / %.0f idle), %zu items\n\n",
+                 asset.session_duration.value(), asset.media_time.value(),
+                 asset.idle_time.value(), asset.items->size());
+  } else {
+    const workload::FrameTrace& trace = asset.items->front().trace;
+    std::fprintf(hout, "trace: %zu frames over %.0f s (%s)\n\n", trace.size(),
+                 trace.duration().value(),
+                 std::string(workload::to_string(trace.type())).c_str());
+  }
+  const core::Metrics m = core::run_items(*asset.items, opts);
 
   print_metrics(hout, m);
 

@@ -1,35 +1,14 @@
 // `dvs_sim serve <dir>`: the long-running job-queue daemon (src/serve/).
 // Jobs are dvs-job-v1 JSON files dropped into <dir>/queue/; see
 // docs/SERVING.md for the queue lifecycle and checkpoint semantics.
-#include <charconv>
 #include <climits>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "cli_common.hpp"
 #include "serve/daemon.hpp"
 
 namespace dvs::cli {
-namespace {
-
-/// The value of integer flag `flag`: decimal digits only, at most `max`.
-/// Signs, junk and overflow are usage errors.
-std::uint64_t parse_count(const std::string& flag, const char* text,
-                          std::uint64_t max) {
-  const char* end = text + std::strlen(text);
-  std::uint64_t v = 0;
-  const auto [stop, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc{} || stop != end || v > max) {
-    usage((flag + " needs an integer from 0 to " + std::to_string(max) +
-           ", got '" + text + "'")
-              .c_str());
-  }
-  return v;
-}
-
-}  // namespace
 
 int cmd_serve(int argc, char** argv, int first) {
   serve::DaemonOptions opts;

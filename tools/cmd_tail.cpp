@@ -44,7 +44,7 @@ int cmd_tail(int argc, char** argv, int first) {
       if (!root.empty()) usage("tail takes one serve root directory");
       root = a;
     }
-    else if (a == "--since") { since = std::stoull(need(i)); ++i; }
+    else if (a == "--since") { since = parse_count(a, need(i), UINT64_MAX); ++i; }
     else if (a == "--no-follow") { follow = false; }
     else if (a == "--events") {
       std::stringstream ss(need(i)); ++i;
