@@ -104,7 +104,6 @@ void parallel_for(std::size_t n, int jobs,
 }
 
 UnitReporter open_unit_progress(const std::string& heartbeat_path,
-                                const std::string& job,
                                 obs::TelemetrySnapshotter* telemetry,
                                 const char* source, const char* name_key,
                                 const std::string& name, std::size_t total,
@@ -122,9 +121,8 @@ UnitReporter open_unit_progress(const std::string& heartbeat_path,
   }
   if (telemetry != nullptr && !telemetry->active()) telemetry = nullptr;
   if (heartbeat == nullptr && telemetry == nullptr) return {};
-  std::string prefix = "{";  // {"job":..,"<name_key>":"<name>",
-  if (!job.empty()) prefix += "\"job\":\"" + json::escape(job) + "\",";
-  prefix += "\"" + std::string(name_key) + "\":\"" + json::escape(name) + "\",";
+  const std::string prefix = "{\"" + std::string(name_key) + "\":\"" +
+                             json::escape(name) + "\",";
 
   return [file, heartbeat, telemetry, prefix, source, total, done,
           t0 = std::chrono::steady_clock::now()](

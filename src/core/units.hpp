@@ -46,10 +46,6 @@ struct UnitOptions {
   /// a tailing monitor sees each record as the unit lands.  "-" = stderr.
   /// Written under the same lock as the per-unit callbacks, after them.
   std::string heartbeat_path;
-  /// Non-empty: every heartbeat record leads with a `"job":"<id>"` member
-  /// (JSON-escaped) — the serve daemon's trace context, linking a line back
-  /// to the job and its checkpoint/event records.  Empty = no member.
-  std::string heartbeat_job;
   /// Live telemetry: one snapshot per finished unit (wall-clock `t`,
   /// completion order), `live` carrying the heartbeat's fields.
   obs::TelemetrySnapshotter* telemetry = nullptr;
@@ -108,7 +104,6 @@ using UnitReporter = std::function<void(std::size_t weight, const UnitFields&,
 /// Opens the heartbeat and telemetry of one executor run, `done` of
 /// `total` weight already restored; empty when both are off.
 UnitReporter open_unit_progress(const std::string& heartbeat_path,
-                                const std::string& job,
                                 obs::TelemetrySnapshotter* telemetry,
                                 const char* source, const char* name_key,
                                 const std::string& name, std::size_t total,
@@ -151,9 +146,9 @@ UnitRun<Partial> run_units(const UnitOptions<Partial>& opts,
   }
   out.counts.executed = plan.n - out.counts.restored;
 
-  const UnitReporter report = open_unit_progress(
-      opts.heartbeat_path, opts.heartbeat_job, opts.telemetry, plan.source,
-      plan.name_key, plan.name, total, done);
+  const UnitReporter report =
+      open_unit_progress(opts.heartbeat_path, opts.telemetry, plan.source,
+                         plan.name_key, plan.name, total, done);
   std::mutex progress_m;
   parallel_for(plan.n, opts.jobs, [&](std::size_t i) {
     if (restored[i] != 0) return;

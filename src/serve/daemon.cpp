@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -86,7 +87,10 @@ struct DaemonPaths {
 /// The daemon's observable surface: the lifecycle event log, the atomic
 /// status.json snapshot, and the cross-job metrics.om scrape file.  All
 /// three are pure side channels — nothing here feeds back into job
-/// results.
+/// results.  metrics.om folds done/ rollups loaded once here and then
+/// replaced by stem (as on disk) from each summary run_job returns;
+/// daemon.lock makes this daemon done/'s only writer, so the fold equals a
+/// cold refold of the root.
 class DaemonTelemetry {
  public:
   DaemonTelemetry(const std::string& root, const DaemonPaths& dp)
@@ -94,9 +98,11 @@ class DaemonTelemetry {
         dp_(dp),
         events_(root + "/events.jsonl"),
         started_unix_(now_unix()),
-        t0_(std::chrono::steady_clock::now()) {}
-
-  EventLog& events() { return events_; }
+        t0_(std::chrono::steady_clock::now()),
+        done_(load_done_jobs(root)) {
+    const std::vector<std::string> failed = job_stems(dp.failed.string());
+    failed_.insert(failed.begin(), failed.end());
+  }
 
   void daemon_started() {
     events_.daemon_start(static_cast<int>(::getpid()));
@@ -145,19 +151,20 @@ class DaemonTelemetry {
     write_status("running");
   }
 
-  void job_finished(const std::string& id, const std::string& kind,
-                    const JobOutcome& outcome) {
-    events_.job_finished(id, kind, outcome.executed_units,
-                         outcome.restored_units);
+  void job_finished(const std::string& stem, const JobSummary& summary) {
+    events_.job_finished(summary.job_id, summary.kind, summary.executed,
+                         summary.restored);
+    done_[stem] = summary;
     ++jobs_done_;
     has_active_ = false;
     refresh_metrics();
     write_status("running");
   }
 
-  void job_failed(const std::string& id, const std::string& error,
-                  const std::string& flight_dir) {
+  void job_failed(const std::string& stem, const std::string& id,
+                  const std::string& error, const std::string& flight_dir) {
     events_.job_failed(id, error, flight_dir);
+    failed_.insert(stem);
     ++jobs_failed_;
     has_active_ = false;
     refresh_metrics();
@@ -197,8 +204,8 @@ class DaemonTelemetry {
 
   void refresh_metrics() {
     try {
-      obs::write_openmetrics_atomic(collect_daemon_metrics(root_),
-                                    root_ + "/metrics.om");
+      obs::write_openmetrics_atomic(
+          fold_daemon_metrics(done_, failed_.size()), root_ + "/metrics.om");
     } catch (const std::exception& e) {
       std::fprintf(stderr, "serve: metrics write failed: %s\n", e.what());
     }
@@ -210,8 +217,10 @@ class DaemonTelemetry {
   double started_unix_;
   std::chrono::steady_clock::time_point t0_;
   std::chrono::steady_clock::time_point job_t0_;
-  std::size_t jobs_done_ = 0;
+  std::size_t jobs_done_ = 0;  ///< this lifetime's jobs (status.json)
   std::size_t jobs_failed_ = 0;
+  DoneJobs done_;
+  std::set<std::string> failed_;
   JobStatus active_;
   bool has_active_ = false;
 };
@@ -224,12 +233,10 @@ void process_job(const DaemonPaths& dp, const std::string& stem,
   const fs::path out_dir = dp.running / (stem + ".out");
   const fs::path ckpt = dp.checkpoints / (stem + ".ckpt.jsonl");
   std::string job_id = stem;
-  std::string kind;
   try {
     const JobSpec spec = JobSpec::parse_file(job_file.string());
     job_id = spec.id;
-    kind = to_string(spec.kind);
-    tel.job_started(job_id, kind, recovered);
+    tel.job_started(job_id, to_string(spec.kind), recovered);
     JobPaths paths;
     paths.output_dir = out_dir.string();
     // Run-kind jobs have no fold units to restore; sweep/fleet checkpoint.
@@ -238,13 +245,12 @@ void process_job(const DaemonPaths& dp, const std::string& stem,
     std::printf("serve: job %s (%s) started\n", spec.id.c_str(),
                 to_string(spec.kind).c_str());
     std::fflush(stdout);
-    const JobOutcome outcome = run_job(spec, paths, opts.jobs);
+    const JobSummary summary = run_job(spec, paths, opts.jobs);
     replace_rename(out_dir, dp.done / (stem + ".out"));
     replace_rename(job_file, dp.done / (stem + ".json"));
-    tel.job_finished(job_id, kind, outcome);
+    tel.job_finished(stem, summary);
     std::printf("serve: job %s done (%zu units executed, %zu restored)\n",
-                spec.id.c_str(), outcome.executed_units,
-                outcome.restored_units);
+                summary.job_id.c_str(), summary.executed, summary.restored);
     std::fflush(stdout);
   } catch (const std::exception& e) {
     std::error_code ec;
@@ -263,7 +269,7 @@ void process_job(const DaemonPaths& dp, const std::string& stem,
     }
     std::ofstream(dp.failed / (stem + ".error.txt")) << error_text << "\n";
     replace_rename(job_file, dp.failed / (stem + ".json"));
-    tel.job_failed(job_id, e.what(), flight_note);
+    tel.job_failed(stem, job_id, e.what(), flight_note);
     std::printf("serve: job %s failed: %s\n", stem.c_str(), e.what());
     std::fflush(stdout);
   }

@@ -15,9 +15,9 @@
 //                                (dvs-serve-status-v1): pid/uptime, per-job
 //                                progress + ETA, cache warmth
 //   <root>/metrics.om            OpenMetrics scrape file folding every
-//                                done/<name>.out/job_summary.json in sorted
-//                                stem order (byte-identical regardless of
-//                                completion order)
+//                                done/<name>.out/job_summary.json (held in
+//                                memory) in sorted stem order, so it is
+//                                byte-identical whatever the completion order
 //   <root>/daemon.lock           flock()ed by the serving daemon: one
 //                                daemon per root, a second exits 2
 //

@@ -1,7 +1,6 @@
 #include "serve/job_runner.hpp"
 
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -19,7 +18,7 @@ namespace {
 namespace fs = std::filesystem;
 
 /// One job's unit bookkeeping, the same for every kind: checkpoint restore
-/// and durability, progress reports, and the outcome/summary unit counts.
+/// and durability, progress reports, and the summary's unit counts.
 struct JobUnits {
   /// Sweep and fleet jobs checkpoint when `paths` names a file; a run job
   /// is a single unit and never does.
@@ -39,24 +38,13 @@ struct JobUnits {
     writer.emplace(path, spec.id, to_string(spec.kind), spec.checkpoint_every);
   }
 
-  /// The job-level UnitOptions: pool size, heartbeat with the job id as
-  /// trace context, and the restored units of this kind.
-  template <class Partial>
-  void wire(core::UnitOptions<Partial>& o, int jobs,
-            const std::map<std::size_t, Partial>& units) const {
-    o.jobs = jobs;
-    o.heartbeat_path = paths.output_dir + "/heartbeat.jsonl";
-    o.heartbeat_job = spec.id;
-    if (!units.empty()) o.restored = &units;
-  }
-
   /// One executed unit; `flushed` = its checkpoint record hit a flush.
   void unit_done(bool flushed) {
     if (paths.on_progress) paths.on_progress({++done, total, flushed});
   }
 
-  /// Completes `summary` with the unit counts and writes it.
-  JobOutcome finish(const core::UnitCounts& units, double elapsed_s,
+  /// Completes `summary` with the unit counts, writes it and returns it.
+  JobSummary finish(const core::UnitCounts& units, double elapsed_s,
                     JobSummary summary) const {
     summary.job_id = spec.id;
     summary.kind = to_string(spec.kind);
@@ -65,7 +53,7 @@ struct JobUnits {
     summary.restored = units.restored;
     summary.elapsed_s = elapsed_s;
     write_job_summary(summary, paths.output_dir + "/job_summary.json");
-    return JobOutcome{units.restored, units.executed};
+    return summary;
   }
 
   const JobSpec& spec;
@@ -76,7 +64,7 @@ struct JobUnits {
   std::optional<CheckpointWriter> writer;
 };
 
-JobOutcome run_sweep_job(const JobSpec& spec, const JobPaths& paths,
+JobSummary run_sweep_job(const JobSpec& spec, const JobPaths& paths,
                          int jobs) {
   core::ScenarioSpec scenario = *spec.spec_scenario();
   if (spec.sweep.replicates > 0) scenario.replicates = spec.sweep.replicates;
@@ -88,7 +76,8 @@ JobOutcome run_sweep_job(const JobSpec& spec, const JobPaths& paths,
 
   JobUnits units(spec, paths, scenario.num_points());
   core::SweepOptions sopts;
-  units.wire(sopts, jobs, units.restored.points);
+  sopts.jobs = jobs;
+  sopts.restored = &units.restored.points;
   // Always collect quantiles: the cells CSV must carry the same percentile
   // columns whether the job ran straight through or resumed from a
   // checkpoint, and restored sketches can only merge into collected ones.
@@ -130,7 +119,7 @@ JobOutcome run_sweep_job(const JobSpec& spec, const JobPaths& paths,
   return units.finish(res.units, res.wall_seconds, std::move(summary));
 }
 
-JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
+JobSummary run_fleet_job(const JobSpec& spec, const JobPaths& paths,
                          int jobs) {
   dvs::fleet::FleetSpec fspec = *spec.spec_fleet();
   if (spec.fleet.devices > 0) fspec.num_devices = spec.fleet.devices;
@@ -140,7 +129,8 @@ JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
   if (spec.fleet.shard_size > 0) fopts.shard_size = spec.fleet.shard_size;
   JobUnits units(spec, paths,
                  (fspec.num_devices + fopts.shard_size - 1) / fopts.shard_size);
-  units.wire(fopts, jobs, units.restored.shards);
+  fopts.jobs = jobs;
+  fopts.restored = &units.restored.shards;
   fopts.on_shard = [&units](std::size_t shard,
                             const dvs::fleet::FleetShardPartial& part) {
     units.unit_done(units.writer && units.writer->append_shard(shard, part));
@@ -164,7 +154,7 @@ JobOutcome run_fleet_job(const JobSpec& spec, const JobPaths& paths,
 }
 
 /// A run job is one unit: the single engine run is inherently serial.
-JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths) {
+JobSummary run_run_job(const JobSpec& spec, const JobPaths& paths) {
   const RunJob& r = spec.run;
   const std::uint64_t seed = spec.seed_set ? spec.seed : 1;
   const core::CpuAsset cpu = core::build_cpu_asset("sa1100");
@@ -178,10 +168,7 @@ JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths) {
   } else if (r.media == "mp3") {
     workload = core::WorkloadSpec::mp3(r.sequence);
   } else {
-    // Run jobs play football for any clip name but terminator2.
-    workload = core::WorkloadSpec::mpeg(
-        r.clip == "terminator2" ? "terminator2" : "football",
-        seconds(r.seconds));
+    workload = core::WorkloadSpec::mpeg(r.clip, seconds(r.seconds));
   }
   fault::FaultSpec faults;
   if (!r.faults.empty()) {
@@ -255,13 +242,13 @@ JobOutcome run_run_job(const JobSpec& spec, const JobPaths& paths) {
 
 }  // namespace
 
-JobOutcome run_job(const JobSpec& spec, const JobPaths& paths,
+JobSummary run_job(const JobSpec& spec, const JobPaths& paths,
                    int default_jobs) {
   spec.validate();
   fs::create_directories(paths.output_dir);
   const int jobs = spec.jobs > 0 ? spec.jobs : default_jobs;
 
-  JobOutcome out;
+  JobSummary out;
   switch (spec.kind) {
     case JobKind::Run: out = run_run_job(spec, paths); break;
     case JobKind::Sweep: out = run_sweep_job(spec, paths, jobs); break;

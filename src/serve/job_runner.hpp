@@ -7,9 +7,10 @@
 // Every kind is units of the ordered-unit executor (core/units.hpp): sweep
 // points, fleet shards, and a run job as one unit.  One code path wires
 // any kind's checkpoint writer, restored units and progress reports, and
-// the executed/restored counts in JobOutcome and job_summary.json are the
+// the executed/restored counts in the returned JobSummary are the
 // executor's own, so stray or out-of-range checkpoint records can never
-// skew them.
+// skew them.  Live progress leaves a job only through on_progress and the
+// checkpoint; serve jobs write no heartbeat JSONL.
 //
 // Process-wide warm state is deliberate: the change-point threshold table
 // (detect::shared_threshold_table) and TISMDP solutions (dpm solve cache)
@@ -22,6 +23,7 @@
 #include <string>
 
 #include "serve/job_spec.hpp"
+#include "serve/status.hpp"
 
 namespace dvs::serve {
 
@@ -36,8 +38,8 @@ struct JobProgress {
 };
 
 struct JobPaths {
-  /// Directory that receives every artifact of this job (CSVs, heartbeat
-  /// JSONL, flight dumps, job_summary.json).  Created if missing.
+  /// Directory that receives every artifact of this job (CSVs, flight
+  /// dumps, job_summary.json).  Created if missing.
   std::string output_dir;
   /// Checkpoint JSONL path; empty disables checkpoint/restore (run-kind
   /// jobs never checkpoint — a single engine run is the atomic unit).
@@ -48,18 +50,12 @@ struct JobPaths {
   std::function<void(const JobProgress&)> on_progress;
 };
 
-struct JobOutcome {
-  /// Fold-units (sweep points / fleet shards / 1 for run) restored from the
-  /// checkpoint instead of executed.
-  std::size_t restored_units = 0;
-  /// Fold-units actually executed this call.
-  std::size_t executed_units = 0;
-};
-
-/// Runs the job start to finish; throws on invalid specs and I/O failures
-/// (the daemon maps exceptions to failed/).  `default_jobs` supplies the
-/// worker-thread count when the spec's own `jobs` is 0.
-JobOutcome run_job(const JobSpec& spec, const JobPaths& paths,
+/// Runs the job start to finish; returns the summary it wrote to
+/// job_summary.json, which folds to the same bytes as the file read back.
+/// Throws on invalid specs and I/O failures (the daemon maps exceptions to
+/// failed/).  `default_jobs` supplies the worker-thread count when the
+/// spec's own `jobs` is 0.
+JobSummary run_job(const JobSpec& spec, const JobPaths& paths,
                    int default_jobs);
 
 }  // namespace dvs::serve

@@ -173,6 +173,14 @@ void JobSpec::validate() const {
         bad("\"media\" must be mp3|mpeg, got \"" + run.media + "\"");
       }
       if (run.cycles <= 0) bad("\"cycles\" must be > 0");
+      if (!run.session && run.media == "mpeg" && run.clip != "football" &&
+          run.clip != "terminator2") {
+        bad("unknown clip \"" + run.clip + "\"");
+      }
+      if (!run.session && run.media == "mp3" &&
+          run.sequence.find_first_not_of("ABCDEF") != std::string::npos) {
+        bad("\"sequence\" labels must be A-F, got \"" + run.sequence + "\"");
+      }
       (void)resolve_detector(run.detector);
       check_policy(run.policy);
       if (!core::dpm_kind_from_string(run.dpm)) {

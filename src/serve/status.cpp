@@ -157,12 +157,27 @@ std::vector<std::string> job_stems(const std::string& dir) {
   return stems;
 }
 
-obs::MetricsRegistry collect_daemon_metrics(const std::string& root) {
+DoneJobs load_done_jobs(const std::string& root) {
+  DoneJobs done;
+  for (const std::string& stem : job_stems(root + "/done")) {
+    try {
+      done[stem] = load_job_summary(root + "/done/" + stem +
+                                    ".out/job_summary.json");
+    } catch (const std::exception&) {
+      done[stem] = std::nullopt;  // missing or unparsable: unsummarized
+    }
+  }
+  return done;
+}
+
+obs::MetricsRegistry fold_daemon_metrics(const DoneJobs& done,
+                                         std::size_t failed_jobs) {
   obs::MetricsRegistry reg;
   // Families exist from the first scrape, even with nothing completed yet;
   // delay shapes match the engine's frames.delay_s histogram.
   reg.counter("serve.jobs_done") = 0;
   reg.counter("serve.jobs_failed") = 0;
+  reg.counter("serve.jobs_unsummarized") = 0;
   reg.counter("serve.frames_decoded") = 0;
   reg.counter("serve.frames_dropped") = 0;
   reg.counter("serve.units_executed") = 0;
@@ -173,13 +188,13 @@ obs::MetricsRegistry collect_daemon_metrics(const std::string& root) {
   obs::HistogramMetric& device_delay =
       reg.histogram("serve.device_delay_s", 0.0, 2.0, 200);
 
-  std::error_code ec;
-  for (const std::string& stem : job_stems(root + "/done")) {
+  for (const auto& [stem, summary] : done) {
     ++reg.counter("serve.jobs_done");
-    const std::string summary_path =
-        root + "/done/" + stem + ".out/job_summary.json";
-    if (!fs::exists(summary_path, ec)) continue;
-    const JobSummary s = load_job_summary(summary_path);
+    if (!summary) {
+      ++reg.counter("serve.jobs_unsummarized");
+      continue;
+    }
+    const JobSummary& s = *summary;
     reg.counter("serve.frames_decoded") += s.frames_decoded;
     reg.counter("serve.frames_dropped") += s.frames_dropped;
     reg.counter("serve.units_executed") += s.executed;
@@ -189,8 +204,13 @@ obs::MetricsRegistry collect_daemon_metrics(const std::string& root) {
     device_delay.absorb_sketch(s.device_delay_sketch, s.device_delay_sum_s);
   }
 
-  reg.counter("serve.jobs_failed") += job_stems(root + "/failed").size();
+  reg.counter("serve.jobs_failed") += failed_jobs;
   return reg;
+}
+
+obs::MetricsRegistry collect_daemon_metrics(const std::string& root) {
+  return fold_daemon_metrics(load_done_jobs(root),
+                             job_stems(root + "/failed").size());
 }
 
 }  // namespace dvs::serve

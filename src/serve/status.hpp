@@ -15,15 +15,17 @@
 // success, so this file is what survives): counters, energy, and the
 // job's delay QuantileSketch in pinned dvs-sketch-v1 text.  It carries
 // the job id — the trace-context key that links a `metrics.om` line back
-// to the job's checkpoint records, heartbeat, and flight dumps.
+// to the job's checkpoint records, events, and flight dumps.
 //
-// `collect_daemon_metrics` folds those summaries over done/ in sorted
-// file-stem order (the fleet-fold discipline), so `metrics.om` is
-// byte-identical no matter in which order jobs completed or how many
-// daemon restarts happened along the way.
+// `fold_daemon_metrics` folds those summaries in sorted file-stem order
+// (the fleet-fold discipline), so `metrics.om` is byte-identical no matter
+// in which order jobs completed or how many daemon restarts happened along
+// the way.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,13 +102,23 @@ JobSummary load_job_summary(const std::string& path);
 /// skipped); empty when `dir` does not exist.
 std::vector<std::string> job_stems(const std::string& dir);
 
-/// Folds every `done/<stem>.out/job_summary.json` under `root` (sorted
-/// stem order — deterministic in the set of completed jobs alone) plus the
-/// failed/ count into one registry: serve.jobs_done / serve.jobs_failed /
-/// serve.frames_decoded / serve.frames_dropped / serve.units_executed /
-/// serve.units_restored counters, a serve.energy_j gauge, and
-/// serve.frame_delay_s / serve.device_delay_s summaries (created even when
-/// empty so the metrics.om family set is stable from the first scrape).
+/// done/ stem -> its `<stem>.out/job_summary.json`, nullopt when missing
+/// or unparsable.  load_done_jobs never throws on one bad file.
+using DoneJobs = std::map<std::string, std::optional<JobSummary>>;
+DoneJobs load_done_jobs(const std::string& root);
+
+/// Folds `done` (stem order — deterministic in the set of completed jobs
+/// alone) plus the failed count into one registry: serve.jobs_done /
+/// serve.jobs_failed / serve.jobs_unsummarized (nullopt entries, which
+/// fold no numbers) / serve.frames_decoded / serve.frames_dropped /
+/// serve.units_executed / serve.units_restored counters, a serve.energy_j
+/// gauge, and serve.frame_delay_s / serve.device_delay_s summaries
+/// (created even when empty so the metrics.om family set is stable from
+/// the first scrape).
+obs::MetricsRegistry fold_daemon_metrics(const DoneJobs& done,
+                                         std::size_t failed_jobs);
+
+/// The cold fold: load_done_jobs(root) and the failed/ job count.
 obs::MetricsRegistry collect_daemon_metrics(const std::string& root);
 
 }  // namespace dvs::serve

@@ -122,30 +122,5 @@ TEST(SweepHeartbeat, StderrSpellingRuns) {
   EXPECT_NE(err.find("\"done\":1"), std::string::npos);
 }
 
-TEST(SweepHeartbeat, JobIdIsEscapedOnEveryRecord) {
-  // The serve daemon stamps the job id on every record; ids come from user
-  // job files, so quotes and backslashes must not break the JSONL.
-  const std::string path = ::testing::TempDir() + "sweep_heartbeat_job.jsonl";
-  std::remove(path.c_str());
-  const std::string id = "a\"b\\c";
-  SweepOptions opts;
-  opts.jobs = 2;
-  opts.heartbeat_path = path;
-  opts.heartbeat_job = id;
-  const SweepResult res = SweepRunner{opts}.run(tiny_spec());
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    const json::ValuePtr beat = json::parse(line);  // throws -> test failure
-    EXPECT_EQ(beat->at("job").as_string(), id);
-    ++lines;
-  }
-  EXPECT_EQ(lines, res.points.size());
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace dvs::core

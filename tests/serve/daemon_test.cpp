@@ -5,19 +5,25 @@
 // spool root admits one daemon at a time.
 // Every drain also leaves the telemetry plane behind — events.jsonl,
 // status.json, metrics.om, per-job summaries — which the tests here pin.
+// metrics.om is folded from the rollups the daemon holds in memory, so it
+// must equal a cold collect_daemon_metrics of the root after any history.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/telemetry/openmetrics.hpp"
 #include "serve/daemon.hpp"
 #include "serve/event_log.hpp"
 #include "serve/status.hpp"
@@ -45,6 +51,19 @@ void write_file(const fs::path& p, const std::string& text) {
   fs::create_directories(p.parent_path());
   std::ofstream os(p);
   os << text;
+}
+
+std::string read_file(const fs::path& p) {
+  std::ifstream in(p);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// A fast run job: one mp3 clip under the max-rate detector.
+std::string run_job_text(const char* sequence, const std::string& extra = "") {
+  return std::string(R"({"schema": "dvs-job-v1", "kind": "run", )") + extra +
+         R"("run": {"media": "mp3", "sequence": ")" + sequence +
+         R"(", "detector": "max"}})";
 }
 
 TEST(ServeDaemon, DrainProcessesGoodAndBadJobs) {
@@ -271,6 +290,87 @@ TEST(ServeDaemon, SecondDaemonOnOneRootExits2) {
   ::close(held);
   EXPECT_EQ(run_daemon(opts), 0);
   EXPECT_TRUE(fs::exists(tmp.path() / "done/job.json"));
+}
+
+TEST(ServeDaemon, UnreadableSummaryDoesNotFreezeMetrics) {
+  TempDir tmp("serve_daemon_bad_summary");
+  DaemonOptions opts;
+  opts.root = tmp.path().string();
+  opts.jobs = 1;
+  opts.drain = true;
+  write_file(tmp.path() / "queue/a.json", run_job_text("A"));
+  EXPECT_EQ(run_daemon(opts), 0);
+  write_file(tmp.path() / "done/a.out/job_summary.json", "{not json");
+
+  write_file(tmp.path() / "queue/b.json", run_job_text("B"));
+  EXPECT_EQ(run_daemon(opts), 0);
+  const JobSummary b = load_job_summary(
+      (tmp.path() / "done/b.out/job_summary.json").string());
+  const std::string text = read_file(tmp.path() / "metrics.om");
+  // a still counts as done but folds no numbers; b's numbers are all there.
+  EXPECT_NE(text.find("dvs_serve_jobs_done_total 2\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dvs_serve_jobs_unsummarized_total 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dvs_serve_frames_decoded_total " +
+                      std::to_string(b.frames_decoded) + "\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST(ServeDaemon, InMemoryFoldMatchesColdRefold) {
+  // Three daemon lifetimes over seeded-shuffled job names (so completion
+  // order is not stem order), a job recovered from running/, a failed job,
+  // a job whose id differs from its stem, and a re-dropped stem.  After
+  // each lifetime the daemon's metrics.om equals a cold refold of the root.
+  TempDir tmp("serve_daemon_fold");
+  const fs::path& root = tmp.path();
+  std::vector<std::string> names = {"kilo", "alpha", "tango", "delta",
+                                    "mike", "bravo", "zulu",  "echo"};
+  std::mt19937 rng(18);
+  std::shuffle(names.begin(), names.end(), rng);
+  const std::vector<std::string> specs = {
+      run_job_text("A"), run_job_text("B", R"("id": "not-the-stem", )"),
+      run_job_text("C"),
+      R"({"schema": "dvs-job-v1", "kind": "fleet", "seed": 3,
+          "fleet": {"name": "fleet_smoke", "devices": 32,
+                    "shard_size": 16}})"};
+  const auto drop = [&](const std::string& dir, std::size_t k) {
+    write_file(root / dir / (names[k] + ".json"), specs[k % specs.size()]);
+  };
+  DaemonOptions opts;
+  opts.root = root.string();
+  opts.jobs = 1;
+  opts.drain = true;
+  const auto lifetime = [&](const char* label) {
+    EXPECT_EQ(run_daemon(opts), 0) << label;
+    std::ostringstream cold;
+    obs::write_openmetrics(collect_daemon_metrics(root.string()), cold);
+    EXPECT_EQ(read_file(root / "metrics.om"), cold.str()) << label;
+  };
+
+  for (std::size_t k : {0, 1, 2}) drop("queue", k);
+  write_file(root / "queue/broken.json", "{not json");
+  lifetime("first");
+
+  drop("running", 3);  // a killed daemon's claimed job
+  for (std::size_t k : {4, 5}) drop("queue", k);
+  lifetime("recovery");
+
+  for (std::size_t k : {6, 7}) drop("queue", k);
+  // Re-drop the first stem with a different job: it replaces its rollup.
+  write_file(root / "queue" / (names[0] + ".json"), run_job_text("D"));
+  lifetime("re-drop");
+
+  const std::string text = read_file(root / "metrics.om");
+  EXPECT_NE(text.find("dvs_serve_jobs_done_total 8\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dvs_serve_jobs_failed_total 1\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dvs_serve_jobs_unsummarized_total 0\n"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

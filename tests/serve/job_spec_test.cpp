@@ -127,9 +127,33 @@ TEST(JobSpec, RejectsBadDocuments) {
              "run": {"faults": "no-such-fault"}})");
   reject(R"({"schema": "dvs-job-v1", "kind": "run",
              "run": {"media": "vinyl"}})");
+  // unknown clip / mp3 labels outside A-F (they would run something else
+  // or fail only once claimed)
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"media": "mpeg", "clip": "fooball"}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"media": "mp3", "sequence": "ACEG"}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"media": "mp3", "sequence": "a"}})");
   // missing required section
   reject(R"({"schema": "dvs-job-v1", "kind": "sweep"})");
   reject(R"({"schema": "dvs-job-v1", "kind": "fleet"})");
+}
+
+TEST(JobSpec, ClipAndSequenceAreCheckedOnlyWhereTheyPlay) {
+  // The clip matters only for mpeg, the labels only for mp3, and a usage
+  // session plays neither.
+  for (const char* text :
+       {R"({"schema": "dvs-job-v1", "kind": "run",
+            "run": {"media": "mpeg", "clip": "terminator2"}})",
+        R"({"schema": "dvs-job-v1", "kind": "run",
+            "run": {"media": "mpeg", "sequence": "XYZ"}})",
+        R"({"schema": "dvs-job-v1", "kind": "run",
+            "run": {"media": "mp3", "sequence": "FEDCBA", "clip": "x"}})",
+        R"({"schema": "dvs-job-v1", "kind": "run",
+            "run": {"media": "mpeg", "clip": "x", "session": true}})"}) {
+    EXPECT_NO_THROW((void)JobSpec::parse_text(text, "j")) << text;
+  }
 }
 
 TEST(JobSpec, MalformedJsonThrowsParseError) {

@@ -3,19 +3,24 @@
 // an uninterrupted run, at any worker count.  The interruption is
 // simulated exactly the way a SIGKILL manifests: a checkpoint file that
 // ends after K complete records.
+// The summary run_job returns is what the daemon folds into metrics.om,
+// so it must fold to the same bytes as the job_summary.json it wrote.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/sweep.hpp"
 #include "fleet/fleet_runner.hpp"
+#include "obs/telemetry/openmetrics.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/job_runner.hpp"
 #include "serve/job_spec.hpp"
+#include "serve/status.hpp"
 
 namespace dvs::serve {
 namespace {
@@ -83,9 +88,9 @@ TEST(ServeResume, SweepRestoresByteIdenticalCsvAtAnyJobs) {
   // Uninterrupted reference.
   JobPaths ref;
   ref.output_dir = (tmp.path() / "ref").string();
-  const JobOutcome full = run_job(job, ref, /*default_jobs=*/2);
-  EXPECT_EQ(full.restored_units, 0u);
-  EXPECT_EQ(full.executed_units, 4u);  // quick: 2 detectors x 2 replicates
+  const JobSummary full = run_job(job, ref, /*default_jobs=*/2);
+  EXPECT_EQ(full.restored, 0u);
+  EXPECT_EQ(full.executed, 4u);  // quick: 2 detectors x 2 replicates
   const std::string ref_cells = read_bytes(ref.output_dir + "/sweep_cells.csv");
   const std::string ref_points =
       read_bytes(ref.output_dir + "/sweep_points.csv");
@@ -118,9 +123,9 @@ TEST(ServeResume, SweepRestoresByteIdenticalCsvAtAnyJobs) {
     resumed.output_dir =
         (tmp.path() / ("out_j" + std::to_string(jobs))).string();
     resumed.checkpoint_path = ckpt.string();
-    const JobOutcome out = run_job(job, resumed, jobs);
-    EXPECT_EQ(out.restored_units, 2u) << "jobs=" << jobs;
-    EXPECT_EQ(out.executed_units, 2u) << "jobs=" << jobs;
+    const JobSummary out = run_job(job, resumed, jobs);
+    EXPECT_EQ(out.restored, 2u) << "jobs=" << jobs;
+    EXPECT_EQ(out.executed, 2u) << "jobs=" << jobs;
     EXPECT_EQ(read_bytes(resumed.output_dir + "/sweep_cells.csv"), ref_cells)
         << "jobs=" << jobs;
     EXPECT_EQ(read_bytes(resumed.output_dir + "/sweep_points.csv"), ref_points)
@@ -142,9 +147,9 @@ TEST(ServeResume, FleetRestoresByteIdenticalCsvAtAnyJobs) {
 
   JobPaths ref;
   ref.output_dir = (tmp.path() / "ref").string();
-  const JobOutcome full = run_job(job, ref, /*default_jobs=*/2);
-  EXPECT_EQ(full.restored_units, 0u);
-  EXPECT_EQ(full.executed_units, 6u);  // 192 devices / 32 per shard
+  const JobSummary full = run_job(job, ref, /*default_jobs=*/2);
+  EXPECT_EQ(full.restored, 0u);
+  EXPECT_EQ(full.executed, 6u);  // 192 devices / 32 per shard
   const std::string ref_csv = read_bytes(ref.output_dir + "/fleet.csv");
 
   const fs::path master = tmp.path() / "master.ckpt.jsonl";
@@ -173,9 +178,9 @@ TEST(ServeResume, FleetRestoresByteIdenticalCsvAtAnyJobs) {
     resumed.output_dir =
         (tmp.path() / ("out_j" + std::to_string(jobs))).string();
     resumed.checkpoint_path = ckpt.string();
-    const JobOutcome out = run_job(job, resumed, jobs);
-    EXPECT_EQ(out.restored_units, 3u) << "jobs=" << jobs;
-    EXPECT_EQ(out.executed_units, 3u) << "jobs=" << jobs;
+    const JobSummary out = run_job(job, resumed, jobs);
+    EXPECT_EQ(out.restored, 3u) << "jobs=" << jobs;
+    EXPECT_EQ(out.executed, 3u) << "jobs=" << jobs;
     EXPECT_EQ(read_bytes(resumed.output_dir + "/fleet.csv"), ref_csv)
         << "jobs=" << jobs;
     EXPECT_EQ(restore_invariant_summary(resumed.output_dir),
@@ -241,9 +246,9 @@ TEST(ServeResume, OutOfRangePointRecordsRestoreNothing) {
     JobPaths resumed;
     resumed.output_dir = (tmp.path() / ("out" + std::to_string(k))).string();
     resumed.checkpoint_path = ckpt.string();
-    const JobOutcome out = run_job(job, resumed, 2);
-    EXPECT_EQ(out.executed_units, 4u) << "case " << k;
-    EXPECT_EQ(out.restored_units, 0u) << "case " << k;
+    const JobSummary out = run_job(job, resumed, 2);
+    EXPECT_EQ(out.executed, 4u) << "case " << k;
+    EXPECT_EQ(out.restored, 0u) << "case " << k;
     EXPECT_EQ(read_bytes(resumed.output_dir + "/sweep_cells.csv"), ref_cells)
         << "case " << k;
     EXPECT_EQ(read_bytes(resumed.output_dir + "/sweep_points.csv"), ref_points)
@@ -266,6 +271,53 @@ TEST(ServeResume, MismatchedCheckpointKindIsRejected) {
   paths.output_dir = (tmp.path() / "out").string();
   paths.checkpoint_path = ckpt.string();
   EXPECT_THROW((void)run_job(job, paths, 1), std::runtime_error);
+}
+
+/// metrics.om bytes with `summary` as the only completed job.
+std::string fold_one(const JobSummary& summary) {
+  std::ostringstream os;
+  obs::write_openmetrics(fold_daemon_metrics({{"job", summary}}, 0), os);
+  return os.str();
+}
+
+TEST(ServeResume, ReturnedSummaryFoldsLikeItsFile) {
+  TempDir tmp("serve_summary_round_trip");
+  const auto check = [](const JobSummary& returned, const std::string& dir) {
+    EXPECT_EQ(fold_one(returned),
+              fold_one(load_job_summary(dir + "/job_summary.json")))
+        << dir;
+  };
+  const auto run = [&](const char* text, const char* name) {
+    JobPaths paths;
+    paths.output_dir = (tmp.path() / name).string();
+    check(run_job(JobSpec::parse_text(text, name), paths, 2),
+          paths.output_dir);
+  };
+  run(R"({"schema": "dvs-job-v1", "kind": "run",
+          "run": {"media": "mp3", "sequence": "A", "detector": "max"}})",
+      "run");
+  run(R"({"schema": "dvs-job-v1", "kind": "fleet", "seed": 5,
+          "fleet": {"name": "fleet_smoke", "devices": 64,
+                    "shard_size": 16}})",
+      "fleet");
+  const char* sweep = R"({"schema": "dvs-job-v1", "kind": "sweep",
+                          "sweep": {"scenario": "quick"}})";
+  run(sweep, "sweep");
+
+  // Resumed: the first attempt dies after two checkpointed points, the way
+  // a crash would leave it, and the second restores them.
+  const JobSpec job = JobSpec::parse_text(sweep, "resumed");
+  JobPaths paths;
+  paths.output_dir = (tmp.path() / "resumed").string();
+  paths.checkpoint_path = (tmp.path() / "resumed.ckpt.jsonl").string();
+  paths.on_progress = [](const JobProgress& p) {
+    if (p.units_done == 2) throw std::runtime_error("killed");
+  };
+  EXPECT_THROW((void)run_job(job, paths, 1), std::runtime_error);
+  paths.on_progress = nullptr;
+  const JobSummary resumed = run_job(job, paths, 1);
+  EXPECT_EQ(resumed.restored, 2u);
+  check(resumed, paths.output_dir);
 }
 
 }  // namespace

@@ -227,7 +227,7 @@ TEST(DaemonMetrics, EmptyRootStillExposesStableFamilySet) {
   // series appear mid-flight.
   for (const char* family :
        {"dvs_serve_jobs_done", "dvs_serve_jobs_failed",
-        "dvs_serve_frames_decoded", "dvs_serve_frames_dropped",
+        "dvs_serve_jobs_unsummarized", "dvs_serve_frames_decoded", "dvs_serve_frames_dropped",
         "dvs_serve_units_executed", "dvs_serve_units_restored",
         "dvs_serve_energy_j", "dvs_serve_frame_delay_s",
         "dvs_serve_device_delay_s"}) {

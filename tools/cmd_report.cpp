@@ -581,21 +581,17 @@ int report_serve_root(const std::string& root) {
     std::printf("\n");
   }
 
-  const std::vector<std::string> done = serve::job_stems(root + "/done");
+  const serve::DoneJobs done = serve::load_done_jobs(root);
   if (!done.empty()) {
     TextTable t{"completed jobs"};
     t.set_header({"job", "kind", "units", "restored", "frames", "dropped",
                   "energy (J)", "delay p50", "delay p99"});
-    for (const std::string& stem : done) {
-      const std::string summary_path =
-          root + "/done/" + stem + ".out/job_summary.json";
-      serve::JobSummary s;
-      try {
-        s = serve::load_job_summary(summary_path);
-      } catch (const std::exception&) {
+    for (const auto& [stem, summary] : done) {
+      if (!summary) {
         t.add_row({stem, "?", "-", "-", "-", "-", "-", "-", "-"});
         continue;
       }
+      const serve::JobSummary& s = *summary;
       // Run/sweep jobs carry a per-frame delay sketch; fleet jobs carry a
       // per-device mean-delay sketch.  Show whichever is populated.
       const obs::QuantileSketch& sk = s.frame_delay_sketch.empty()
