@@ -1,6 +1,8 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -22,6 +24,19 @@ namespace {
 double Value::as_number() const {
   if (type_ != Type::Number) type_error("number", type_);
   return number_;
+}
+
+std::uint64_t Value::as_integer(std::uint64_t max) const {
+  constexpr std::uint64_t kExact = (std::uint64_t{1} << 53) - 1;
+  max = std::min(max, kExact);
+  const double x = as_number();
+  // The range test comes first: it also turns away NaN, and only a double
+  // inside it may be cast.
+  if (!(x >= 0.0 && x <= static_cast<double>(max)) || x != std::floor(x)) {
+    throw ParseError("expected an integer from 0 to " + std::to_string(max) +
+                     ", got " + fmt17(x));
+  }
+  return static_cast<std::uint64_t>(x);
 }
 
 bool Value::as_bool() const {

@@ -47,6 +47,10 @@ class Value {
   /// Typed accessors; throw ParseError when the type does not match (the
   /// analyzer treats a shape mismatch the same as a syntax error).
   [[nodiscard]] double as_number() const;
+  /// The number as a whole value in [0, max] and below 2^53, where every
+  /// integer is exact; fractions, negatives and larger values throw
+  /// ParseError instead of reaching an undefined float-to-int cast.
+  [[nodiscard]] std::uint64_t as_integer(std::uint64_t max) const;
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<ValuePtr>& as_array() const;

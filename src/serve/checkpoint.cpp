@@ -1,7 +1,6 @@
 #include "serve/checkpoint.hpp"
 
-#include <cmath>
-#include <stdexcept>
+#include <cstdint>
 
 #include "common/json.hpp"
 
@@ -90,17 +89,6 @@ fleet::FleetGroupResult read_group(const json::Value& v) {
   return g;
 }
 
-/// A record's point/shard index; anything but an integer in [0, 2^53)
-/// cannot come from the writer, so it throws and the load treats the
-/// record as torn.
-std::size_t unit_index(const json::Value& v) {
-  const double x = v.as_number();
-  if (!(x >= 0.0 && x < 9007199254740992.0) || x != std::floor(x)) {
-    throw std::runtime_error("checkpoint: unit index out of range");
-  }
-  return static_cast<std::size_t>(x);
-}
-
 }  // namespace
 
 CheckpointWriter::CheckpointWriter(const std::string& path,
@@ -173,7 +161,9 @@ CheckpointData load_checkpoint(const std::string& path) {
           rp.metrics = read_metrics(doc.at("metrics"));
           rp.delay_sketch =
               obs::sketch_from_text(doc.string_or("delay_sketch", ""));
-          data.points[unit_index(*point)] = std::move(rp);
+          // An index that is not an integer in [0, 2^53) cannot come from
+          // the writer: as_integer throws and the record reads as torn.
+          data.points[point->as_integer(SIZE_MAX)] = std::move(rp);
         } else if (const json::Value* shard = doc.find("shard");
                    shard != nullptr) {
           fleet::FleetShardPartial part;
@@ -182,7 +172,7 @@ CheckpointData load_checkpoint(const std::string& path) {
           for (const json::ValuePtr& g : doc.at("groups").as_array()) {
             part.groups.push_back(read_group(*g));
           }
-          data.shards[unit_index(*shard)] = std::move(part);
+          data.shards[shard->as_integer(SIZE_MAX)] = std::move(part);
         }
         return true;
       });

@@ -6,9 +6,6 @@
 #include <vector>
 
 #include "common/csv.hpp"
-#include "core/sweep.hpp"
-#include "fault/fault_spec.hpp"
-#include "fleet/fleet_runner.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/status.hpp"
 
@@ -66,14 +63,7 @@ struct JobUnits {
 
 JobSummary run_sweep_job(const JobSpec& spec, const JobPaths& paths,
                          int jobs) {
-  core::ScenarioSpec scenario = *spec.spec_scenario();
-  if (spec.sweep.replicates > 0) scenario.replicates = spec.sweep.replicates;
-  if (spec.seed_set) scenario.base_seed = spec.seed;
-  if (!spec.sweep.faults.empty()) {
-    scenario.faults = fault::parse_fault_list(spec.sweep.faults);
-  }
-  if (!spec.sweep.policy.empty()) scenario.policies = {spec.sweep.policy};
-
+  const core::ScenarioSpec scenario = job_scenario(spec);
   JobUnits units(spec, paths, scenario.num_points());
   core::SweepOptions sopts;
   sopts.jobs = jobs;
@@ -121,12 +111,7 @@ JobSummary run_sweep_job(const JobSpec& spec, const JobPaths& paths,
 
 JobSummary run_fleet_job(const JobSpec& spec, const JobPaths& paths,
                          int jobs) {
-  dvs::fleet::FleetSpec fspec = *spec.spec_fleet();
-  if (spec.fleet.devices > 0) fspec.num_devices = spec.fleet.devices;
-  if (spec.seed_set) fspec.fleet_seed = spec.seed;
-
-  dvs::fleet::FleetOptions fopts;
-  if (spec.fleet.shard_size > 0) fopts.shard_size = spec.fleet.shard_size;
+  auto [fspec, fopts] = job_fleet(spec);
   JobUnits units(spec, paths,
                  (fspec.num_devices + fopts.shard_size - 1) / fopts.shard_size);
   fopts.jobs = jobs;
@@ -155,44 +140,9 @@ JobSummary run_fleet_job(const JobSpec& spec, const JobPaths& paths,
 
 /// A run job is one unit: the single engine run is inherently serial.
 JobSummary run_run_job(const JobSpec& spec, const JobPaths& paths) {
-  const RunJob& r = spec.run;
-  const std::uint64_t seed = spec.seed_set ? spec.seed : 1;
-  const core::CpuAsset cpu = core::build_cpu_asset("sa1100");
-
-  core::WorkloadSpec workload;
-  if (r.session) {
-    core::SessionConfig scfg;
-    scfg.cycles = r.cycles;
-    if (r.seconds > 0.0) scfg.mpeg_segment = seconds(r.seconds);
-    workload = core::WorkloadSpec::usage_session(std::move(scfg));
-  } else if (r.media == "mp3") {
-    workload = core::WorkloadSpec::mp3(r.sequence);
-  } else {
-    workload = core::WorkloadSpec::mpeg(r.clip, seconds(r.seconds));
-  }
-  fault::FaultSpec faults;
-  if (!r.faults.empty()) {
-    faults = fault::combine_faults(fault::parse_fault_list(r.faults));
-  }
-  const core::WorkloadAsset asset = core::build_workload_asset(
-      workload, cpu.cpu, seed, faults, core::mix_seed(seed, 0xfa));
-
-  core::DetectorFactoryConfig detector_cfg;
-  core::RunAssembly assembly;
-  assembly.detector = resolve_detector(r.detector);
-  if (assembly.detector == core::DetectorKind::ChangePoint) {
-    detector_cfg.prepare();
-  }
-  if (!r.policy.empty()) assembly.policy = r.policy;
-  assembly.delay_target =
-      r.delay > 0.0 ? seconds(r.delay) : workload.default_delay_target();
-  assembly.service_cv2 = r.cv2;
-  assembly.dpm.kind = *core::dpm_kind_from_string(r.dpm);
-  assembly.dpm.max_delay = seconds(r.dpm_delay);
-  assembly.engine_seed = seed;
-  if (!r.faults.empty()) assembly.faults = &faults;
-  core::RunOptions opts =
-      core::assemble_run_options(assembly, cpu, asset.idle, detector_cfg);
+  const JobRun resolved{spec};
+  const core::WorkloadAsset asset = resolved.build_asset();
+  core::RunOptions opts = resolved.options(asset.idle);
   // Observability attachments: a private registry harvests the frame-delay
   // sketch for job_summary.json, and the flight recorder's auto-dump is
   // routed next to the job's other artifacts.  Neither feeds the results.
@@ -241,6 +191,66 @@ JobSummary run_run_job(const JobSpec& spec, const JobPaths& paths) {
 }
 
 }  // namespace
+
+core::ScenarioSpec job_scenario(const JobSpec& spec) {
+  core::ScenarioSpec scenario = *spec.spec_scenario();
+  if (spec.sweep.replicates > 0) scenario.replicates = spec.sweep.replicates;
+  if (spec.seed_set) scenario.base_seed = spec.seed;
+  if (!spec.sweep.faults.empty()) {
+    scenario.faults = fault::parse_fault_list(spec.sweep.faults);
+  }
+  if (!spec.sweep.policy.empty()) scenario.policies = {spec.sweep.policy};
+  return scenario;
+}
+
+JobFleet job_fleet(const JobSpec& spec) {
+  JobFleet f{*spec.spec_fleet(), {}};
+  if (spec.fleet.devices > 0) f.spec.num_devices = spec.fleet.devices;
+  if (spec.seed_set) f.spec.fleet_seed = spec.seed;
+  if (spec.fleet.shard_size > 0) f.options.shard_size = spec.fleet.shard_size;
+  return f;
+}
+
+JobRun::JobRun(const JobSpec& spec)
+    : seed(spec.seed_set ? spec.seed : 1),
+      fault_seed(core::mix_seed(seed, 0xfa)),
+      cpu(core::build_cpu_asset("sa1100")) {
+  const RunJob& r = spec.run;
+  if (r.session) {
+    core::SessionConfig scfg;
+    scfg.cycles = r.cycles;
+    if (r.seconds > 0.0) scfg.mpeg_segment = seconds(r.seconds);
+    workload = core::WorkloadSpec::usage_session(std::move(scfg));
+  } else if (r.media == "mp3") {
+    workload = core::WorkloadSpec::mp3(r.sequence);
+  } else {
+    workload = core::WorkloadSpec::mpeg(r.clip, seconds(r.seconds));
+  }
+  if (!r.faults.empty()) {
+    faults = fault::combine_faults(fault::parse_fault_list(r.faults));
+    assembly.faults = &faults;
+  }
+  assembly.detector = resolve_detector(r.detector);
+  if (assembly.detector == core::DetectorKind::ChangePoint) {
+    detector_cfg.prepare();
+  }
+  if (!r.policy.empty()) assembly.policy = r.policy;
+  assembly.delay_target =
+      r.delay > 0.0 ? seconds(r.delay) : workload.default_delay_target();
+  assembly.service_cv2 = r.cv2;
+  assembly.dpm.kind = *core::dpm_kind_from_string(r.dpm);
+  assembly.dpm.max_delay = seconds(r.dpm_delay);
+  assembly.engine_seed = seed;
+}
+
+core::WorkloadAsset JobRun::build_asset() const {
+  return core::build_workload_asset(workload, cpu.cpu, seed, faults,
+                                    fault_seed);
+}
+
+core::RunOptions JobRun::options(const dpm::IdleDistributionPtr& idle) const {
+  return core::assemble_run_options(assembly, cpu, idle, detector_cfg);
+}
 
 JobSummary run_job(const JobSpec& spec, const JobPaths& paths,
                    int default_jobs) {

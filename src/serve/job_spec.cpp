@@ -1,5 +1,7 @@
 #include "serve/job_spec.hpp"
 
+#include <climits>
+#include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <set>
@@ -33,6 +35,20 @@ void check_keys(const json::Value& obj, const char* where,
 bool bool_field(const json::Value& obj, const std::string& key, bool fallback) {
   const json::Value* v = obj.find(key);
   return v == nullptr ? fallback : v->as_bool();
+}
+
+/// Member `key` as a whole number in [0, max], or `fallback` when absent.
+/// A fraction, a negative or an out-of-range value fails the job: casting
+/// it would truncate, wrap or be undefined.
+std::uint64_t integer_field(const json::Value& obj, const std::string& key,
+                            std::uint64_t fallback, std::uint64_t max) {
+  const json::Value* v = obj.find(key);
+  if (v == nullptr) return fallback;
+  try {
+    return v->as_integer(max);
+  } catch (const json::ParseError& e) {
+    bad("\"" + key + "\": " + e.what());
+  }
 }
 
 }  // namespace
@@ -74,14 +90,10 @@ JobSpec JobSpec::parse(const json::Value& doc, const std::string& fallback_id) {
   else if (kind == "fleet") spec.kind = JobKind::Fleet;
   else bad("\"kind\" must be run|sweep|fleet, got \"" + kind + "\"");
 
-  if (const json::Value* seed = doc.find("seed"); seed != nullptr) {
-    spec.seed = static_cast<std::uint64_t>(seed->as_number());
-    spec.seed_set = true;
-  }
-  spec.jobs = static_cast<int>(doc.number_or("jobs", 0));
-  if (spec.jobs < 0) bad("\"jobs\" must be >= 0");
-  spec.checkpoint_every =
-      static_cast<std::size_t>(doc.number_or("checkpoint_every", 1));
+  spec.seed_set = doc.find("seed") != nullptr;
+  spec.seed = integer_field(doc, "seed", 0, UINT64_MAX);
+  spec.jobs = static_cast<int>(integer_field(doc, "jobs", 0, INT_MAX));
+  spec.checkpoint_every = integer_field(doc, "checkpoint_every", 1, SIZE_MAX);
   if (spec.checkpoint_every == 0) spec.checkpoint_every = 1;
 
   for (const char* section : {"run", "sweep", "fleet"}) {
@@ -103,8 +115,8 @@ JobSpec JobSpec::parse(const json::Value& doc, const std::string& fallback_id) {
         spec.run.clip = r->string_or("clip", spec.run.clip);
         spec.run.seconds = r->number_or("seconds", spec.run.seconds);
         spec.run.session = bool_field(*r, "session", spec.run.session);
-        spec.run.cycles =
-            static_cast<int>(r->number_or("cycles", spec.run.cycles));
+        spec.run.cycles = static_cast<int>(
+            integer_field(*r, "cycles", spec.run.cycles, INT_MAX));
         spec.run.detector = r->string_or("detector", spec.run.detector);
         spec.run.policy = r->string_or("policy", spec.run.policy);
         spec.run.dpm = r->string_or("dpm", spec.run.dpm);
@@ -122,7 +134,7 @@ JobSpec JobSpec::parse(const json::Value& doc, const std::string& fallback_id) {
                  {"scenario", "replicates", "faults", "policy"});
       spec.sweep.scenario = s->string_or("scenario", "");
       spec.sweep.replicates =
-          static_cast<int>(s->number_or("replicates", 0));
+          static_cast<int>(integer_field(*s, "replicates", 0, INT_MAX));
       spec.sweep.faults = s->string_or("faults", "");
       spec.sweep.policy = s->string_or("policy", "");
       break;
@@ -132,10 +144,8 @@ JobSpec JobSpec::parse(const json::Value& doc, const std::string& fallback_id) {
       if (f == nullptr) bad("kind \"fleet\" requires a \"fleet\" section");
       check_keys(*f, "fleet section", {"name", "devices", "shard_size"});
       spec.fleet.name = f->string_or("name", "");
-      spec.fleet.devices =
-          static_cast<std::size_t>(f->number_or("devices", 0));
-      spec.fleet.shard_size =
-          static_cast<std::size_t>(f->number_or("shard_size", 0));
+      spec.fleet.devices = integer_field(*f, "devices", 0, SIZE_MAX);
+      spec.fleet.shard_size = integer_field(*f, "shard_size", 0, SIZE_MAX);
       break;
     }
   }
@@ -163,9 +173,14 @@ JobSpec JobSpec::parse_file(const std::string& path) {
 void JobSpec::validate() const {
   auto check_policy = [](const std::string& name) {
     if (name.empty()) return;
-    if (!policy::GovernorFactory::instance().has(name)) {
-      bad("unknown policy \"" + name + "\"");
+    const policy::GovernorFactory& factory = policy::GovernorFactory::instance();
+    if (factory.has(name)) return;
+    std::string known;
+    for (const auto& e : factory.entries()) {
+      if (!known.empty()) known += ", ";
+      known += e.name;
     }
+    bad("unknown policy \"" + name + "\" (known: " + known + ")");
   };
   switch (kind) {
     case JobKind::Run: {
@@ -178,9 +193,12 @@ void JobSpec::validate() const {
         bad("unknown clip \"" + run.clip + "\"");
       }
       if (!run.session && run.media == "mp3" &&
-          run.sequence.find_first_not_of("ABCDEF") != std::string::npos) {
-        bad("\"sequence\" labels must be A-F, got \"" + run.sequence + "\"");
+          (run.sequence.empty() ||
+           run.sequence.find_first_not_of("ABCDEF") != std::string::npos)) {
+        bad("\"sequence\" needs labels A-F, got \"" + run.sequence + "\"");
       }
+      if (run.cv2 < 0.0) bad("\"cv2\" must be >= 0");
+      if (run.dpm_delay < 0.0) bad("\"dpm_delay\" must be >= 0");
       (void)resolve_detector(run.detector);
       check_policy(run.policy);
       if (!core::dpm_kind_from_string(run.dpm)) {

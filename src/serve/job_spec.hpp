@@ -1,8 +1,8 @@
 // serve::JobSpec — the versioned request API of the dvs_sim daemon
-// (`dvs-job-v1`).  One JSON document subsumes the run/sweep/fleet
-// parameterization the CLI subcommands expose as flags, so a job file is a
-// complete, replayable statement of work: drop it in the queue today or
-// next year and the same bytes come out.
+// (`dvs-job-v1`), and the request the run/sweep/fleet subcommands parse
+// their flags into.  A job file is a complete, replayable statement of
+// work: drop it in the queue today or next year and the same bytes come
+// out.
 //
 // Shape (parsed with common/json; unknown keys are rejected so a typo'd
 // knob fails loudly instead of silently running the default):
@@ -53,10 +53,9 @@ enum class JobKind { Run, Sweep, Fleet };
 
 std::string to_string(JobKind kind);
 
-/// Serve-side detector resolution: the CLI's vocabulary ("ideal",
-/// "change-point"/"cp", "ema"/"exp-average", "max", "sliding-window"), but
-/// throwing std::invalid_argument instead of exiting — a bad job must land
-/// in failed/, not take the daemon down.
+/// Detector names: "ideal", "change-point"/"cp", "ema"/"exp-average",
+/// "max", "sliding-window".  Throws std::invalid_argument otherwise — a
+/// bad job must land in failed/, not take the daemon down.
 core::DetectorKind resolve_detector(const std::string& name);
 
 struct RunJob {
@@ -111,7 +110,8 @@ struct JobSpec {
                             const std::string& fallback_id);
   static JobSpec parse_file(const std::string& path);
 
-  /// Re-validates the resolved names (also called by parse).  Throws
+  /// Checks the active section's names and values — the one validator of
+  /// job documents (parse calls it) and of the CLI's flags.  Throws
   /// std::invalid_argument naming the offending field.
   void validate() const;
 

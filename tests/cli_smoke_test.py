@@ -212,7 +212,15 @@ def main():
                         "--telemetry-every"),
                        (["sweep", "quick", "--jobs", "2.5"], "--jobs"),
                        (["run", "--media", "mpeg", "--clip", "fooball"],
-                        "fooball")):
+                        "fooball"),
+                       # Values the job validator rejects: the run would
+                       # otherwise die on an engine check (exit 134).
+                       (["run", "--sequence", "XYZ"], "XYZ"),
+                       (["run", "--sequence", ""], "sequence"),
+                       (["run", "--session", "--cycles", "0"], "cycles"),
+                       (["run", "--cv2", "-1"], "cv2"),
+                       (["run", "--dpm", "tismdp", "--dpm-delay", "-1"],
+                        "dpm_delay")):
         proc = subprocess.run([binary] + args,
                               capture_output=True, text=True, timeout=60)
         if proc.returncode != 2 or flag not in proc.stderr:
@@ -303,6 +311,56 @@ def main():
         summary = os.path.join(tmp, "done", "ok.out", "job_summary.json")
         if not os.path.exists(summary):
             fail("serve did not write job_summary.json for the done job")
+
+    # A run job and its `dvs-sim run` spelling make the same run: the CLI
+    # parses its flags into the same dvs-job-v1 request and resolves it
+    # the same way.  The three workload shapes of the obs_golden configs.
+    shapes = (
+        ({"media": "mp3", "sequence": "A", "detector": "change-point",
+          "dpm": "tismdp"},
+         ["--media", "mp3", "--sequence", "A", "--detector", "change-point",
+          "--dpm", "tismdp"]),
+        ({"media": "mpeg", "clip": "football", "seconds": 30,
+          "faults": "spike10x"},
+         ["--media", "mpeg", "--clip", "football", "--seconds", "30",
+          "--faults", "spike10x"]),
+        ({"session": True, "cycles": 1, "seconds": 20, "dpm": "tismdp",
+          "faults": "wakeup-flaky,freq-stuck"},
+         ["--session", "--cycles", "1", "--seconds", "20", "--dpm", "tismdp",
+          "--faults", "wakeup-flaky,freq-stuck"]),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        queue = os.path.join(tmp, "queue")
+        os.makedirs(queue)
+        for i, (run, _) in enumerate(shapes):
+            with open(os.path.join(queue, f"shape{i}.json"), "w") as f:
+                json.dump({"schema": "dvs-job-v1", "kind": "run",
+                           "run": run}, f)
+        proc = subprocess.run([binary, "serve", tmp, "--drain"],
+                              capture_output=True, text=True, timeout=600)
+        if proc.returncode != 0:
+            fail(f"`serve --drain` of run shapes exit {proc.returncode}\n"
+                 f"{proc.stderr}")
+        for i, (_, flags) in enumerate(shapes):
+            with open(os.path.join(tmp, "done", f"shape{i}.out",
+                                   "job_summary.json")) as f:
+                job = json.load(f)
+            proc = subprocess.run([binary, "run"] + flags +
+                                  ["--metrics-json", "-"],
+                                  capture_output=True, text=True, timeout=600)
+            if proc.returncode != 0:
+                fail(f"`run {' '.join(flags)}` exit {proc.returncode}\n"
+                     f"{proc.stderr}")
+            cli = json.loads(proc.stdout)
+            # The summary keeps %.17g; the metrics JSON prints %.9g.
+            got = (cli["counters"]["frames_decoded"],
+                   cli["counters"]["frames_dropped"],
+                   cli["gauges"]["energy_j"])
+            want = (job["frames_decoded"], job["frames_dropped"],
+                    float("%.9g" % job["energy_j"]))
+            if got != want:
+                fail(f"run job and `run {' '.join(flags)}` disagree: "
+                     f"job {want}, cli {got}")
 
     # serve usage errors: missing root and unknown flags exit 2.
     proc = subprocess.run([binary, "serve"],

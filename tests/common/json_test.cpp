@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -47,6 +48,19 @@ TEST(Json, HelperAccessors) {
   EXPECT_EQ(v->find("missing"), nullptr);
   EXPECT_THROW(v->at("missing"), ParseError);
   EXPECT_THROW(v->at("n").as_string(), ParseError);
+}
+
+TEST(Json, IntegersAreWholeAndInRange) {
+  const ValuePtr v = parse(
+      R"({"max": 9007199254740991, "big": 9007199254740992, "neg": -1,)"
+      R"( "frac": 2.5, "nan": "x", "ten": 10})");
+  EXPECT_EQ(v->at("max").as_integer(UINT64_MAX), 9007199254740991u);
+  EXPECT_EQ(v->at("ten").as_integer(10), 10u);
+  EXPECT_THROW((void)v->at("ten").as_integer(9), ParseError);
+  EXPECT_THROW((void)v->at("big").as_integer(UINT64_MAX), ParseError);
+  EXPECT_THROW((void)v->at("neg").as_integer(UINT64_MAX), ParseError);
+  EXPECT_THROW((void)v->at("frac").as_integer(UINT64_MAX), ParseError);
+  EXPECT_THROW((void)v->at("nan").as_integer(UINT64_MAX), ParseError);
 }
 
 TEST(Json, RejectsMalformedDocuments) {

@@ -135,9 +135,54 @@ TEST(JobSpec, RejectsBadDocuments) {
              "run": {"media": "mp3", "sequence": "ACEG"}})");
   reject(R"({"schema": "dvs-job-v1", "kind": "run",
              "run": {"media": "mp3", "sequence": "a"}})");
+  // values an engine check would reject only once the job is running
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"media": "mp3", "sequence": ""}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run", "run": {"cv2": -1}})");
+  reject(R"({"schema": "dvs-job-v1", "kind": "run",
+             "run": {"dpm": "tismdp", "dpm_delay": -1}})");
   // missing required section
   reject(R"({"schema": "dvs-job-v1", "kind": "sweep"})");
   reject(R"({"schema": "dvs-job-v1", "kind": "fleet"})");
+}
+
+TEST(JobSpec, TakesWholeInRangeIntegersOnly) {
+  // A negative, fractional or out-of-range count would be truncated,
+  // wrapped, or cast with undefined behaviour (-5 devices once became
+  // 2^64 - 5).  Past 2^53 a double no longer holds every integer.
+  for (const char* text : {
+           R"({"schema": "dvs-job-v1", "kind": "fleet",
+               "fleet": {"name": "fleet_smoke", "devices": -5}})",
+           R"({"schema": "dvs-job-v1", "kind": "fleet",
+               "fleet": {"name": "fleet_smoke", "devices": 2.5}})",
+           R"({"schema": "dvs-job-v1", "kind": "fleet",
+               "fleet": {"name": "fleet_smoke",
+                         "shard_size": 9007199254740992}})",
+           R"({"schema": "dvs-job-v1", "kind": "run", "seed": 1.5})",
+           R"({"schema": "dvs-job-v1", "kind": "run", "seed": -1})",
+           R"({"schema": "dvs-job-v1", "kind": "run",
+               "seed": 9007199254740992})",
+           R"({"schema": "dvs-job-v1", "kind": "run", "jobs": 2147483648})",
+           R"({"schema": "dvs-job-v1", "kind": "run",
+               "checkpoint_every": 0.5})",
+           R"({"schema": "dvs-job-v1", "kind": "run",
+               "run": {"session": true, "cycles": 2147483648}})",
+           R"({"schema": "dvs-job-v1", "kind": "run",
+               "run": {"session": true, "cycles": 1.5}})",
+           R"({"schema": "dvs-job-v1", "kind": "sweep",
+               "sweep": {"scenario": "quick", "replicates": 2147483648}})",
+           R"({"schema": "dvs-job-v1", "kind": "sweep",
+               "sweep": {"scenario": "quick", "replicates": -2}})"}) {
+    EXPECT_THROW((void)JobSpec::parse_text(text, "j"), std::invalid_argument)
+        << text;
+  }
+  // The bounds themselves are fine.
+  const JobSpec j = JobSpec::parse_text(
+      R"({"schema": "dvs-job-v1", "kind": "run", "seed": 9007199254740991,
+          "jobs": 2147483647})",
+      "j");
+  EXPECT_EQ(j.seed, 9007199254740991u);
+  EXPECT_EQ(j.jobs, 2147483647);
 }
 
 TEST(JobSpec, ClipAndSequenceAreCheckedOnlyWhereTheyPlay) {

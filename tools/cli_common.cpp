@@ -9,10 +9,7 @@
 #include <ctime>
 #include <fstream>
 #include <iostream>
-#include <optional>
-
-#include "policy/governor_factory.hpp"
-#include "serve/job_spec.hpp"
+#include <stdexcept>
 
 namespace dvs::cli {
 
@@ -53,8 +50,17 @@ double parse_number(const std::string& flag, const char* text) {
   return v;
 }
 
-CliOptions parse_flags(int argc, char** argv, int first) {
+CliOptions parse_flags(int argc, char** argv, int first, serve::JobKind kind) {
   CliOptions o;
+  serve::JobSpec& job = o.job;
+  job.kind = kind;
+  job.jobs = 1;
+  serve::RunJob& run = job.run;
+  // --faults and --policy override the sweep's axes or configure the run;
+  // a fleet reads neither, so there they land in the unread run section.
+  const bool sweep = kind == serve::JobKind::Sweep;
+  std::string& faults = sweep ? job.sweep.faults : run.faults;
+  std::string& policy = sweep ? job.sweep.policy : run.policy;
   const auto need = [&](int i) { return flag_value(argc, argv, i); };
   const auto count = [&](const std::string& flag, int i, std::uint64_t max) {
     return parse_count(flag, need(i), max);
@@ -67,27 +73,27 @@ CliOptions parse_flags(int argc, char** argv, int first) {
   };
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--media") { o.media = need(i); ++i; }
-    else if (a == "--sequence") { o.sequence = need(i); ++i; }
-    else if (a == "--clip") { o.clip = need(i); ++i; }
-    else if (a == "--seconds") { o.seconds_limit = number(a, i); ++i; }
-    else if (a == "--session") { o.session = true; }
-    else if (a == "--cycles") { o.cycles = int_count(a, i); ++i; }
-    else if (a == "--detector") { o.detector = need(i); ++i; }
-    else if (a == "--policy") { o.policy = need(i); ++i; }
+    if (a == "--media") { run.media = need(i); ++i; }
+    else if (a == "--sequence") { run.sequence = need(i); ++i; }
+    else if (a == "--clip") { run.clip = need(i); ++i; }
+    else if (a == "--seconds") { run.seconds = number(a, i); ++i; }
+    else if (a == "--session") { run.session = true; }
+    else if (a == "--cycles") { run.cycles = int_count(a, i); ++i; }
+    else if (a == "--detector") { run.detector = need(i); ++i; }
+    else if (a == "--policy") { policy = need(i); ++i; }
     else if (a == "--ema-gain") { o.ema_gain = number(a, i); ++i; }
-    else if (a == "--delay") { o.delay = number(a, i); ++i; }
-    else if (a == "--cv2") { o.cv2 = number(a, i); ++i; }
-    else if (a == "--dpm") { o.dpm = need(i); ++i; }
-    else if (a == "--dpm-delay") { o.dpm_delay = number(a, i); ++i; }
-    else if (a == "--seed") { o.seed = count(a, i, UINT64_MAX); o.seed_set = true; ++i; }
-    else if (a == "--scenario") { o.scenario = need(i); ++i; }
-    else if (a == "--faults") { o.faults = need(i); ++i; }
-    else if (a == "--jobs") { o.jobs = int_count(a, i); ++i; }
-    else if (a == "--devices") { o.devices = count(a, i, SIZE_MAX); ++i; }
+    else if (a == "--delay") { run.delay = number(a, i); ++i; }
+    else if (a == "--cv2") { run.cv2 = number(a, i); ++i; }
+    else if (a == "--dpm") { run.dpm = need(i); ++i; }
+    else if (a == "--dpm-delay") { run.dpm_delay = number(a, i); ++i; }
+    else if (a == "--seed") { job.seed = count(a, i, UINT64_MAX); job.seed_set = true; ++i; }
+    else if (a == "--scenario") { job.sweep.scenario = need(i); ++i; }
+    else if (a == "--faults") { faults = need(i); ++i; }
+    else if (a == "--jobs") { job.jobs = int_count(a, i); ++i; }
+    else if (a == "--devices") { job.fleet.devices = count(a, i, SIZE_MAX); ++i; }
     else if (a == "--fleet-csv") { o.fleet_csv = need(i); ++i; }
-    else if (a == "--shard-size") { o.shard_size = count(a, i, SIZE_MAX); ++i; }
-    else if (a == "--replicates") { o.replicates = int_count(a, i); ++i; }
+    else if (a == "--shard-size") { job.fleet.shard_size = count(a, i, SIZE_MAX); ++i; }
+    else if (a == "--replicates") { job.sweep.replicates = int_count(a, i); ++i; }
     else if (a == "--sweep-csv") { o.sweep_csv = need(i); ++i; }
     else if (a == "--save-trace") { o.save_trace = need(i); ++i; }
     else if (a == "--load-trace") { o.load_trace = need(i); ++i; }
@@ -112,40 +118,12 @@ CliOptions parse_flags(int argc, char** argv, int first) {
     else if (a == "--help" || a == "-h") { usage("help requested"); }
     else { usage(("unknown option " + a).c_str()); }
   }
-  if (o.clip != "football" && o.clip != "terminator2") {
-    usage(("unknown clip " + o.clip + " (known: football, terminator2)").c_str());
-  }
-  if (!o.policy.empty() && !policy::GovernorFactory::instance().has(o.policy)) {
-    std::string known;
-    for (const auto& e : policy::GovernorFactory::instance().entries()) {
-      if (!known.empty()) known += ", ";
-      known += e.name;
-    }
-    usage(("unknown policy " + o.policy + " (known: " + known + ")").c_str());
-  }
   return o;
 }
 
-core::DetectorKind detector_kind(const std::string& name) {
+void validate_job(const serve::JobSpec& job) {
   try {
-    return serve::resolve_detector(name);
-  } catch (const std::invalid_argument&) {
-    usage(("unknown detector " + name).c_str());
-  }
-}
-
-core::DpmSpec dpm_spec(const CliOptions& o) {
-  const std::optional<core::DpmKind> kind = core::dpm_kind_from_string(o.dpm);
-  if (!kind) usage(("unknown dpm policy " + o.dpm).c_str());
-  core::DpmSpec spec;
-  spec.kind = *kind;
-  spec.max_delay = seconds(o.dpm_delay);
-  return spec;
-}
-
-std::vector<fault::FaultSpec> resolve_faults(const std::string& csv) {
-  try {
-    return fault::parse_fault_list(csv);
+    job.validate();
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }

@@ -1,9 +1,14 @@
 // Shared option surface of the dvs_sim subcommands.
 //
 // One flag vocabulary serves the artifact-producing subcommands (run,
-// sweep, fleet, report, list); `serve` parses its own small daemon flag
-// set in cmd_serve.cpp.  Subcommand entry points live in cmd_run.cpp /
-// cmd_sweep.cpp / cmd_list.cpp; the dispatcher is tools/dvs_sim_cli.cpp.
+// sweep, fleet, report): the dvs-job-v1 request (serve::JobSpec) plus the
+// output and observability flags only the CLI has.  run, sweep and fleet
+// check the request with JobSpec::validate and resolve it with the serve
+// job runner's resolvers, so a flag set and the job document spelling it
+// mean the same run; a bad name or an out-of-range value is a usage error
+// (exit 2).  `serve`, `status` and `tail` parse their own small flag sets.
+// Subcommand entry points live in cmd_*.cpp; the dispatcher is
+// tools/dvs_sim_cli.cpp.
 #pragma once
 
 #include <cstdint>
@@ -11,47 +16,22 @@
 #include <functional>
 #include <ostream>
 #include <string>
-#include <vector>
 
-#include "core/experiment.hpp"
 #include "core/metrics.hpp"
-#include "core/scenario.hpp"
-#include "fault/fault_spec.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/telemetry/snapshotter.hpp"
+#include "serve/job_spec.hpp"
 
 namespace dvs::cli {
 
 struct CliOptions {
-  std::string media = "mp3";
-  std::string sequence = "ACEFBD";
-  std::string clip = "football";
-  double seconds_limit = 0.0;
-  bool session = false;
-  int cycles = 4;
-  std::string detector = "change-point";
-  /// Governor policy (policy::GovernorFactory key); empty = defer to the
-  /// scenario's policy axis (sweep) or the engine default "paper" (run).
-  std::string policy;
+  /// The request itself: every flag a dvs-job-v1 document can also spell
+  /// (docs/SERVING.md maps each flag to its field).
+  serve::JobSpec job;
+  /// run: EMA detector gain (no job field; jobs use the default).
   double ema_gain = 0.03;
-  double delay = 0.0;  // 0 = per-media default
-  double cv2 = 1.0;
-  std::string dpm = "none";
-  double dpm_delay = 0.5;
-  std::uint64_t seed = 1;
-  bool seed_set = false;
-  std::string scenario;
-  /// fleet: spec name (positional operand of `dvs_sim fleet`).
-  std::string fleet;
-  /// fleet: device-count override (0 = the spec's population size).
-  std::size_t devices = 0;
   /// fleet: write <base>_fleet.csv (population slices + total row).
   std::string fleet_csv;
-  /// fleet: devices per work-stealing shard (0 = FleetOptions default).
-  std::size_t shard_size = 0;
-  std::string faults;
-  int jobs = 1;
-  int replicates = 0;  // 0 = scenario default
   std::string sweep_csv;
   std::string save_trace;
   std::string load_trace;
@@ -103,19 +83,14 @@ std::uint64_t parse_count(const std::string& flag, const char* text,
 /// inf and nan are usage errors.
 double parse_number(const std::string& flag, const char* text);
 
-/// Parses the shared flag vocabulary starting at argv[first]; exits via
-/// usage() on unknown flags, missing values or malformed numbers.
-CliOptions parse_flags(int argc, char** argv, int first);
+/// Parses the shared flag vocabulary starting at argv[first] into a
+/// request of `kind` (which picks the section --faults and --policy fill;
+/// the CLI defaults to one worker); exits via usage() on unknown flags,
+/// missing values or malformed numbers.
+CliOptions parse_flags(int argc, char** argv, int first, serve::JobKind kind);
 
-core::DetectorKind detector_kind(const std::string& name);
-
-/// Resolves --dpm/--dpm-delay into a DpmSpec (the scenario-level DPM
-/// parameterization assemble_run_options consumes); exits with usage() on
-/// unknown policy names.
-core::DpmSpec dpm_spec(const CliOptions& o);
-
-/// Resolves --faults into specs; exits with usage() on unknown names.
-std::vector<fault::FaultSpec> resolve_faults(const std::string& csv);
+/// JobSpec::validate, with a rejection reported through usage().
+void validate_job(const serve::JobSpec& job);
 
 void print_metrics(std::FILE* out, const core::Metrics& m);
 

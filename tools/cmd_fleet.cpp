@@ -9,6 +9,7 @@
 #include "common/table.hpp"
 #include "fleet/fleet_runner.hpp"
 #include "obs/telemetry/snapshotter.hpp"
+#include "serve/job_runner.hpp"
 
 namespace dvs::cli {
 
@@ -35,23 +36,12 @@ void add_group_row(TextTable& t, const fleet::FleetGroupResult& g) {
 }  // namespace
 
 int cmd_fleet(const CliOptions& o) {
-  if (o.fleet.empty()) {
+  if (o.job.fleet.name.empty()) {
     usage("fleet needs a fleet name (try `dvs_sim list fleets`)");
   }
-  const fleet::FleetSpec* found = fleet::find_fleet(o.fleet);
-  if (found == nullptr) {
-    std::fprintf(stderr,
-                 "dvs_sim: unknown fleet '%s' (try `dvs_sim list fleets`)\n",
-                 o.fleet.c_str());
-    return 2;
-  }
-  fleet::FleetSpec spec = *found;
-  if (o.devices > 0) spec.num_devices = o.devices;
-  if (o.seed_set) spec.fleet_seed = o.seed;
-
-  fleet::FleetOptions fopts;
-  fopts.jobs = o.jobs;
-  if (o.shard_size > 0) fopts.shard_size = o.shard_size;
+  validate_job(o.job);
+  auto [spec, fopts] = serve::job_fleet(o.job);
+  fopts.jobs = o.job.jobs;
   fopts.heartbeat_path = o.heartbeat;
   obs::TelemetrySnapshotter telemetry;
   if (!open_telemetry(o, telemetry)) return 2;

@@ -7,7 +7,6 @@
 
 #include "cli_common.hpp"
 #include "common/csv.hpp"
-#include "core/sweep.hpp"
 #include "fault/trace_transforms.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/sinks.hpp"
@@ -15,16 +14,15 @@
 #include "obs/telemetry/snapshotter.hpp"
 #include "obs/telemetry/span_profiler.hpp"
 #include "obs/trace_recorder.hpp"
+#include "serve/job_runner.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_io.hpp"
 
 namespace dvs::cli {
 
 int cmd_run(const CliOptions& o) {
-  // The same shared-asset + assemble_run_options path the sweep pool, the
-  // fleet shards, and serve jobs use — cmd_run is just a one-point sweep.
-  const core::CpuAsset cpu_asset = core::build_cpu_asset("sa1100");
-  const hw::Sa1100& cpu = cpu_asset.cpu;
+  validate_job(o.job);
+  const serve::RunJob& r = o.job.run;
 
   // A machine document on stdout moves the human-readable report to stderr
   // so the document stays parseable; two documents cannot share stdout.
@@ -37,12 +35,6 @@ int cmd_run(const CliOptions& o) {
   }
   const bool json_to_stdout = stdout_docs > 0;
   std::FILE* hout = json_to_stdout ? stderr : stdout;
-
-  core::DetectorFactoryConfig detector_cfg;
-  detector_cfg.ema_gain = o.ema_gain;
-  if (detector_kind(o.detector) == core::DetectorKind::ChangePoint) {
-    detector_cfg.prepare();
-  }
 
   obs::TraceRecorder recorder;
   try {
@@ -65,32 +57,21 @@ int cmd_run(const CliOptions& o) {
   obs::SpanProfiler profiler;
   obs::AttributionLedger ledger;
 
-  // Single-run fault injection: all named specs' workload perturbations
-  // apply in order; the first spec supplies the watchdog and hardware plan.
-  const fault::FaultSpec faults =
-      o.faults.empty() ? fault::FaultSpec{}
-                       : fault::combine_faults(resolve_faults(o.faults));
-  const std::uint64_t fault_seed = core::mix_seed(o.seed, 0xfa);
+  // The run a serve job with these flags would make, plus the CLI-only
+  // detector gain.
+  serve::JobRun run{o.job};
+  run.detector_cfg.ema_gain = o.ema_gain;
 
-  core::RunAssembly assembly;
-  assembly.detector = detector_kind(o.detector);
-  if (!o.policy.empty()) assembly.policy = o.policy;
-  assembly.service_cv2 = o.cv2;
-  assembly.dpm = dpm_spec(o);
-  assembly.engine_seed = o.seed;
-  if (!o.faults.empty()) assembly.faults = &faults;
-
-  // The items to play: a loaded trace, or a generated workload built the
-  // way sweep points, fleet devices and serve run jobs build theirs.
+  // The items to play: a loaded trace, or the job's generated workload.
   core::WorkloadAsset asset;
-  Seconds default_delay{0.1};
-  if (!o.session && !o.load_trace.empty()) {
+  if (!r.session && !o.load_trace.empty()) {
+    const hw::Sa1100& cpu = run.cpu.cpu;
     workload::FrameTrace trace = workload::load_trace(o.load_trace);
     const workload::MediaType type = trace.type();
     const bool audio = type == workload::MediaType::Mp3Audio;
-    if (!faults.trace_faults.empty()) {
-      Rng fault_rng{fault_seed};
-      trace = fault::apply_faults(trace, faults.trace_faults, fault_rng);
+    if (!run.faults.trace_faults.empty()) {
+      Rng fault_rng{run.fault_seed};
+      trace = fault::apply_faults(trace, run.faults.trace_faults, fault_rng);
     }
     const Seconds end = trace.duration();
     asset.items = std::make_shared<const std::vector<core::PlaybackItem>>(
@@ -101,27 +82,12 @@ int cmd_run(const CliOptions& o) {
             core::default_nominal_arrival(type),
             core::default_nominal_service(type), end}});
     asset.idle = core::default_idle_distribution();
-    default_delay = seconds(audio ? 0.15 : 0.1);
+    if (r.delay <= 0.0) run.assembly.delay_target = seconds(audio ? 0.15 : 0.1);
   } else {
-    core::WorkloadSpec workload;
-    if (o.session) {
-      core::SessionConfig scfg;
-      scfg.cycles = o.cycles;
-      if (o.seconds_limit > 0.0) scfg.mpeg_segment = seconds(o.seconds_limit);
-      workload = core::WorkloadSpec::usage_session(std::move(scfg));
-    } else if (o.media == "mp3") {
-      workload = core::WorkloadSpec::mp3(o.sequence);
-    } else if (o.media == "mpeg") {
-      workload = core::WorkloadSpec::mpeg(o.clip, seconds(o.seconds_limit));
-    } else {
-      usage(("unknown media " + o.media).c_str());
-    }
-    asset = core::build_workload_asset(workload, cpu, o.seed, faults,
-                                       fault_seed);
-    default_delay = workload.default_delay_target();
+    asset = run.build_asset();
   }
 
-  if (!o.session && !o.save_trace.empty()) {
+  if (!r.session && !o.save_trace.empty()) {
     const workload::FrameTrace& trace = asset.items->front().trace;
     workload::save_trace(trace, o.save_trace);
     // Through hout, not stdout: `--save-trace x --metrics-json -` must not
@@ -131,9 +97,7 @@ int cmd_run(const CliOptions& o) {
     return 0;
   }
 
-  assembly.delay_target = o.delay > 0.0 ? seconds(o.delay) : default_delay;
-  core::RunOptions opts =
-      core::assemble_run_options(assembly, cpu_asset, asset.idle, detector_cfg);
+  core::RunOptions opts = run.options(asset.idle);
 
   // Observability attachments ride on top of the assembled options; they
   // never feed the simulation result.
@@ -156,7 +120,7 @@ int cmd_run(const CliOptions& o) {
   if (o.flight_capacity != 0) opts.flight_capacity = o.flight_capacity;
   opts.flight_dump_path = o.flight_dump;
 
-  if (o.session) {
+  if (r.session) {
     std::fprintf(hout, "session: %.0f s (%.0f media / %.0f idle), %zu items\n\n",
                  asset.session_duration.value(), asset.media_time.value(),
                  asset.idle_time.value(), asset.items->size());

@@ -9,28 +9,19 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/telemetry/openmetrics.hpp"
 #include "obs/telemetry/snapshotter.hpp"
+#include "serve/job_runner.hpp"
 
 namespace dvs::cli {
 
 namespace {
 
-int run_scenario(const CliOptions& o, std::FILE* hout,
-                 obs::MetricsRegistry* registry,
-                 obs::TelemetrySnapshotter* telemetry) {
-  const core::ScenarioSpec* found = core::find_scenario(o.scenario);
-  if (found == nullptr) {
-    std::fprintf(stderr, "dvs_sim: unknown scenario '%s' (try `dvs_sim list`)\n",
-                 o.scenario.c_str());
-    return 2;
-  }
-  core::ScenarioSpec spec = *found;
-  if (o.replicates > 0) spec.replicates = o.replicates;
-  if (o.seed_set) spec.base_seed = o.seed;
-  if (!o.faults.empty()) spec.faults = resolve_faults(o.faults);
-  if (!o.policy.empty()) spec.policies = {o.policy};
+void run_scenario(const CliOptions& o, std::FILE* hout,
+                  obs::MetricsRegistry* registry,
+                  obs::TelemetrySnapshotter* telemetry) {
+  const core::ScenarioSpec spec = serve::job_scenario(o.job);
 
   core::SweepOptions sopts;
-  sopts.jobs = o.jobs;
+  sopts.jobs = o.job.jobs;
   sopts.metrics = registry;
   // CSV consumers get the delay percentile columns whenever they ask for a
   // CSV at all; plain table-only sweeps skip the per-engine registry cost.
@@ -108,13 +99,13 @@ int run_scenario(const CliOptions& o, std::FILE* hout,
     std::fprintf(hout, "\nsweep csv -> %s_cells.csv, %s_points.csv\n",
                  o.sweep_csv.c_str(), o.sweep_csv.c_str());
   }
-  return 0;
 }
 
 }  // namespace
 
 int cmd_sweep(const CliOptions& o) {
-  if (o.scenario.empty()) usage("sweep needs a scenario name");
+  if (o.job.sweep.scenario.empty()) usage("sweep needs a scenario name");
+  validate_job(o.job);
 
   // A machine document on stdout moves the human-readable report to stderr
   // so the document stays parseable; two documents cannot share stdout.
@@ -136,9 +127,8 @@ int cmd_sweep(const CliOptions& o) {
   // For a sweep, --telemetry-every throttles on wall time between finished
   // points (0 = snapshot every point).
   if (o.telemetry_every > 0.0) telemetry.set_min_interval(o.telemetry_every);
-  const int rc = run_scenario(o, hout, want_metrics ? &registry : nullptr,
-                              telemetry.active() ? &telemetry : nullptr);
-  if (rc != 0) return rc;
+  run_scenario(o, hout, want_metrics ? &registry : nullptr,
+               telemetry.active() ? &telemetry : nullptr);
   if (!write_document(o.metrics_json, "metrics json", hout,
                       [&](std::ostream& os) { registry.write_json(os); }) ||
       !write_document(o.metrics_openmetrics, "openmetrics", hout,

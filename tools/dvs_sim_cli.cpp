@@ -24,6 +24,13 @@
 //                                        metric families, or the JSON schema
 //                                        identifiers this repo emits
 //
+// run, sweep and fleet parse their flags into a dvs-job-v1 request
+// (serve::JobSpec) and check it with the serve daemon's validator: a bad
+// name or an out-of-range value is a usage error (exit 2), and a flag set
+// makes the same run as the job document that spells it (docs/SERVING.md
+// maps each flag to its job field).  Flags a subcommand does not read are
+// ignored.
+//
 //   dvs_sim run --media mp3 --sequence ACEFBD --detector change-point
 //   dvs_sim run --media mpeg --clip football --seconds 300 --detector ideal
 //   dvs_sim run --session --cycles 4 --detector change-point --dpm tismdp
@@ -158,12 +165,14 @@ int dispatch_sweep(int argc, char** argv, int first) {
     positional = argv[first];
     ++first;
   }
-  cli::CliOptions o = cli::parse_flags(argc, argv, first);
+  cli::CliOptions o =
+      cli::parse_flags(argc, argv, first, serve::JobKind::Sweep);
+  std::string& scenario = o.job.sweep.scenario;
   if (!positional.empty()) {
-    if (!o.scenario.empty() && o.scenario != positional) {
+    if (!scenario.empty() && scenario != positional) {
       cli::usage("both a positional scenario and --scenario were given");
     }
-    o.scenario = positional;
+    scenario = positional;
   }
   return cli::cmd_sweep(o);
 }
@@ -175,8 +184,9 @@ int dispatch_fleet(int argc, char** argv, int first) {
     positional = argv[first];
     ++first;
   }
-  cli::CliOptions o = cli::parse_flags(argc, argv, first);
-  o.fleet = positional;
+  cli::CliOptions o =
+      cli::parse_flags(argc, argv, first, serve::JobKind::Fleet);
+  o.job.fleet.name = positional;
   return cli::cmd_fleet(o);
 }
 
@@ -205,13 +215,18 @@ int dispatch_list(int argc, char** argv, int first) {
 int main(int argc, char** argv) {
   if (argc < 2) cli::usage("no subcommand given");
   const std::string cmd = argv[1];
-  if (cmd == "run") return cli::cmd_run(cli::parse_flags(argc, argv, 2));
+  if (cmd == "run") {
+    return cli::cmd_run(cli::parse_flags(argc, argv, 2, serve::JobKind::Run));
+  }
   if (cmd == "sweep") return dispatch_sweep(argc, argv, 2);
   if (cmd == "fleet") return dispatch_fleet(argc, argv, 2);
   if (cmd == "serve") return cli::cmd_serve(argc, argv, 2);
   if (cmd == "status") return cli::cmd_status(argc, argv, 2);
   if (cmd == "tail") return cli::cmd_tail(argc, argv, 2);
-  if (cmd == "report") return cli::cmd_report(cli::parse_flags(argc, argv, 2));
+  if (cmd == "report") {
+    return cli::cmd_report(
+        cli::parse_flags(argc, argv, 2, serve::JobKind::Run));
+  }
   if (cmd == "list") return dispatch_list(argc, argv, 2);
   if (cmd == "--help" || cmd == "-h") cli::usage("help requested");
   cli::usage(("unknown subcommand " + cmd +
