@@ -82,6 +82,12 @@ std::string Value::string_or(const std::string& key,
   return v == nullptr ? std::move(fallback) : v->as_string();
 }
 
+std::uint64_t Value::integer_or(const std::string& key, std::uint64_t fallback,
+                                std::uint64_t max) const {
+  const Value* v = find(key);
+  return v == nullptr ? fallback : v->as_integer(max);
+}
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}

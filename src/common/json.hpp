@@ -66,6 +66,10 @@ class Value {
   [[nodiscard]] double number_or(const std::string& key, double fallback) const;
   [[nodiscard]] std::string string_or(const std::string& key,
                                       std::string fallback) const;
+  /// Member `key` through as_integer(max), or `fallback` when absent.
+  [[nodiscard]] std::uint64_t integer_or(const std::string& key,
+                                         std::uint64_t fallback,
+                                         std::uint64_t max) const;
 
  private:
   friend class Parser;

@@ -253,9 +253,6 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
   }
 
   UnitPlan<RestoredPoint> plan;
-  plan.source = "sweep";
-  plan.name_key = "scenario";
-  plan.name = spec.name;
   plan.n = points.size();
   plan.execute = [&](std::size_t i) {
     const RunPoint& p = points[i];

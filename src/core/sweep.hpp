@@ -179,10 +179,11 @@ struct SweepResult {
   void write_cells_csv(CsvWriter& csv) const;
 };
 
-/// Sweep options on top of the shared UnitOptions (jobs, heartbeat,
-/// telemetry, restored).  The heartbeat and telemetry records carry
-/// scenario, point, cell, replicate, the point's energy_kj/mean_delay_s
-/// and the running means over executed points.
+/// Sweep options on top of the shared UnitOptions (jobs, restored,
+/// on_progress).  Progress records count points and carry point, cell,
+/// replicate, the point's energy_kj/mean_delay_s, the running means over
+/// executed points and, when quantiles are collected, the point's
+/// registry.
 struct SweepOptions : UnitOptions<RestoredPoint> {
   /// Summary sink, fed serially after the run (the registry itself is not
   /// thread-safe, so per-run engine hooks stay off during a sweep).  When
@@ -196,7 +197,6 @@ struct SweepOptions : UnitOptions<RestoredPoint> {
   /// cells-CSV delay percentile columns) even without a summary registry.
   /// Implied by `metrics`.  Off by default: it attaches a metrics registry
   /// to every engine run, which costs histogram updates on the hot path.
-  /// Telemetry snapshots carry the finished point's registry when on.
   bool collect_quantiles = false;
   /// Progress callback for executed points: serialized, completion (not
   /// expansion) order, on the worker right after the point finished.

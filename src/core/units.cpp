@@ -2,15 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <exception>
-#include <fstream>
-#include <iostream>
-#include <memory>
 #include <thread>
-
-#include "common/check.hpp"
-#include "common/json.hpp"
 
 namespace dvs::core {
 
@@ -101,60 +94,6 @@ void parallel_for(std::size_t n, int jobs,
   worker(0);
   for (std::thread& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-UnitReporter open_unit_progress(const std::string& heartbeat_path,
-                                obs::TelemetrySnapshotter* telemetry,
-                                const char* source, const char* name_key,
-                                const std::string& name, std::size_t total,
-                                std::size_t done) {
-  auto file = std::make_shared<std::ofstream>();
-  std::ostream* heartbeat = nullptr;
-  if (heartbeat_path == "-") {
-    heartbeat = &std::cerr;
-  } else if (!heartbeat_path.empty()) {
-    file->open(heartbeat_path);
-    DVS_CHECK_MSG(static_cast<bool>(*file),
-                  std::string(source) + ": cannot open heartbeat path " +
-                      heartbeat_path);
-    heartbeat = file.get();
-  }
-  if (telemetry != nullptr && !telemetry->active()) telemetry = nullptr;
-  if (heartbeat == nullptr && telemetry == nullptr) return {};
-  const std::string prefix = "{\"" + std::string(name_key) + "\":\"" +
-                             json::escape(name) + "\",";
-
-  return [file, heartbeat, telemetry, prefix, source, total, done,
-          t0 = std::chrono::steady_clock::now()](
-             std::size_t weight, const UnitFields& fields,
-             const obs::MetricsRegistry* reg) mutable {
-    done += weight;
-    const double t =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (heartbeat != nullptr) {
-      const double eta = t * static_cast<double>(total - done) /
-                         static_cast<double>(done);
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "\"done\":%zu,\"total\":%zu,"
-                    "\"elapsed_s\":%.3f,\"eta_s\":%.3f",
-                    done, total, t, eta);
-      std::string line = prefix + buf;
-      for (const auto& [key, value] : fields) {
-        std::snprintf(buf, sizeof buf, ",\"%s\":%.9g", key.c_str(), value);
-        line += buf;
-      }
-      *heartbeat << line << "}\n" << std::flush;
-    }
-    if (telemetry != nullptr) {
-      static const obs::MetricsRegistry kEmpty;
-      UnitFields live{{"done", static_cast<double>(done)},
-                      {"total", static_cast<double>(total)}};
-      live.insert(live.end(), fields.begin(), fields.end());
-      telemetry->snapshot(t, source, reg != nullptr ? *reg : kEmpty, live);
-    }
-  };
 }
 
 }  // namespace dvs::core

@@ -4,10 +4,12 @@
 // A unit kind defines `n` independent units, how to execute unit i into a
 // Partial, and the fields its progress records carry.  The executor owns
 // everything else: restored-unit lookup and counting, the work-stealing
-// pool, the progress lock, the per-unit callback, the heartbeat JSONL and
-// telemetry snapshot per finished unit (done/total weighted by unit size,
-// elapsed, ETA), and the partials stored by index.  The caller then folds
-// the partials serially in index order, which is what keeps every output
+// pool, the progress lock, the per-unit callback, the one progress record
+// per executed unit (done/total, elapsed, ETA, the kind's fields) handed
+// to UnitOptions::on_progress, and the partials stored by index.  It
+// writes no files: the CLI's --telemetry-jsonl and the serve daemon's
+// status.json are the record's consumers.  The caller then folds the
+// partials serially in index order, which is what keeps every output
 // byte-identical at any --jobs and across a checkpoint restore: the
 // schedule decides only when a unit runs, never where its partial lands.
 #pragma once
@@ -15,14 +17,15 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "obs/metrics_registry.hpp"
-#include "obs/telemetry/snapshotter.hpp"
+namespace dvs::obs {
+class MetricsRegistry;
+}
 
 namespace dvs::core {
 
@@ -36,50 +39,54 @@ int resolve_jobs(int jobs);
 void parallel_for(std::size_t n, int jobs,
                   const std::function<void(std::size_t)>& fn);
 
+/// A finished unit's progress fields, in record order.
+using UnitFields = std::vector<std::pair<std::string, double>>;
+
+/// The one progress record, built once per executed unit.  Counts are in
+/// units (sweep points, fleet shards, 1 for a run job); restored units
+/// count as done.
+struct UnitProgress {
+  std::size_t done = 0;
+  std::size_t total = 0;
+  double elapsed_s = 0.0;  ///< since run_units started
+  /// Time left at the rate of the units this run executed, so restored
+  /// units do not make the rest look free.
+  double eta_s = 0.0;
+  UnitFields fields;  ///< the kind's fields for this unit
+  const obs::MetricsRegistry* registry = nullptr;  ///< this unit's, or null
+};
+
 /// Options every unit kind shares (SweepOptions and FleetOptions inherit
 /// them).  None of them changes a result byte.
 template <class Partial>
 struct UnitOptions {
   int jobs = 1;  ///< 0 = hardware concurrency
-  /// Non-empty: live progress heartbeat as JSONL, one flushed object per
-  /// finished unit (done/total, elapsed, ETA, then the kind's fields), so
-  /// a tailing monitor sees each record as the unit lands.  "-" = stderr.
-  /// Written under the same lock as the per-unit callbacks, after them.
-  std::string heartbeat_path;
-  /// Live telemetry: one snapshot per finished unit (wall-clock `t`,
-  /// completion order), `live` carrying the heartbeat's fields.
-  obs::TelemetrySnapshotter* telemetry = nullptr;
   /// Checkpoint/restore (the serve daemon's hooks).  Units whose index
   /// appears here are not executed: their partial takes the executed one's
   /// place in the fold, they count as already done, and they produce no
   /// callbacks.  Indices at or past the unit count are ignored.
   const std::map<std::size_t, Partial>* restored = nullptr;
+  /// Called with the progress record of every executed unit: serialized,
+  /// completion order, under the progress lock after the kind's per-unit
+  /// callback.  The record is built only when this is set.
+  std::function<void(const UnitProgress&)> on_progress;
 };
-
-/// A finished unit's progress fields, in record order.  One list feeds
-/// both the heartbeat record and the telemetry snapshot's `live` object.
-using UnitFields = obs::TelemetrySnapshotter::Live;
 
 /// One unit kind on top of the executor.
 template <class Partial>
 struct UnitPlan {
-  const char* source = "";    ///< telemetry source, e.g. "sweep"
-  const char* name_key = "";  ///< heartbeat key of `name`, e.g. "scenario"
-  std::string name;
   std::size_t n = 0;
-  /// Progress weight of unit i (done/total count weights); empty = 1.
-  std::function<std::size_t(std::size_t)> weight;
   /// Runs unit i on a worker thread.  Must touch only unit i's state.
   std::function<Partial(std::size_t)> execute;
   /// Called after every *executed* unit: serialized, completion order, on
   /// the worker that ran it, right after it finished.
   std::function<void(std::size_t, const Partial&)> on_unit;
   /// Called once per restored unit before dispatch (seeds running state).
-  std::function<void(const Partial&)> on_restored;
+  std::function<void(std::size_t, const Partial&)> on_restored;
   /// The kind's progress fields for executed unit i, under the lock after
-  /// on_unit.  Only called while a heartbeat or telemetry is on.
+  /// on_unit.  Only called while on_progress is set.
   std::function<UnitFields(std::size_t, const Partial&)> fields;
-  /// Registry unit i's telemetry snapshot carries; empty or null = none.
+  /// Registry unit i's progress record carries; empty or null = none.
   std::function<const obs::MetricsRegistry*(std::size_t)> registry;
 };
 
@@ -96,42 +103,19 @@ struct UnitRun {
   double wall_seconds = 0.0;
 };
 
-/// Counts one finished unit of `weight` as done and writes its heartbeat
-/// record and telemetry snapshot.
-using UnitReporter = std::function<void(std::size_t weight, const UnitFields&,
-                                        const obs::MetricsRegistry*)>;
-
-/// Opens the heartbeat and telemetry of one executor run, `done` of
-/// `total` weight already restored; empty when both are off.
-UnitReporter open_unit_progress(const std::string& heartbeat_path,
-                                obs::TelemetrySnapshotter* telemetry,
-                                const char* source, const char* name_key,
-                                const std::string& name, std::size_t total,
-                                std::size_t done);
-
-/// How many of `restored` a run of `n` units uses: the indices below n.
-template <class Partial>
-std::size_t restored_units(const std::map<std::size_t, Partial>& restored,
-                           std::size_t n) {
-  return static_cast<std::size_t>(
-      std::distance(restored.begin(), restored.lower_bound(n)));
-}
-
 /// Executes every unit of `plan` that `opts.restored` does not supply.
 template <class Partial>
 UnitRun<Partial> run_units(const UnitOptions<Partial>& opts,
                            const UnitPlan<Partial>& plan) {
   const auto t0 = std::chrono::steady_clock::now();
-  const auto weight = [&](std::size_t i) -> std::size_t {
-    return plan.weight ? plan.weight(i) : 1;
+  const auto since_t0 = [&t0] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
   };
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < plan.n; ++i) total += weight(i);
-
   UnitRun<Partial> out;
   out.partials.resize(plan.n);
   std::vector<char> restored(plan.n, 0);
-  std::size_t done = 0;
   if (opts.restored != nullptr) {
     for (auto it = opts.restored->begin(),
               end = opts.restored->lower_bound(plan.n);
@@ -139,32 +123,33 @@ UnitRun<Partial> run_units(const UnitOptions<Partial>& opts,
       const auto& [i, part] = *it;
       out.partials[i] = part;
       restored[i] = 1;
-      done += weight(i);
       ++out.counts.restored;
-      if (plan.on_restored) plan.on_restored(part);
+      if (plan.on_restored) plan.on_restored(i, part);
     }
   }
   out.counts.executed = plan.n - out.counts.restored;
 
-  const UnitReporter report =
-      open_unit_progress(opts.heartbeat_path, opts.telemetry, plan.source,
-                         plan.name_key, plan.name, total, done);
   std::mutex progress_m;
+  std::size_t executed = 0;  // so far, under progress_m
   parallel_for(plan.n, opts.jobs, [&](std::size_t i) {
     if (restored[i] != 0) return;
     out.partials[i] = plan.execute(i);
-    if (!plan.on_unit && !report) return;
+    if (!plan.on_unit && !opts.on_progress) return;
     std::lock_guard<std::mutex> lk(progress_m);
     const Partial& part = out.partials[i];
     if (plan.on_unit) plan.on_unit(i, part);
-    if (report) {
-      report(weight(i), plan.fields ? plan.fields(i, part) : UnitFields{},
-             plan.registry ? plan.registry(i) : nullptr);
-    }
+    if (!opts.on_progress) return;
+    UnitProgress p;
+    p.done = out.counts.restored + ++executed;
+    p.total = plan.n;
+    p.elapsed_s = since_t0();
+    p.eta_s = p.elapsed_s * static_cast<double>(p.total - p.done) /
+              static_cast<double>(executed);
+    if (plan.fields) p.fields = plan.fields(i, part);
+    if (plan.registry) p.registry = plan.registry(i);
+    opts.on_progress(p);
   });
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  out.wall_seconds = since_t0();
   return out;
 }
 

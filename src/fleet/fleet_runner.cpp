@@ -106,11 +106,7 @@ FleetResult FleetRunner::run(const FleetSpec& spec) const {
   };
 
   core::UnitPlan<FleetShardPartial> shards;
-  shards.source = "fleet";
-  shards.name_key = "fleet";
-  shards.name = spec.name;
   shards.n = (spec.num_devices + shard_size - 1) / shard_size;
-  shards.weight = shard_devices;
   shards.execute = [&](std::size_t shard) {
     FleetShardPartial part;
     part.groups.resize(W * P);
@@ -171,23 +167,24 @@ FleetResult FleetRunner::run(const FleetSpec& spec) const {
   };
   shards.on_unit = opts_.on_shard;
   // Running progress, restored shards included.
-  std::size_t shards_done = 0;
+  std::size_t devices_done = 0;
   double done_energy_j = 0.0;
   const auto shard_energy = [](const FleetShardPartial& part) {
     double energy_j = 0.0;
     for (const FleetGroupResult& g : part.groups) energy_j += g.energy_j;
     return energy_j;
   };
-  shards.on_restored = [&](const FleetShardPartial& part) {
-    ++shards_done;
+  shards.on_restored = [&](std::size_t shard, const FleetShardPartial& part) {
+    devices_done += shard_devices(shard);
     done_energy_j += shard_energy(part);
   };
   shards.fields = [&](std::size_t shard, const FleetShardPartial& part) {
     const double energy_j = shard_energy(part);
+    devices_done += shard_devices(shard);
     done_energy_j += energy_j;
     return core::UnitFields{
         {"shard", static_cast<double>(shard)},
-        {"shards_done", static_cast<double>(++shards_done)},
+        {"devices_done", static_cast<double>(devices_done)},
         {"devices", static_cast<double>(shard_devices(shard))},
         {"energy_j", energy_j},
         {"running_fleet_energy_j", done_energy_j}};

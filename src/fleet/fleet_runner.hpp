@@ -89,12 +89,12 @@ struct FleetResult {
   void write_csv(CsvWriter& csv) const;
 };
 
-/// Fleet options on top of the shared UnitOptions (jobs, heartbeat,
-/// telemetry, restored).  Progress done/total count devices; heartbeat and
-/// telemetry records carry fleet, shard, shards_done, the shard's devices
-/// and energy_j, and the running fleet Joules (restored shards included).
+/// Fleet options on top of the shared UnitOptions (jobs, restored,
+/// on_progress).  Progress records count shards and carry shard,
+/// devices_done and the running fleet Joules (both including restored
+/// shards), and the shard's devices and energy_j.
 struct FleetOptions : core::UnitOptions<FleetShardPartial> {
-  /// Devices per shard: the unit of work stealing, heartbeat granularity,
+  /// Devices per shard: the unit of work stealing, progress granularity,
   /// and partial-fold order.  Result bytes are independent of this value
   /// only through the sums; sketch fold order follows shard order, so it
   /// is part of the spec of a reproducible run (keep the default unless

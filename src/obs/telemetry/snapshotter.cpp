@@ -25,9 +25,6 @@ void TelemetrySnapshotter::snapshot(double t, const std::string& source,
                                     const MetricsRegistry& reg,
                                     const Live& live) {
   if (os_ == nullptr) return;
-  if (written_ > 0 && min_interval_ > 0.0 && t - last_t_ < min_interval_) {
-    return;
-  }
   if (min_wall_ > 0.0) {
     const auto now = std::chrono::steady_clock::now();
     if (written_ > 0 &&
@@ -36,7 +33,6 @@ void TelemetrySnapshotter::snapshot(double t, const std::string& source,
     }
     last_wall_ = now;
   }
-  last_t_ = t;
   ++written_;
 
   std::ostream& os = *os_;

@@ -10,17 +10,17 @@
 //                  "p99": ..., "mean": ...}, ...}}
 //
 // `t` is whatever clock the caller samples on: the engine snapshots on a
-// sim-time cadence (EngineConfig::telemetry_every), the sweep runner on
-// wall time as points finish.  `live` carries caller-provided
-// instantaneous readings that are not (yet) registry entries — the engine
-// fills counters/gauges only at end of run, so mid-run feeds need them.
-// min_interval() throttles in `t` units; set_min_wall_interval() throttles
-// on real wall time regardless of `t` — the live-feed mode for scrape-rate
-// consumers, and the configuration the bench_perf 5% overhead budget is
-// measured in (a sim-time cadence on a simulator running thousands of
-// times faster than real time is an analysis dump, not a live feed; its
-// cost scales with the cadence, like --trace-jsonl).  0 (default)
-// disables either throttle.  Schema documented in docs/OBSERVABILITY.md.
+// sim-time cadence (EngineConfig::telemetry_every), the CLI's sweep and
+// fleet on wall time as each point or shard finishes.  `live` carries
+// caller-provided instantaneous readings that are not (yet) registry
+// entries — the engine fills counters/gauges only at end of run, so
+// mid-run feeds need them.  set_min_wall_interval() throttles on real wall
+// time regardless of `t` — the live-feed mode for scrape-rate consumers,
+// and the configuration the bench_perf 5% overhead budget is measured in
+// (a sim-time cadence on a simulator running thousands of times faster
+// than real time is an analysis dump, not a live feed; its cost scales
+// with the cadence, like --trace-jsonl).  0 (default) disables the
+// throttle.  Schema documented in docs/OBSERVABILITY.md.
 #pragma once
 
 #include <chrono>
@@ -50,9 +50,6 @@ class TelemetrySnapshotter {
   [[nodiscard]] bool active() const { return os_ != nullptr; }
   [[nodiscard]] std::size_t snapshots_written() const { return written_; }
 
-  /// Snapshots closer together than this (in `t` units) are dropped.
-  void set_min_interval(double seconds) { min_interval_ = seconds; }
-
   /// Snapshots closer together than this in *wall* time are dropped,
   /// whatever clock `t` runs on (the scrape-rate live-feed throttle).
   void set_min_wall_interval(double seconds) { min_wall_ = seconds; }
@@ -64,8 +61,6 @@ class TelemetrySnapshotter {
  private:
   std::ofstream file_;
   std::ostream* os_ = nullptr;
-  double min_interval_ = 0.0;
-  double last_t_ = 0.0;
   double min_wall_ = 0.0;
   std::chrono::steady_clock::time_point last_wall_{};
   std::size_t written_ = 0;

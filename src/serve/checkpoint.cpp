@@ -1,5 +1,6 @@
 #include "serve/checkpoint.hpp"
 
+#include <climits>
 #include <cstdint>
 
 #include "common/json.hpp"
@@ -48,40 +49,43 @@ core::Metrics read_metrics(const json::Value& v) {
     }
   }
   m.average_power = MilliWatts{v.number_or("average_power", 0.0)};
-  m.frames_arrived = static_cast<std::uint64_t>(v.number_or("frames_arrived", 0));
-  m.frames_admitted =
-      static_cast<std::uint64_t>(v.number_or("frames_admitted", 0));
-  m.frames_decoded = static_cast<std::uint64_t>(v.number_or("frames_decoded", 0));
-  m.frames_dropped = static_cast<std::uint64_t>(v.number_or("frames_dropped", 0));
+  // Counters read as integers: a negative, fractional or huge value
+  // throws, and the loader ends the intact prefix at this record.
+  const auto count = [&v](const char* key) {
+    return v.integer_or(key, 0, UINT64_MAX);
+  };
+  const auto int_count = [&v](const char* key) {
+    return static_cast<int>(v.integer_or(key, 0, INT_MAX));
+  };
+  m.frames_arrived = count("frames_arrived");
+  m.frames_admitted = count("frames_admitted");
+  m.frames_decoded = count("frames_decoded");
+  m.frames_dropped = count("frames_dropped");
   m.mean_frame_delay = Seconds{v.number_or("mean_frame_delay", 0.0)};
   m.max_frame_delay = Seconds{v.number_or("max_frame_delay", 0.0)};
   m.mean_buffered_frames = v.number_or("mean_buffered_frames", 0.0);
-  m.cpu_switches = static_cast<int>(v.number_or("cpu_switches", 0));
+  m.cpu_switches = int_count("cpu_switches");
   m.mean_cpu_frequency = MegaHertz{v.number_or("mean_cpu_frequency", 0.0)};
-  m.dpm_idle_periods = static_cast<int>(v.number_or("dpm_idle_periods", 0));
-  m.dpm_sleeps = static_cast<int>(v.number_or("dpm_sleeps", 0));
-  m.dpm_wakeups = static_cast<int>(v.number_or("dpm_wakeups", 0));
+  m.dpm_idle_periods = int_count("dpm_idle_periods");
+  m.dpm_sleeps = int_count("dpm_sleeps");
+  m.dpm_wakeups = int_count("dpm_wakeups");
   m.dpm_total_wakeup_delay =
       Seconds{v.number_or("dpm_total_wakeup_delay", 0.0)};
-  m.faults_injected =
-      static_cast<std::uint64_t>(v.number_or("faults_injected", 0));
-  m.watchdog_escalations =
-      static_cast<int>(v.number_or("watchdog_escalations", 0));
-  m.watchdog_recoveries =
-      static_cast<int>(v.number_or("watchdog_recoveries", 0));
+  m.faults_injected = count("faults_injected");
+  m.watchdog_escalations = int_count("watchdog_escalations");
+  m.watchdog_recoveries = int_count("watchdog_recoveries");
   m.time_in_degraded = Seconds{v.number_or("time_in_degraded", 0.0)};
   return m;
 }
 
 fleet::FleetGroupResult read_group(const json::Value& v) {
   fleet::FleetGroupResult g;
-  g.devices = static_cast<std::size_t>(v.number_or("devices", 0));
-  g.wave_devices = static_cast<std::size_t>(v.number_or("wave_devices", 0));
+  g.devices = v.integer_or("devices", 0, SIZE_MAX);
+  g.wave_devices = v.integer_or("wave_devices", 0, SIZE_MAX);
   g.energy_j = v.number_or("energy_j", 0.0);
-  g.frames_decoded = static_cast<std::uint64_t>(v.number_or("frames_decoded", 0));
-  g.frames_dropped = static_cast<std::uint64_t>(v.number_or("frames_dropped", 0));
-  g.faults_injected =
-      static_cast<std::uint64_t>(v.number_or("faults_injected", 0));
+  g.frames_decoded = v.integer_or("frames_decoded", 0, UINT64_MAX);
+  g.frames_dropped = v.integer_or("frames_dropped", 0, UINT64_MAX);
+  g.faults_injected = v.integer_or("faults_injected", 0, UINT64_MAX);
   g.sum_mean_delay_s = v.number_or("sum_mean_delay_s", 0.0);
   g.delay_sketch = obs::sketch_from_text(v.string_or("delay_sketch", ""));
   g.energy_sketch = obs::sketch_from_text(v.string_or("energy_sketch", ""));
@@ -101,17 +105,17 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
                     "\", \"kind\": \"" + kind + "\"}")),
       flush_every_(flush_every == 0 ? 1 : flush_every) {}
 
-bool CheckpointWriter::append_point(std::size_t index,
+void CheckpointWriter::append_point(std::size_t index,
                                     const core::Metrics& metrics,
                                     const obs::QuantileSketch& delay_sketch) {
   out_ << "{\"point\": " << index << ", \"metrics\": ";
   write_metrics(out_, metrics);
   out_ << ", \"delay_sketch\": \"" << json::escape(obs::sketch_text(delay_sketch))
        << "\"}\n";
-  return record_done();
+  if (++pending_ >= flush_every_) flush();
 }
 
-bool CheckpointWriter::append_shard(std::size_t shard,
+void CheckpointWriter::append_shard(std::size_t shard,
                                     const fleet::FleetShardPartial& part) {
   out_ << "{\"shard\": " << shard << ", \"frames_total\": " << part.frames_total
        << ", \"groups\": [";
@@ -131,15 +135,7 @@ bool CheckpointWriter::append_shard(std::size_t shard,
          << json::escape(obs::sketch_text(g.dropped_sketch)) << "\"}";
   }
   out_ << "]}\n";
-  return record_done();
-}
-
-bool CheckpointWriter::record_done() {
-  if (++pending_ >= flush_every_) {
-    flush();
-    return true;
-  }
-  return false;
+  if (++pending_ >= flush_every_) flush();
 }
 
 void CheckpointWriter::flush() {
@@ -167,8 +163,7 @@ CheckpointData load_checkpoint(const std::string& path) {
         } else if (const json::Value* shard = doc.find("shard");
                    shard != nullptr) {
           fleet::FleetShardPartial part;
-          part.frames_total =
-              static_cast<std::uint64_t>(doc.number_or("frames_total", 0));
+          part.frames_total = doc.integer_or("frames_total", 0, UINT64_MAX);
           for (const json::ValuePtr& g : doc.at("groups").as_array()) {
             part.groups.push_back(read_group(*g));
           }

@@ -45,17 +45,13 @@ class CheckpointWriter {
   CheckpointWriter(const std::string& path, const std::string& job_id,
                    const std::string& kind, std::size_t flush_every);
 
-  /// Both appends return true when this record hit a durability flush
-  /// (every `flush_every` records) — the signal the daemon's event log
-  /// uses to distinguish a checkpoint_flush from an in-memory append.
-  bool append_point(std::size_t index, const core::Metrics& metrics,
+  /// Both appends flush every `flush_every` records.
+  void append_point(std::size_t index, const core::Metrics& metrics,
                     const obs::QuantileSketch& delay_sketch);
-  bool append_shard(std::size_t shard, const fleet::FleetShardPartial& part);
+  void append_shard(std::size_t shard, const fleet::FleetShardPartial& part);
   void flush();
 
  private:
-  bool record_done();
-
   std::ofstream out_;
   std::size_t flush_every_ = 1;
   std::size_t pending_ = 0;

@@ -129,25 +129,15 @@ class DaemonTelemetry {
     write_status("running");
   }
 
-  /// Per-fold-unit progress: updates the active row (ETA from the unit
-  /// completion rate), snapshots, and logs a checkpoint_flush event when
-  /// this unit's checkpoint record was made durable.
-  void job_progress(const JobProgress& p) {
+  /// Per-unit progress: the executor's record sets the active row's
+  /// done/total/ETA; elapsed_s stays the time since the claim.
+  void job_progress(const core::UnitProgress& p) {
     if (!has_active_) return;
-    active_.units_done = p.units_done;
-    active_.units_total = p.units_total;
+    active_.set_progress(p);
     active_.elapsed_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       job_t0_)
             .count();
-    active_.eta_s =
-        p.units_done == 0
-            ? -1.0
-            : active_.elapsed_s / static_cast<double>(p.units_done) *
-                  static_cast<double>(p.units_total - p.units_done);
-    if (p.flushed) {
-      events_.checkpoint_flush(active_.id, p.units_done, p.units_total);
-    }
     write_status("running");
   }
 
@@ -241,7 +231,9 @@ void process_job(const DaemonPaths& dp, const std::string& stem,
     paths.output_dir = out_dir.string();
     // Run-kind jobs have no fold units to restore; sweep/fleet checkpoint.
     if (spec.kind != JobKind::Run) paths.checkpoint_path = ckpt.string();
-    paths.on_progress = [&tel](const JobProgress& p) { tel.job_progress(p); };
+    paths.on_progress = [&tel](const core::UnitProgress& p) {
+      tel.job_progress(p);
+    };
     std::printf("serve: job %s (%s) started\n", spec.id.c_str(),
                 to_string(spec.kind).c_str());
     std::fflush(stdout);

@@ -1,6 +1,8 @@
 #include "serve/event_log.hpp"
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 
 #include "common/json.hpp"
@@ -49,13 +51,6 @@ void EventLog::job_claimed(const std::string& job, bool recovered) {
   append(recovered ? "job_recovered" : "job_claimed", job, "");
 }
 
-void EventLog::checkpoint_flush(const std::string& job, std::size_t units_done,
-                                std::size_t units_total) {
-  append("checkpoint_flush", job,
-         "\"units_done\": " + std::to_string(units_done) +
-             ", \"units_total\": " + std::to_string(units_total));
-}
-
 void EventLog::job_finished(const std::string& job, const std::string& kind,
                             std::size_t executed, std::size_t restored) {
   append("job_finished", job,
@@ -78,22 +73,17 @@ std::vector<ServeEvent> load_events(const std::string& path) {
   json::read_jsonl_prefix(
       path, kEventsSchema, "event log", {}, [&](const json::Value& doc) {
         ServeEvent ev;
-        ev.seq = static_cast<std::uint64_t>(doc.number_or("seq", 0));
+        ev.seq = doc.integer_or("seq", 0, UINT64_MAX);
         ev.ts = doc.number_or("ts", 0.0);
         ev.type = doc.string_or("event", "");
         ev.job = doc.string_or("job", "");
         ev.kind = doc.string_or("kind", "");
         ev.error = doc.string_or("error", "");
         ev.flight_dir = doc.string_or("flight_dir", "");
-        ev.units_done =
-            static_cast<std::size_t>(doc.number_or("units_done", 0));
-        ev.units_total =
-            static_cast<std::size_t>(doc.number_or("units_total", 0));
-        ev.executed = static_cast<std::size_t>(doc.number_or("executed", 0));
-        ev.restored = static_cast<std::size_t>(doc.number_or("restored", 0));
-        ev.pid = static_cast<int>(doc.number_or("pid", 0));
-        ev.jobs_processed =
-            static_cast<std::size_t>(doc.number_or("jobs_processed", 0));
+        ev.executed = doc.integer_or("executed", 0, SIZE_MAX);
+        ev.restored = doc.integer_or("restored", 0, SIZE_MAX);
+        ev.pid = static_cast<int>(doc.integer_or("pid", 0, INT_MAX));
+        ev.jobs_processed = doc.integer_or("jobs_processed", 0, SIZE_MAX);
         if (ev.type.empty() || ev.seq == 0) return false;  // shape-torn
         events.push_back(std::move(ev));
         return true;
@@ -111,10 +101,6 @@ std::string event_detail(const ServeEvent& ev) {
   if (ev.type == "daemon_stop") {
     return "after " + std::to_string(ev.jobs_processed) + " job" +
            (ev.jobs_processed == 1 ? "" : "s");
-  }
-  if (ev.type == "checkpoint_flush") {
-    return std::to_string(ev.units_done) + "/" +
-           std::to_string(ev.units_total) + " units durable";
   }
   if (ev.type == "job_finished") {
     return ev.kind + ", " + std::to_string(ev.executed) + " executed, " +

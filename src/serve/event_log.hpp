@@ -1,10 +1,10 @@
 // Daemon lifecycle event log (`dvs-events-v1`): an append-only JSONL file
 // at `<root>/events.jsonl`, one flushed record per lifecycle transition —
-// daemon start/stop, job claimed/recovered, checkpoint flushed, job
-// finished/failed.  The file is the daemon's durable narration: `dvs_sim
-// tail` follows it live, `dvs_sim report --serve-root` renders it as a
-// timeline, and after a SIGKILL the intact prefix plus the next daemon's
-// recovery events reconstruct the full job history.
+// daemon start/stop, job claimed/recovered, job finished/failed.  The
+// file is the daemon's durable narration: `dvs_sim tail` follows it live,
+// `dvs_sim report --serve-root` renders it as a timeline, and after a
+// SIGKILL the intact prefix plus the next daemon's recovery events
+// reconstruct the full job history.
 //
 // Line 1 (header, written once when the file starts empty):
 //   {"schema": "dvs-events-v1"}
@@ -41,8 +41,6 @@ struct ServeEvent {
   std::string kind;         ///< job_finished: run|sweep|fleet
   std::string error;        ///< job_failed: exception text
   std::string flight_dir;   ///< job_failed: flight-dump dir, when any exist
-  std::size_t units_done = 0;   ///< checkpoint_flush
-  std::size_t units_total = 0;  ///< checkpoint_flush
   std::size_t executed = 0;     ///< job_finished
   std::size_t restored = 0;     ///< job_finished
   int pid = 0;                  ///< daemon_start
@@ -65,8 +63,6 @@ class EventLog {
   /// `recovered` = the job was found in running/ after a crash rather
   /// than claimed from the queue (event type "job_recovered").
   void job_claimed(const std::string& job, bool recovered = false);
-  void checkpoint_flush(const std::string& job, std::size_t units_done,
-                        std::size_t units_total);
   void job_finished(const std::string& job, const std::string& kind,
                     std::size_t executed, std::size_t restored);
   void job_failed(const std::string& job, const std::string& error,
@@ -87,15 +83,17 @@ class EventLog {
 };
 
 /// Loads an event log; a missing file yields an empty vector, a torn
-/// trailing line ends the load at the last intact record (the checkpoint
-/// contract).  Throws std::runtime_error when the header names a
+/// trailing line — or a record whose integer field is negative, fractional
+/// or too large — ends the load at the last intact record (the checkpoint
+/// contract).  Records of a type this build does not write (such as an
+/// older log's) load with their common fields.  Throws std::runtime_error when the header names a
 /// different schema.
 std::vector<ServeEvent> load_events(const std::string& path);
 
 /// Wall-clock unix seconds, the `ts` of every event.
 double now_unix();
 
-/// One-line human detail of an event ("pid 42", "3/8 units durable", ...);
+/// One-line human detail of an event ("pid 42", "after 3 jobs", ...);
 /// empty for types without one.
 std::string event_detail(const ServeEvent& ev);
 

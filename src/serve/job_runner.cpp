@@ -15,7 +15,7 @@ namespace {
 namespace fs = std::filesystem;
 
 /// One job's unit bookkeeping, the same for every kind: checkpoint restore
-/// and durability, progress reports, and the summary's unit counts.
+/// and durability, and the summary's unit counts.
 struct JobUnits {
   /// Sweep and fleet jobs checkpoint when `paths` names a file; a run job
   /// is a single unit and never does.
@@ -29,15 +29,7 @@ struct JobUnits {
                                restored.kind + " job, not " +
                                to_string(spec.kind));
     }
-    done = spec.kind == JobKind::Fleet
-               ? core::restored_units(restored.shards, total)
-               : core::restored_units(restored.points, total);
     writer.emplace(path, spec.id, to_string(spec.kind), spec.checkpoint_every);
-  }
-
-  /// One executed unit; `flushed` = its checkpoint record hit a flush.
-  void unit_done(bool flushed) {
-    if (paths.on_progress) paths.on_progress({++done, total, flushed});
   }
 
   /// Completes `summary` with the unit counts, writes it and returns it.
@@ -56,7 +48,6 @@ struct JobUnits {
   const JobSpec& spec;
   const JobPaths& paths;
   std::size_t total;
-  std::size_t done = 0;  ///< restored + executed units so far
   CheckpointData restored;
   std::optional<CheckpointWriter> writer;
 };
@@ -68,6 +59,7 @@ JobSummary run_sweep_job(const JobSpec& spec, const JobPaths& paths,
   core::SweepOptions sopts;
   sopts.jobs = jobs;
   sopts.restored = &units.restored.points;
+  sopts.on_progress = paths.on_progress;
   // Always collect quantiles: the cells CSV must carry the same percentile
   // columns whether the job ran straight through or resumed from a
   // checkpoint, and restored sketches can only merge into collected ones.
@@ -81,8 +73,7 @@ JobSummary run_sweep_job(const JobSpec& spec, const JobPaths& paths,
   sopts.on_point_checkpoint = [&units](const core::RunPoint& p,
                                        const core::Metrics& m,
                                        const obs::QuantileSketch& sketch) {
-    units.unit_done(units.writer &&
-                    units.writer->append_point(p.index, m, sketch));
+    if (units.writer) units.writer->append_point(p.index, m, sketch);
   };
 
   const core::SweepResult res = core::SweepRunner{sopts}.run(scenario);
@@ -116,9 +107,10 @@ JobSummary run_fleet_job(const JobSpec& spec, const JobPaths& paths,
                  (fspec.num_devices + fopts.shard_size - 1) / fopts.shard_size);
   fopts.jobs = jobs;
   fopts.restored = &units.restored.shards;
+  fopts.on_progress = paths.on_progress;
   fopts.on_shard = [&units](std::size_t shard,
                             const dvs::fleet::FleetShardPartial& part) {
-    units.unit_done(units.writer && units.writer->append_shard(shard, part));
+    if (units.writer) units.writer->append_shard(shard, part);
   };
 
   const dvs::fleet::FleetResult res = dvs::fleet::FleetRunner{fopts}.run(fspec);
@@ -158,11 +150,9 @@ JobSummary run_run_job(const JobSpec& spec, const JobPaths& paths) {
   plan.execute = [&](std::size_t) {
     return core::run_items(*asset.items, opts);
   };
-  plan.on_unit = [&units](std::size_t, const core::Metrics&) {
-    units.unit_done(false);
-  };
-  const core::UnitRun<core::Metrics> run =
-      core::run_units(core::UnitOptions<core::Metrics>{}, plan);
+  core::UnitOptions<core::Metrics> uopts;
+  uopts.on_progress = paths.on_progress;
+  const core::UnitRun<core::Metrics> run = core::run_units(uopts, plan);
   const core::Metrics& m = run.partials.front();
 
   // The run's machine artifact: a one-row CSV with the table-level numbers

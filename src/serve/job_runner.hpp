@@ -7,11 +7,11 @@
 //
 // Every kind is units of the ordered-unit executor (core/units.hpp): sweep
 // points, fleet shards, and a run job as one unit.  One code path wires
-// any kind's checkpoint writer, restored units and progress reports, and
+// any kind's checkpoint writer and restored units; the executor's own
+// progress records reach the daemon through on_progress unchanged, and
 // the executed/restored counts in the returned JobSummary are the
 // executor's own, so stray or out-of-range checkpoint records can never
-// skew them.  Live progress leaves a job only through on_progress and the
-// checkpoint; serve jobs write no heartbeat JSONL.
+// skew them.
 //
 // Process-wide warm state is deliberate: the change-point threshold table
 // (detect::shared_threshold_table) and TISMDP solutions (dpm solve cache)
@@ -72,16 +72,6 @@ struct JobRun {
   core::RunAssembly assembly;  ///< delay target defaults from the workload
 };
 
-/// One completed fold-unit's progress notification (sweep point / fleet
-/// shard / the whole run for run-kind jobs).
-struct JobProgress {
-  std::size_t units_done = 0;   ///< restored + executed so far
-  std::size_t units_total = 0;  ///< total fold-units of this job
-  /// True when this unit's checkpoint record hit a durability flush — the
-  /// daemon turns exactly these into checkpoint_flush events.
-  bool flushed = false;
-};
-
 struct JobPaths {
   /// Directory that receives every artifact of this job (CSVs, flight
   /// dumps, job_summary.json).  Created if missing.
@@ -89,10 +79,10 @@ struct JobPaths {
   /// Checkpoint JSONL path; empty disables checkpoint/restore (run-kind
   /// jobs never checkpoint — a single engine run is the atomic unit).
   std::string checkpoint_path;
-  /// Progress callback, fired serially per completed fold-unit (completion
-  /// order, under the runner's progress lock) — the daemon's live
-  /// status.json feed.  May be empty.
-  std::function<void(const JobProgress&)> on_progress;
+  /// The executor's progress record per executed unit (completion order,
+  /// under its progress lock, after the unit's checkpoint record) — the
+  /// daemon's live status.json feed.  May be empty.
+  std::function<void(const core::UnitProgress&)> on_progress;
 };
 
 /// Runs the job start to finish; returns the summary it wrote to

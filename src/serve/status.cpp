@@ -1,6 +1,8 @@
 #include "serve/status.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -51,29 +53,25 @@ ServeStatus load_status(const std::string& path) {
                              std::string(kStatusSchema) + "\"");
   }
   ServeStatus s;
-  s.pid = static_cast<int>(doc->number_or("pid", 0));
+  s.pid = static_cast<int>(doc->integer_or("pid", 0, INT_MAX));
   s.state = doc->string_or("state", "");
   s.started_unix = doc->number_or("started", 0.0);
   s.updated_unix = doc->number_or("updated", 0.0);
   s.uptime_s = doc->number_or("uptime_s", 0.0);
-  s.last_seq = static_cast<std::uint64_t>(doc->number_or("last_seq", 0));
-  s.jobs_done = static_cast<std::size_t>(doc->number_or("jobs_done", 0));
-  s.jobs_failed = static_cast<std::size_t>(doc->number_or("jobs_failed", 0));
-  s.queue_depth = static_cast<std::size_t>(doc->number_or("queue_depth", 0));
+  s.last_seq = doc->integer_or("last_seq", 0, UINT64_MAX);
+  s.jobs_done = doc->integer_or("jobs_done", 0, SIZE_MAX);
+  s.jobs_failed = doc->integer_or("jobs_failed", 0, SIZE_MAX);
+  s.queue_depth = doc->integer_or("queue_depth", 0, SIZE_MAX);
   if (const json::Value* cache = doc->find("cache"); cache != nullptr) {
     if (const json::Value* t = cache->find("threshold_table"); t != nullptr) {
-      s.table_cache.hits = static_cast<std::uint64_t>(t->number_or("hits", 0));
-      s.table_cache.misses =
-          static_cast<std::uint64_t>(t->number_or("misses", 0));
-      s.table_cache.entries =
-          static_cast<std::size_t>(t->number_or("entries", 0));
+      s.table_cache.hits = t->integer_or("hits", 0, UINT64_MAX);
+      s.table_cache.misses = t->integer_or("misses", 0, UINT64_MAX);
+      s.table_cache.entries = t->integer_or("entries", 0, SIZE_MAX);
     }
     if (const json::Value* t = cache->find("tismdp_solve"); t != nullptr) {
-      s.solve_cache.hits = static_cast<std::uint64_t>(t->number_or("hits", 0));
-      s.solve_cache.misses =
-          static_cast<std::uint64_t>(t->number_or("misses", 0));
-      s.solve_cache.entries =
-          static_cast<std::size_t>(t->number_or("entries", 0));
+      s.solve_cache.hits = t->integer_or("hits", 0, UINT64_MAX);
+      s.solve_cache.misses = t->integer_or("misses", 0, UINT64_MAX);
+      s.solve_cache.entries = t->integer_or("entries", 0, SIZE_MAX);
     }
   }
   if (const json::Value* jobs = doc->find("jobs"); jobs != nullptr) {
@@ -82,8 +80,8 @@ ServeStatus load_status(const std::string& path) {
       j.id = jv->string_or("id", "");
       j.kind = jv->string_or("kind", "");
       j.state = jv->string_or("state", "");
-      j.units_done = static_cast<std::size_t>(jv->number_or("units_done", 0));
-      j.units_total = static_cast<std::size_t>(jv->number_or("units_total", 0));
+      j.units_done = jv->integer_or("units_done", 0, SIZE_MAX);
+      j.units_total = jv->integer_or("units_total", 0, SIZE_MAX);
       j.elapsed_s = jv->number_or("elapsed_s", 0.0);
       j.eta_s = jv->number_or("eta_s", -1.0);
       s.jobs.push_back(std::move(j));
@@ -124,13 +122,11 @@ JobSummary load_job_summary(const std::string& path) {
   JobSummary s;
   s.job_id = doc->string_or("job", "");
   s.kind = doc->string_or("kind", "");
-  s.units_total = static_cast<std::size_t>(doc->number_or("units_total", 0));
-  s.executed = static_cast<std::size_t>(doc->number_or("executed", 0));
-  s.restored = static_cast<std::size_t>(doc->number_or("restored", 0));
-  s.frames_decoded =
-      static_cast<std::uint64_t>(doc->number_or("frames_decoded", 0));
-  s.frames_dropped =
-      static_cast<std::uint64_t>(doc->number_or("frames_dropped", 0));
+  s.units_total = doc->integer_or("units_total", 0, SIZE_MAX);
+  s.executed = doc->integer_or("executed", 0, SIZE_MAX);
+  s.restored = doc->integer_or("restored", 0, SIZE_MAX);
+  s.frames_decoded = doc->integer_or("frames_decoded", 0, UINT64_MAX);
+  s.frames_dropped = doc->integer_or("frames_dropped", 0, UINT64_MAX);
   s.energy_j = doc->number_or("energy_j", 0.0);
   s.elapsed_s = doc->number_or("elapsed_s", 0.0);
   s.frame_delay_sum_s = doc->number_or("frame_delay_sum_s", 0.0);

@@ -3,9 +3,9 @@
 // `<root>/metrics.om`.
 //
 // `<root>/status.json` is the daemon's observable state: pid/uptime,
-// queue depth, per-job state + progress (units done/total, elapsed, ETA —
-// updated per completed fold-unit, i.e. between checkpoint flushes too),
-// and the warmth of the process-wide threshold-table / TISMDP caches.
+// queue depth, per-job state + progress (units done/total and ETA from
+// the executor's progress record of every executed unit, elapsed since
+// the claim), and the warmth of the process-wide threshold-table / TISMDP caches.
 // Every write goes to `status.json.tmp` and renames over the target, so a
 // reader never sees a half-written document no matter when the daemon
 // dies (the checkpoint discipline, applied to the snapshot).
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "core/units.hpp"
 #include "detect/table_cache.hpp"
 #include "dpm/solve_cache.hpp"
 #include "obs/metrics_registry.hpp"
@@ -48,6 +49,13 @@ struct JobStatus {
   std::size_t units_total = 0;
   double elapsed_s = 0.0;
   double eta_s = -1.0;  ///< < 0 = unknown (no units finished yet)
+
+  /// Takes done, total and ETA from the executor's record, unchanged.
+  void set_progress(const core::UnitProgress& p) {
+    units_done = p.done;
+    units_total = p.total;
+    eta_s = p.eta_s;
+  }
 };
 
 struct ServeStatus {

@@ -520,22 +520,28 @@ def main():
     if proc.returncode != 2:
         fail(f"bare `report` should exit 2, got {proc.returncode}")
 
-    # Sweep heartbeat: one JSONL object per point, progress reaches total.
+    # Sweep progress stream: one telemetry snapshot per executed point,
+    # done running 1..N to the total.  --telemetry-every is a run-only
+    # cadence, so it must not thin the sweep's records.
     with tempfile.TemporaryDirectory() as tmp:
-        hb = os.path.join(tmp, "hb.jsonl")
+        tel = os.path.join(tmp, "progress.jsonl")
         proc = subprocess.run(
-            [binary, "sweep", "quick", "--jobs", "2", "--heartbeat", hb],
+            [binary, "sweep", "quick", "--jobs", "2", "--telemetry-jsonl",
+             tel, "--telemetry-every", "1000"],
             capture_output=True, text=True, timeout=600)
         if proc.returncode != 0:
-            fail(f"sweep --heartbeat exit {proc.returncode}\n{proc.stderr}")
-        with open(hb) as f:
-            beats = [json.loads(l) for l in f.read().splitlines() if l]
-        if not beats:
-            fail("heartbeat file is empty")
-        if beats[-1]["done"] != beats[-1]["total"]:
-            fail(f"final heartbeat incomplete: {beats[-1]}")
-        if [b["done"] for b in beats] != list(range(1, len(beats) + 1)):
-            fail("heartbeat done counts are not 1..N")
+            fail(f"sweep --telemetry-jsonl exit {proc.returncode}\n"
+                 f"{proc.stderr}")
+        with open(tel) as f:
+            live = [json.loads(l)["live"] for l in f.read().splitlines() if l]
+        if not live:
+            fail("sweep progress stream is empty")
+        if len(live) != live[-1]["total"]:
+            fail(f"{len(live)} progress records for {live[-1]['total']} points")
+        if live[-1]["done"] != live[-1]["total"]:
+            fail(f"final sweep progress record incomplete: {live[-1]}")
+        if [r["done"] for r in live] != list(range(1, len(live) + 1)):
+            fail("sweep progress done counts are not 1..N")
 
     # ---- streaming telemetry: snapshots, OpenMetrics, self-profile ---------
 
@@ -740,34 +746,35 @@ def main():
         if name not in proc.stdout:
             fail(f"`list fleets` output missing {name!r}:\n{proc.stdout}")
 
-    # A small fleet run: summary table, CSV artifact, heartbeat JSONL, and
+    # A small fleet run: summary table, CSV artifact, progress stream, and
     # the jobs=1 vs jobs=3 CSVs byte-identical (the determinism contract).
     with tempfile.TemporaryDirectory() as tmp:
         def run_fleet(jobs, base):
-            hb = base + ".heartbeat.jsonl"
+            tel = base + ".telemetry.jsonl"
             proc = subprocess.run(
                 [binary, "fleet", "fleet_smoke", "--devices", "300",
                  "--jobs", str(jobs), "--shard-size", "64",
-                 "--fleet-csv", base, "--heartbeat", hb],
+                 "--fleet-csv", base, "--telemetry-jsonl", tel],
                 capture_output=True, text=True, timeout=600)
             if proc.returncode != 0:
                 fail(f"fleet jobs={jobs} exit {proc.returncode}\n"
                      f"{proc.stderr}")
-            return proc, base + "_fleet.csv", hb
+            return proc, base + "_fleet.csv", tel
 
-        proc, csv1, hb1 = run_fleet(1, os.path.join(tmp, "j1"))
+        proc, csv1, tel1 = run_fleet(1, os.path.join(tmp, "j1"))
         for needle in ("devices", "fleet total", "Workload", "p99"):
             if needle not in proc.stdout:
                 fail(f"fleet summary missing {needle!r}:\n{proc.stdout}")
 
-        # Heartbeat: valid JSONL, monotone progress ending at the total.
-        with open(hb1) as f:
-            beats = [json.loads(l) for l in f.read().splitlines() if l]
-        if not beats:
-            fail("fleet heartbeat file is empty")
-        dones = [b["done"] for b in beats]
-        if dones != sorted(dones) or dones[-1] != beats[-1]["total"] != 300:
-            fail(f"fleet heartbeat progress wrong: {dones}")
+        # Progress: one record per shard, monotone, ending at every shard
+        # and every device.
+        with open(tel1) as f:
+            live = [json.loads(l)["live"] for l in f.read().splitlines() if l]
+        dones = [r["done"] for r in live]
+        devices = [r["devices_done"] for r in live]
+        if (not live or dones != list(range(1, 6)) or live[-1]["total"] != 5
+                or devices != sorted(devices) or devices[-1] != 300):
+            fail(f"fleet progress wrong: done {dones}, devices {devices}")
 
         _, csv3, _ = run_fleet(3, os.path.join(tmp, "j3"))
         with open(csv1, "rb") as f:

@@ -1,17 +1,23 @@
 // Sweep-level telemetry: quantile-sketch collection across workers
 // (jobs=1 vs jobs=N byte-identity, the acceptance gate for the merged
-// sketches), per-point snapshotter feeds, and the engine's sim-time
-// snapshot cadence.
+// sketches), the executor's one progress record per executed unit (done
+// counts, running means, the ETA after a restore, flushed snapshots), and
+// the engine's sim-time snapshot cadence.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/csv.hpp"
+#include "common/json.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
 #include "obs/metrics_registry.hpp"
@@ -38,6 +44,22 @@ ScenarioSpec tiny_spec() {
   s.base_seed = 7;
   s.detector_cfg.change_point.mc_windows = 400;
   return s;
+}
+
+/// The progress field `key` of a record; fails the test when absent.
+double field(const UnitProgress& p, const std::string& key) {
+  for (const auto& [k, v] : p.fields) {
+    if (k == key) return v;
+  }
+  ADD_FAILURE() << "no progress field " << key;
+  return 0.0;
+}
+
+/// Writes `p` as one snapshot, the way the CLI's --telemetry-jsonl does.
+void snapshot(obs::TelemetrySnapshotter& tel, const UnitProgress& p) {
+  static const obs::MetricsRegistry kEmpty;
+  tel.snapshot(p.elapsed_s, "sweep",
+               p.registry != nullptr ? *p.registry : kEmpty, p.fields);
 }
 
 std::string cells_csv(const SweepResult& res, const std::string& name) {
@@ -140,7 +162,7 @@ TEST(SweepTelemetry, OneSnapshotPerFinishedPoint) {
   SweepOptions opts;
   opts.jobs = 2;
   opts.collect_quantiles = true;
-  opts.telemetry = &tel;
+  opts.on_progress = [&tel](const UnitProgress& p) { snapshot(tel, p); };
   SweepRunner{opts}.run(spec);
 
   EXPECT_EQ(tel.snapshots_written(), spec.num_points());
@@ -151,11 +173,111 @@ TEST(SweepTelemetry, OneSnapshotPerFinishedPoint) {
     if (line.empty()) continue;
     ++n;
     EXPECT_NE(line.find("\"source\": \"sweep\""), std::string::npos) << line;
-    // Quantile collection is on, so each snapshot carries the finished
+    // Quantile collection is on, so each record carries the finished
     // point's own frame-delay sketch.
     EXPECT_NE(line.find("\"frames.delay_s\""), std::string::npos) << line;
   }
   EXPECT_EQ(n, spec.num_points());
+}
+
+TEST(SweepProgress, OneRecordPerExecutedPointWithMonotoneDone) {
+  const ScenarioSpec spec = tiny_spec();
+  SweepOptions opts;
+  opts.jobs = 2;
+  std::vector<UnitProgress> records;  // on_progress is serialized
+  opts.on_progress = [&records](const UnitProgress& p) {
+    records.push_back(p);
+  };
+  const SweepResult res = SweepRunner{opts}.run(spec);
+
+  ASSERT_EQ(records.size(), res.points.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const UnitProgress& p = records[i];
+    EXPECT_EQ(p.done, i + 1);
+    EXPECT_EQ(p.total, res.points.size());
+    EXPECT_GE(p.elapsed_s, 0.0);
+    EXPECT_GE(p.eta_s, 0.0);
+    EXPECT_EQ(p.registry, nullptr) << "no quantile collection, no registry";
+    EXPECT_GT(field(p, "energy_kj"), 0.0);
+    EXPECT_GT(field(p, "running_mean_energy_kj"), 0.0);
+  }
+  EXPECT_EQ(records.back().eta_s, 0.0);
+  // The final running mean is the mean over all points.
+  double sum = 0.0;
+  for (const PointResult& p : res.points) sum += p.metrics.energy_kj();
+  EXPECT_NEAR(field(records.back(), "running_mean_energy_kj"),
+              sum / static_cast<double>(res.points.size()), 1e-9);
+
+  // Progress is observation only: a silent rerun produces identical
+  // result bytes.
+  const SweepResult again = SweepRunner{}.run(spec);
+  ASSERT_EQ(again.points.size(), res.points.size());
+  for (std::size_t i = 0; i < res.points.size(); ++i) {
+    EXPECT_EQ(again.points[i].metrics.total_energy.value(),
+              res.points[i].metrics.total_energy.value());
+  }
+}
+
+TEST(SweepProgress, EachSnapshotIsOnDiskBeforeTheNextPoint) {
+  // The record of a point is handed out under the progress lock right
+  // after its on_point, and the snapshotter flushes every line.  So at
+  // jobs=1 the k-th on_point finds exactly k-1 complete, parseable lines
+  // on disk: a tailing monitor sees each point as it lands.
+  const std::string path = ::testing::TempDir() + "sweep_progress_flush.jsonl";
+  std::remove(path.c_str());
+  obs::TelemetrySnapshotter tel;
+  ASSERT_TRUE(tel.open(path));
+  SweepOptions opts;
+  opts.jobs = 1;
+  opts.on_progress = [&tel](const UnitProgress& p) { snapshot(tel, p); };
+  std::size_t calls = 0;
+  opts.on_point = [&](const PointResult&) {
+    ++calls;
+    std::ifstream in(path);
+    ASSERT_TRUE(in);
+    std::string line;
+    std::size_t lines = 0;
+    while (std::getline(in, line)) {
+      ASSERT_FALSE(line.empty());
+      ASSERT_EQ(line.back(), '}');  // complete record, not a torn write
+      (void)json::parse(line);      // throws -> test failure
+      ++lines;
+    }
+    EXPECT_EQ(lines, calls - 1);
+  };
+  const SweepResult res = SweepRunner{opts}.run(tiny_spec());
+  EXPECT_EQ(calls, res.points.size());
+  std::remove(path.c_str());
+}
+
+TEST(UnitProgress, EtaCountsOnlyUnitsExecutedByThisRun) {
+  // 8 of 10 units restored: they took no time in this run, so the first
+  // executed unit's rate predicts the last one.  Counting the restored
+  // units as finished in zero time would give elapsed/9.
+  std::map<std::size_t, int> restored;
+  for (std::size_t i = 0; i < 8; ++i) restored[i] = 0;
+  UnitOptions<int> opts;
+  opts.restored = &restored;
+  std::vector<UnitProgress> records;
+  opts.on_progress = [&records](const UnitProgress& p) {
+    records.push_back(p);
+  };
+  UnitPlan<int> plan;
+  plan.n = 10;
+  plan.execute = [](std::size_t i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return static_cast<int>(i);
+  };
+  const UnitRun<int> run = run_units(opts, plan);
+
+  EXPECT_EQ(run.counts.restored, 8u);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].done, 9u);
+  EXPECT_EQ(records[0].total, 10u);
+  EXPECT_GT(records[0].elapsed_s, 0.0);
+  EXPECT_GE(records[0].eta_s, 0.5 * records[0].elapsed_s);
+  EXPECT_EQ(records[1].done, 10u);
+  EXPECT_EQ(records[1].eta_s, 0.0);
 }
 
 TEST(EngineTelemetry, SimTimeCadenceProducesPeriodicSnapshots) {

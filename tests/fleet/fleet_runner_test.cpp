@@ -1,6 +1,6 @@
 // FleetRunner: population results byte-identical at any --jobs, a complete
-// slice grid, per-shard flushed heartbeat telemetry, and the fault wave /
-// rate jitter actually shaping the population.
+// slice grid, one progress record per shard, and the fault wave / rate
+// jitter actually shaping the population.
 #include "fleet/fleet_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +10,7 @@
 #include <map>
 #include <sstream>
 #include <string>
-
-#include "common/json.hpp"
+#include <vector>
 
 namespace dvs::fleet {
 namespace {
@@ -106,39 +105,39 @@ TEST(FleetRunner, SliceGridIsCompleteAndConsistent) {
   EXPECT_GT(res.total.energy_sketch.max(), res.total.energy_sketch.min());
 }
 
-TEST(FleetRunner, HeartbeatOneFlushedRecordPerShardWithMonotoneProgress) {
-  const std::string path = ::testing::TempDir() + "fleet_heartbeat.jsonl";
-  std::remove(path.c_str());
+TEST(FleetRunner, ProgressOneRecordPerShardWithMonotoneDone) {
   const FleetSpec spec = test_spec();
   FleetOptions opts;
   opts.jobs = 2;
   opts.shard_size = 16;
-  opts.heartbeat_path = path;
+  std::vector<core::UnitProgress> records;  // on_progress is serialized
+  opts.on_progress = [&records](const core::UnitProgress& p) {
+    records.push_back(p);
+  };
   const FleetResult res = FleetRunner{opts}.run(spec);
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in);
-  std::string line;
-  std::size_t records = 0;
-  double prev_done = 0.0;
-  double last_running = 0.0;
-  while (std::getline(in, line)) {
-    ASSERT_FALSE(line.empty());
-    const json::ValuePtr b = json::parse(line);  // throws -> test failure
-    EXPECT_EQ(b->at("fleet").as_string(), spec.name);
-    EXPECT_GT(b->at("done").as_number(), prev_done);
-    prev_done = b->at("done").as_number();
-    EXPECT_DOUBLE_EQ(b->at("total").as_number(),
-                     static_cast<double>(spec.num_devices));
-    EXPECT_GE(b->at("elapsed_s").as_number(), 0.0);
-    EXPECT_GT(b->at("devices").as_number(), 0.0);
-    last_running = b->at("running_fleet_energy_j").as_number();
-    ++records;
+  const std::size_t shards = (spec.num_devices + 15) / 16;
+  ASSERT_EQ(records.size(), shards);
+  const auto field = [](const core::UnitProgress& p, const std::string& key) {
+    for (const auto& [k, v] : p.fields) {
+      if (k == key) return v;
+    }
+    ADD_FAILURE() << "no progress field " << key;
+    return 0.0;
+  };
+  double prev_devices = 0.0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const core::UnitProgress& p = records[i];
+    EXPECT_EQ(p.done, i + 1);
+    EXPECT_EQ(p.total, shards);
+    EXPECT_GE(p.elapsed_s, 0.0);
+    EXPECT_GT(field(p, "devices"), 0.0);
+    EXPECT_GT(field(p, "devices_done"), prev_devices);
+    prev_devices = field(p, "devices_done");
   }
-  EXPECT_EQ(records, (spec.num_devices + 15) / 16);
-  EXPECT_DOUBLE_EQ(prev_done, static_cast<double>(spec.num_devices));
-  EXPECT_NEAR(last_running, res.total.energy_j, 1e-6);
-  std::remove(path.c_str());
+  EXPECT_EQ(prev_devices, static_cast<double>(spec.num_devices));
+  EXPECT_NEAR(field(records.back(), "running_fleet_energy_j"),
+              res.total.energy_j, 1e-6);
 }
 
 TEST(FleetRunner, DeviceCountOverrideScalesThePopulation) {

@@ -59,17 +59,6 @@ TEST(TelemetrySnapshotter, WritesSelfContainedJsonLines) {
   EXPECT_GT(q.at("p99").as_number(), q.at("p90").as_number());
 }
 
-TEST(TelemetrySnapshotter, MinIntervalThrottlesOnT) {
-  const MetricsRegistry reg = sample_registry();
-  std::ostringstream out;
-  TelemetrySnapshotter tel{&out};
-  tel.set_min_interval(1.0);
-  tel.snapshot(0.0, "sweep", reg);
-  tel.snapshot(0.5, "sweep", reg);  // dropped: 0.5 s since last
-  tel.snapshot(1.5, "sweep", reg);
-  EXPECT_EQ(tel.snapshots_written(), 2u);
-}
-
 TEST(TelemetrySnapshotter, WallThrottleDropsBackToBackSnapshots) {
   const MetricsRegistry reg = sample_registry();
   std::ostringstream out;

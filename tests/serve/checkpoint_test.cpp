@@ -161,6 +161,36 @@ TEST(Checkpoint, TornTrailingLineKeepsIntactPrefix) {
   fs::remove(path);
 }
 
+TEST(Checkpoint, BadCounterEndsTheIntactPrefix) {
+  // A counter that is negative, fractional or past its type cannot come
+  // from the writer: the record reads as torn, like a cut-off line, and
+  // its point is re-executed instead of folding a wrapped count.
+  const std::string path = temp_path("ckpt_bad_counter.jsonl");
+  fs::remove(path);
+  {
+    CheckpointWriter w(path, "j", "sweep", 1);
+    w.append_point(0, sample_metrics(), obs::QuantileSketch{});
+  }
+  {
+    std::ofstream os(path, std::ios::app);
+    os << R"({"point": 1, "metrics": {"frames_decoded": -1}})" << "\n"
+       << R"({"point": 2, "metrics": {"frames_decoded": 5}})" << "\n";
+  }
+  const CheckpointData data = load_checkpoint(path);
+  EXPECT_EQ(data.points.size(), 1u);
+  EXPECT_TRUE(data.points.count(0));
+  fs::remove(path);
+
+  {
+    std::ofstream os(path);
+    os << R"({"schema": "dvs-checkpoint-v1", "job": "j", "kind": "sweep"})"
+       << "\n"
+       << R"({"point": 0, "metrics": {"cpu_switches": 3e9}})" << "\n";
+  }
+  EXPECT_TRUE(load_checkpoint(path).empty()) << "past INT_MAX";
+  fs::remove(path);
+}
+
 TEST(Checkpoint, MissingFileLoadsEmpty) {
   const CheckpointData data =
       load_checkpoint(temp_path("ckpt_never_written.jsonl"));

@@ -28,14 +28,13 @@ TEST(EventLog, LifecycleRoundTrip) {
     EventLog log(path);
     log.daemon_start(4242);
     log.job_claimed("night-sweep");
-    log.checkpoint_flush("night-sweep", 3, 12);
     log.job_finished("night-sweep", "sweep", 9, 3);
     log.job_failed("bad-job", "boom: it broke", "failed/bad-job.out/flight");
     log.daemon_stop(2);
-    EXPECT_EQ(log.last_seq(), 6u);
+    EXPECT_EQ(log.last_seq(), 5u);
   }
   const std::vector<ServeEvent> events = load_events(path);
-  ASSERT_EQ(events.size(), 6u);
+  ASSERT_EQ(events.size(), 5u);
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, i + 1) << "seq must be monotone from 1";
     EXPECT_GT(events[i].ts, 0.0);
@@ -44,18 +43,15 @@ TEST(EventLog, LifecycleRoundTrip) {
   EXPECT_EQ(events[0].pid, 4242);
   EXPECT_EQ(events[1].type, "job_claimed");
   EXPECT_EQ(events[1].job, "night-sweep");
-  EXPECT_EQ(events[2].type, "checkpoint_flush");
-  EXPECT_EQ(events[2].units_done, 3u);
-  EXPECT_EQ(events[2].units_total, 12u);
-  EXPECT_EQ(events[3].type, "job_finished");
-  EXPECT_EQ(events[3].kind, "sweep");
-  EXPECT_EQ(events[3].executed, 9u);
-  EXPECT_EQ(events[3].restored, 3u);
-  EXPECT_EQ(events[4].type, "job_failed");
-  EXPECT_EQ(events[4].error, "boom: it broke");
-  EXPECT_EQ(events[4].flight_dir, "failed/bad-job.out/flight");
-  EXPECT_EQ(events[5].type, "daemon_stop");
-  EXPECT_EQ(events[5].jobs_processed, 2u);
+  EXPECT_EQ(events[2].type, "job_finished");
+  EXPECT_EQ(events[2].kind, "sweep");
+  EXPECT_EQ(events[2].executed, 9u);
+  EXPECT_EQ(events[2].restored, 3u);
+  EXPECT_EQ(events[3].type, "job_failed");
+  EXPECT_EQ(events[3].error, "boom: it broke");
+  EXPECT_EQ(events[3].flight_dir, "failed/bad-job.out/flight");
+  EXPECT_EQ(events[4].type, "daemon_stop");
+  EXPECT_EQ(events[4].jobs_processed, 2u);
   fs::remove(path);
 }
 
@@ -89,6 +85,51 @@ TEST(EventLog, TornTrailingLineKeepsIntactPrefix) {
   const std::vector<ServeEvent> events = load_events(path);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[1].type, "job_claimed");
+  fs::remove(path);
+}
+
+TEST(EventLog, BadIntegerEndsTheIntactPrefix) {
+  const std::string path = temp_path("events_bad_integer.jsonl");
+  for (const char* bad :
+       {R"({"seq": 1e300, "ts": 1.0, "event": "job_claimed", "job": "x"})",
+        R"({"seq": 3, "ts": 1.0, "event": "job_finished", "job": "x",)"
+        R"( "kind": "run", "executed": -1, "restored": 0})"}) {
+    fs::remove(path);
+    {
+      EventLog log(path);
+      log.daemon_start(1);
+      log.job_claimed("j1");
+    }
+    {
+      std::ofstream os(path, std::ios::app);
+      os << bad << "\n"
+         << R"({"seq": 4, "ts": 1.0, "event": "daemon_stop"})" << "\n";
+    }
+    const std::vector<ServeEvent> events = load_events(path);
+    ASSERT_EQ(events.size(), 2u) << bad;
+    EXPECT_EQ(events[1].type, "job_claimed");
+  }
+  fs::remove(path);
+}
+
+TEST(EventLog, OldCheckpointFlushRecordsStillLoad) {
+  // Logs written before checkpoint_flush was dropped keep loading: the
+  // record is one more event of a type with no detail.
+  const std::string path = temp_path("events_old_flush.jsonl");
+  {
+    std::ofstream os(path);
+    os << R"({"schema": "dvs-events-v1"})" << "\n"
+       << R"({"seq": 1, "ts": 1.0, "event": "checkpoint_flush", "job": "j",)"
+       << R"( "units_done": 3, "units_total": 12})" << "\n"
+       << R"({"seq": 2, "ts": 2.0, "event": "daemon_stop",)"
+       << R"( "jobs_processed": 1})" << "\n";
+  }
+  const std::vector<ServeEvent> events = load_events(path);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].type, "checkpoint_flush");
+  EXPECT_EQ(events[0].job, "j");
+  EXPECT_EQ(event_detail(events[0]), "");
+  EXPECT_EQ(events[1].type, "daemon_stop");
   fs::remove(path);
 }
 

@@ -310,8 +310,8 @@ TEST(ServeResume, ReturnedSummaryFoldsLikeItsFile) {
   JobPaths paths;
   paths.output_dir = (tmp.path() / "resumed").string();
   paths.checkpoint_path = (tmp.path() / "resumed.ckpt.jsonl").string();
-  paths.on_progress = [](const JobProgress& p) {
-    if (p.units_done == 2) throw std::runtime_error("killed");
+  paths.on_progress = [](const core::UnitProgress& p) {
+    if (p.done == 2) throw std::runtime_error("killed");
   };
   EXPECT_THROW((void)run_job(job, paths, 1), std::runtime_error);
   paths.on_progress = nullptr;

@@ -95,6 +95,26 @@ TEST(ServeStatus, RoundTrip) {
   fs::remove(path);
 }
 
+TEST(ServeStatus, RunningRowTakesTheExecutorRecordUnchanged) {
+  // The daemon's active row copies done, total and ETA from the
+  // executor's progress record; it does no ETA arithmetic of its own.
+  core::UnitProgress p;
+  p.done = 9;
+  p.total = 10;
+  p.elapsed_s = 2.0;
+  p.eta_s = 1.9375;
+  ServeStatus s = sample_status();
+  s.jobs[0].set_progress(p);
+  const std::string path = temp_path("status_progress.json");
+  write_status_atomic(s, path);
+  const JobStatus got = load_status(path).jobs[0];
+  EXPECT_EQ(got.units_done, 9u);
+  EXPECT_EQ(got.units_total, 10u);
+  EXPECT_EQ(got.eta_s, p.eta_s);
+  EXPECT_EQ(got.elapsed_s, 30.0) << "elapsed stays the daemon's own";
+  fs::remove(path);
+}
+
 TEST(ServeStatus, WriteIsAtomicReplace) {
   const std::string path = temp_path("status_atomic.json");
   fs::remove(path);
@@ -158,6 +178,33 @@ TEST(JobSummary, RoundTripWithSketches) {
   EXPECT_EQ(got.frame_delay_sketch.quantile(0.99),
             ref.frame_delay_sketch.quantile(0.99));
   EXPECT_TRUE(got.device_delay_sketch.empty());
+  fs::remove(path);
+}
+
+TEST(JobSummary, FractionalCountThrows) {
+  // A count that is not a whole number in range is a corrupt summary: the
+  // daemon then counts the job as unsummarized rather than folding a
+  // truncated number.
+  const std::string path = temp_path("job_summary_fractional.json");
+  {
+    std::ofstream os(path);
+    os << R"({"schema": "dvs-job-summary-v1", "job": "j", "kind": "run",)"
+       << R"( "units_total": 1, "executed": 2.5, "restored": 0})" << "\n";
+  }
+  EXPECT_THROW((void)load_job_summary(path), std::runtime_error);
+  fs::remove(path);
+}
+
+TEST(ServeStatus, LoadRejectsBadIntegers) {
+  const std::string path = temp_path("status_bad_integer.json");
+  for (const char* bad : {R"("pid": -1)", R"("jobs_done": 1e300)",
+                          R"("queue_depth": 0.5)"}) {
+    {
+      std::ofstream os(path);
+      os << R"({"schema": "dvs-serve-status-v1", )" << bad << "}\n";
+    }
+    EXPECT_THROW((void)load_status(path), std::runtime_error) << bad;
+  }
   fs::remove(path);
 }
 

@@ -109,7 +109,6 @@ CliOptions parse_flags(int argc, char** argv, int first, serve::JobKind kind) {
       o.flight_capacity = count(a, i, SIZE_MAX); ++i;
     }
     else if (a == "--no-flight-recorder") { o.no_flight = true; }
-    else if (a == "--heartbeat") { o.heartbeat = need(i); ++i; }
     else if (a == "--telemetry-jsonl") { o.telemetry_jsonl = need(i); ++i; }
     else if (a == "--telemetry-every") { o.telemetry_every = number(a, i); ++i; }
     else if (a == "--metrics-openmetrics") { o.metrics_openmetrics = need(i); ++i; }
@@ -196,6 +195,21 @@ bool open_telemetry(const CliOptions& o, obs::TelemetrySnapshotter& telemetry) {
   }
   std::fprintf(stderr, "dvs_sim: cannot open %s\n", o.telemetry_jsonl.c_str());
   return false;
+}
+
+std::function<void(const core::UnitProgress&)> progress_snapshots(
+    obs::TelemetrySnapshotter& telemetry, const char* source) {
+  if (!telemetry.active()) return {};
+  return [&telemetry, source](const core::UnitProgress& p) {
+    static const obs::MetricsRegistry kEmpty;
+    obs::TelemetrySnapshotter::Live live{
+        {"done", static_cast<double>(p.done)},
+        {"total", static_cast<double>(p.total)},
+        {"eta_s", p.eta_s}};
+    live.insert(live.end(), p.fields.begin(), p.fields.end());
+    telemetry.snapshot(p.elapsed_s, source,
+                       p.registry != nullptr ? *p.registry : kEmpty, live);
+  };
 }
 
 std::string fmt_local_time(double unix_s, const char* format) {

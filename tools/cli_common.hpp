@@ -18,6 +18,7 @@
 #include <string>
 
 #include "core/metrics.hpp"
+#include "core/units.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/telemetry/snapshotter.hpp"
 #include "serve/job_spec.hpp"
@@ -48,14 +49,11 @@ struct CliOptions {
   std::string flight_dump_dir;
   std::size_t flight_capacity = 0;  // 0 = FlightRecorder default
   bool no_flight = false;
-  /// sweep: live progress heartbeat JSONL path ("-" = stderr).
-  std::string heartbeat;
-  /// run/sweep: append-only telemetry snapshot JSONL (file path).
+  /// run: append-only telemetry snapshot JSONL (file path).
+  /// sweep/fleet: one progress snapshot per executed point or shard.
   /// report: an existing snapshot series to analyze.
   std::string telemetry_jsonl;
   /// run: sim-time snapshot cadence in seconds (default 1.0).
-  /// sweep: minimum wall-time between per-point snapshots (default 0 =
-  /// every finished point).
   double telemetry_every = 0.0;
   /// run/sweep: OpenMetrics text exposition ("-" = stdout).
   std::string metrics_openmetrics;
@@ -109,6 +107,13 @@ void warn_clamped(const obs::MetricsRegistry& registry);
 /// reserved for machine documents).  False, after an error message, when
 /// the file cannot be opened.
 bool open_telemetry(const CliOptions& o, obs::TelemetrySnapshotter& telemetry);
+
+/// The UnitOptions::on_progress hook that writes each executed unit's
+/// progress record to `telemetry` as one snapshot (`t` = elapsed, `live` =
+/// done, total, eta_s, then the kind's fields); empty when telemetry is
+/// off.  `telemetry` must outlive the run.
+std::function<void(const core::UnitProgress&)> progress_snapshots(
+    obs::TelemetrySnapshotter& telemetry, const char* source);
 
 /// `unix_s` as local time in strftime `format`.
 std::string fmt_local_time(double unix_s, const char* format);

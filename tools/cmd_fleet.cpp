@@ -42,11 +42,9 @@ int cmd_fleet(const CliOptions& o) {
   validate_job(o.job);
   auto [spec, fopts] = serve::job_fleet(o.job);
   fopts.jobs = o.job.jobs;
-  fopts.heartbeat_path = o.heartbeat;
   obs::TelemetrySnapshotter telemetry;
   if (!open_telemetry(o, telemetry)) return 2;
-  if (o.telemetry_every > 0.0) telemetry.set_min_interval(o.telemetry_every);
-  if (telemetry.active()) fopts.telemetry = &telemetry;
+  fopts.on_progress = progress_snapshots(telemetry, "fleet");
 
   const fleet::FleetResult res = fleet::FleetRunner{fopts}.run(spec);
 
@@ -96,7 +94,7 @@ int cmd_list_fleets() {
   }
   t.print();
   std::printf("\nrun one with: dvs_sim fleet <name> [--devices N] [--jobs N]"
-              " [--fleet-csv base] [--heartbeat path]\n");
+              " [--fleet-csv base] [--telemetry-jsonl path]\n");
   return 0;
 }
 

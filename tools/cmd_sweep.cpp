@@ -17,7 +17,7 @@ namespace {
 
 void run_scenario(const CliOptions& o, std::FILE* hout,
                   obs::MetricsRegistry* registry,
-                  obs::TelemetrySnapshotter* telemetry) {
+                  obs::TelemetrySnapshotter& telemetry) {
   const core::ScenarioSpec spec = serve::job_scenario(o.job);
 
   core::SweepOptions sopts;
@@ -26,8 +26,7 @@ void run_scenario(const CliOptions& o, std::FILE* hout,
   // CSV consumers get the delay percentile columns whenever they ask for a
   // CSV at all; plain table-only sweeps skip the per-engine registry cost.
   sopts.collect_quantiles = !o.sweep_csv.empty();
-  sopts.telemetry = telemetry;
-  sopts.heartbeat_path = o.heartbeat;
+  sopts.on_progress = progress_snapshots(telemetry, "sweep");
   if (!o.flight_dump_dir.empty()) {
     // Arm a per-point auto-dump so anomalies anywhere in the grid leave a
     // post-mortem artifact (CI uploads this directory on failure).
@@ -124,11 +123,7 @@ int cmd_sweep(const CliOptions& o) {
   obs::MetricsRegistry registry;
   obs::TelemetrySnapshotter telemetry;
   if (!open_telemetry(o, telemetry)) return 2;
-  // For a sweep, --telemetry-every throttles on wall time between finished
-  // points (0 = snapshot every point).
-  if (o.telemetry_every > 0.0) telemetry.set_min_interval(o.telemetry_every);
-  run_scenario(o, hout, want_metrics ? &registry : nullptr,
-               telemetry.active() ? &telemetry : nullptr);
+  run_scenario(o, hout, want_metrics ? &registry : nullptr, telemetry);
   if (!write_document(o.metrics_json, "metrics json", hout,
                       [&](std::ostream& os) { registry.write_json(os); }) ||
       !write_document(o.metrics_openmetrics, "openmetrics", hout,

@@ -56,8 +56,8 @@
 // Tail options (dvs_sim tail <root>):
 //   --since <seq>             start after this event sequence number
 //   --events a[,b,...]        only these event types (job_claimed,
-//                             job_recovered, checkpoint_flush, job_finished,
-//                             job_failed, daemon_start, daemon_stop)
+//                             job_recovered, job_finished, job_failed,
+//                             daemon_start, daemon_stop)
 //   --no-follow               dump the intact prefix and exit
 //
 // Sweep options:
@@ -66,7 +66,7 @@
 //   --sweep-csv <base>        write <base>_cells.csv and <base>_points.csv
 //
 // Fleet options (dvs_sim fleet <name>; also honours --jobs, --seed,
-// --heartbeat, --telemetry-jsonl, --telemetry-every):
+// --telemetry-jsonl):
 //   --devices <n>             override the fleet's population size
 //   --fleet-csv <base>        write <base>_fleet.csv (population slices +
 //                             total row; byte-identical at any --jobs)
@@ -75,7 +75,7 @@
 //                             fold in shard order)
 //
 //   dvs_sim fleet fleet_smoke --jobs 0 --fleet-csv smoke
-//   dvs_sim fleet fleet_city --devices 250000 --heartbeat -
+//   dvs_sim fleet fleet_city --devices 250000 --telemetry-jsonl /dev/stderr
 //
 // Fault injection (src/fault/, docs/FAULTS.md):
 //   --faults a[,b,...]        inject the named fault specs.  In sweep mode
@@ -123,12 +123,13 @@
 //                             power of two; default 4096)
 //   --no-flight-recorder      disable the always-on flight recorder
 //
-// Streaming telemetry (run + sweep; see docs/OBSERVABILITY.md):
+// Streaming telemetry (see docs/OBSERVABILITY.md):
 //   --telemetry-jsonl <path>  append-only metric snapshots, one JSON object
-//                             per line.  run: sampled on sim time; sweep:
-//                             one snapshot per finished point (wall time)
-//   --telemetry-every <s>     run: sim-time snapshot cadence (default 1.0);
-//                             sweep: minimum wall time between snapshots
+//                             per line.  run: sampled on sim time; sweep /
+//                             fleet: one progress snapshot per executed
+//                             point / shard (done, total, eta_s, ...);
+//                             /dev/stderr watches progress live
+//   --telemetry-every <s>     run: sim-time snapshot cadence (default 1.0)
 //   --metrics-openmetrics <path|->   OpenMetrics text exposition of the
 //                             final registry (counters, gauges, sketch-
 //                             backed quantile summaries); "-" = stdout
@@ -136,9 +137,7 @@
 //                             itself, collapsed-stack format (flamegraph-
 //                             ready); report: analyze an existing profile
 //
-// Sweep telemetry:
-//   --heartbeat <path>        live progress JSONL, one object per finished
-//                             point ("-" = stderr)
+// Sweep flight dumps:
 //   --flight-dump-dir <dir>   per-point flight-recorder auto-dumps (named
 //                             <scenario>_point<i>_rep<r>.flight.txt)
 //
