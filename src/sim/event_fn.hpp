@@ -1,9 +1,9 @@
 // Move-only callback with inline storage for the simulation kernel.
 //
 // std::function keeps only ~2 words of inline storage, so the engine's
-// event lambdas — which capture `this` plus a handful of doubles — heap-
-// allocate on every schedule.  At ~6 events per decoded frame that
-// allocation is a measurable slice of the hot loop.  EventFn keeps 56
+// event lambdas — which capture `this` plus a handful of doubles — would
+// heap-allocate on every schedule, on the ~2 events per decoded frame (the
+// arrival and the decode completion) of the hot loop.  EventFn keeps 56
 // bytes inline (every kernel callback in this codebase fits) and falls
 // back to the heap only for larger captures, so behavior is unchanged and
 // the fast path allocation-free.

@@ -88,6 +88,16 @@ bool Simulator::pending(EventId id) const {
   return slot < slots_.size() && slots_[slot].gen == gen_of(id);
 }
 
+bool Simulator::due_now() const { return live_due_at(0, now_.value()); }
+
+bool Simulator::live_due_at(std::size_t i, double t) const {
+  // Nothing on the heap is due before now(), so by the heap order the
+  // entries due at now() form a subtree at the root: search only that.
+  if (i >= heap_.size() || heap_[i].at != t) return false;
+  return live_entry(heap_[i]) || live_due_at(2 * i + 1, t) ||
+         live_due_at(2 * i + 2, t);
+}
+
 void Simulator::pop_heap_top() {
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
   heap_.pop_back();
@@ -105,6 +115,7 @@ void Simulator::skip_tombstones() {
 void Simulator::execute_next() {
   // Precondition: heap has a live head.
   const Scheduled top = heap_.front();
+  if (hook_ != nullptr) hook_(hook_ctx_, Seconds{top.at}, top.seq);
   pop_heap_top();
   Slot& s = slots_[top.slot];
   DVS_CHECK(s.gen == top.gen);

@@ -1,10 +1,19 @@
 // Discrete-event simulation kernel.
 //
-// Everything in the reproduction — frame arrivals, decode completions, power
-// state transitions, DPM timeouts — runs as events on this kernel.  Events
-// fire in timestamp order; ties break in scheduling order so runs are fully
-// deterministic.  Events are cancellable (a DPM policy cancels its pending
-// sleep transition when a request arrives).
+// Frame arrivals, decode completions, DPM timeouts and sleep steps, wakeup
+// completions and the periodic samplers run as events on this kernel.
+// Events fire in timestamp order; ties break in scheduling order (a FIFO
+// sequence number) so runs are fully deterministic.  Events are
+// cancellable (a DPM policy cancels its pending sleep transition when a
+// request arrives).
+//
+// A client may also do work at an exact kernel position without putting
+// it on the heap: reserve_seq() takes the sequence number an event would
+// have had, due_now() says whether any live event could run before work
+// reserved at now(), and the dispatch hook shows the client each event's
+// (at, seq) just before it runs, so work held outside the heap can be
+// applied at its own position first (core::Engine does both for its
+// same-time follow-ups and timed component transitions).
 //
 // Storage is allocation-lean: callbacks live in a generation-checked slot
 // pool (recycled LIFO, so steady state touches the same few cache lines),
@@ -75,6 +84,26 @@ class Simulator {
   /// Number of events waiting to fire.
   [[nodiscard]] std::size_t pending_count() const { return live_; }
 
+  /// Takes the next FIFO sequence number without scheduling anything.  Work
+  /// the caller keeps off the heap orders exactly like an event scheduled
+  /// at this point, and later events keep the numbers they would have had.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// True when a live (not cancelled) event is due at exactly now().
+  /// Such an event was scheduled before any seq reserved from here on, so
+  /// work reserved at now() may run ahead of it only when this is false.
+  [[nodiscard]] bool due_now() const;
+
+  /// Called with each event's (at, seq) just before the event runs, before
+  /// the clock moves to `at`.  The hook must not schedule or cancel.
+  using DispatchHook = void (*)(void* ctx, Seconds at, std::uint64_t seq);
+
+  /// Installs the one dispatch hook (null `fn` removes it).
+  void set_dispatch_hook(DispatchHook fn, void* ctx) {
+    hook_ = fn;
+    hook_ctx_ = ctx;
+  }
+
   /// Runs a single event.  Returns false if the queue is empty.
   bool step();
 
@@ -142,6 +171,7 @@ class Simulator {
   }
 
   EventId schedule_impl(double at, Callback fn);
+  [[nodiscard]] bool live_due_at(std::size_t i, double t) const;
   std::uint32_t claim_slot();
   void release_slot(std::uint32_t slot);
   void execute_next();
@@ -160,6 +190,8 @@ class Simulator {
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_ = 0;  ///< slots currently holding a pending event
   SimulatorStats stats_;
+  DispatchHook hook_ = nullptr;
+  void* hook_ctx_ = nullptr;
 };
 
 }  // namespace dvs::sim
