@@ -87,6 +87,27 @@ def main():
         if not any(n.startswith("rate_") for n in names):
             fail("chrome trace has no detector rate activity")
 
+    # Kernel events per decoded frame: a frame's arrival and its decode
+    # completion are its only kernel events (WLAN on/off, decode start and
+    # the memory release keep their kernel position off the heap), so the
+    # default runs of both media read about 2.26.
+    for media in ("mp3", "mpeg"):
+        proc = subprocess.run(
+            [binary, "run", "--media", media, "--metrics-json", "-"],
+            capture_output=True, text=True, timeout=600)
+        if proc.returncode != 0:
+            fail(f"`run --media {media}` exit code {proc.returncode}\n"
+                 f"{proc.stderr}")
+        run_counters = json.loads(proc.stdout)["counters"]
+        decoded = run_counters.get("frames_decoded", 0)
+        scheduled = run_counters.get("sim.events_scheduled", 0)
+        if decoded <= 0:
+            fail(f"`run --media {media}` decoded no frames: {run_counters}")
+        if scheduled / decoded > 2.5:
+            fail(f"`run --media {media}` scheduled {scheduled} kernel events "
+                 f"for {decoded} frames ({scheduled / decoded:.2f} per frame, "
+                 f"limit 2.5)")
+
     # A small sweep through the scenario runner, parallel, with CSV export
     # and metrics emission.
     with tempfile.TemporaryDirectory() as tmp:
