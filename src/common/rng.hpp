@@ -26,8 +26,19 @@ class Rng {
   /// Seeds the full 256-bit state from a single 64-bit seed via SplitMix64.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Next raw 64-bit output.
-  std::uint64_t next_u64();
+  /// Next raw 64-bit output.  Inline with uniform(): trace generation and
+  /// the threshold characterization draw millions per process.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   // UniformRandomBitGenerator interface (usable with <algorithm> shuffles).
   static constexpr result_type min() { return 0; }
@@ -35,7 +46,10 @@ class Rng {
   result_type operator()() { return next_u64(); }
 
   /// Uniform double in [0, 1).  53-bit resolution.
-  double uniform();
+  double uniform() {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -78,6 +92,10 @@ class Rng {
   Rng split();
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 

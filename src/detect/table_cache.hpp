@@ -1,11 +1,11 @@
 // Process-wide cache of Monte-Carlo threshold characterizations.
 //
-// A ThresholdTable costs ~0.1 s to build (3000 windows x ~20 ratios per
-// ChangePointConfig) and is immutable once built, so every consumer with
-// the same config can share one instance.  Before this cache, only
-// SweepRunner avoided recharacterizing; tests, examples, benches, and
-// single-run CLI invocations each paid the full cost — sometimes several
-// times per process.
+// A ThresholdTable costs ~30 ms to build (3000 windows x ~20 ratios per
+// ChangePointConfig, see threshold_table.hpp) and is immutable once built,
+// so every consumer with the same config can share one instance.  Before
+// this cache, only SweepRunner avoided recharacterizing; tests, examples,
+// benches, and single-run CLI invocations each paid the full cost —
+// sometimes several times per process.
 //
 // Keyed by ChangePointConfig *value*.  Concurrent first use of the same
 // config characterizes exactly once (other threads wait on it); distinct

@@ -18,6 +18,42 @@
 // covers every rate pair with that ratio; thresholds for intermediate
 // ratios interpolate in log-ratio space.
 //
+// Characterization cost.  Each ratio's quantile, and the scan margin
+// below, take mc_windows null windows of m samples, but a window's
+// statistic reads only its ~m/check_interval candidate suffix sums, and a
+// suffix sum of x_j = -ln y_j (y_j = 1 - u_j, as Rng::exponential draws
+// it) is -ln of the suffix product of y_j.  So the constructor makes one
+// fast pass per window: it snapshots the generator, draws y_j with the same
+// single next_u64 per sample, forms the suffix product from the end
+// (rescaled by exact powers of two, 2^600 at a time, with the exponent
+// counted) and takes one logarithm per candidate instead of one per
+// sample.
+//
+// Bound.  With u = 2^-53 and S the whole-window sum: the product's
+// relative error is at most ~m u, its rescaled logarithm (|ln p| <= 453)
+// and the exponent term add ~u (3 S + 1400), so the fast sum is within
+// u (3 S + m + 1400) of the true one; the exact path's sum of m rounded
+// logarithms is within u (m + 1) S of it.  Carried through the ln P
+// expression (and, for the margin, the threshold subtraction), every fast
+// value v is within
+//
+//   eps (1 + |v| + |r - 1| (1 + S) + m |ln r| [+ max |threshold|]),
+//   eps = 2^-40 (m + 1024)  (~1e-9 at m = 100),
+//
+// of the exact one: at least 2^12 times that error estimate.
+//
+// Exact where it matters.  SampleQuantiles::quantile(q) reads only the
+// sorted ranks lo = floor(q (n-1)) and lo + 1, both among the top
+// k = n - lo values.  With t the k-th largest lower bound, at least k
+// windows are exactly >= t, and every window whose upper bound is below t
+// is below t exactly and approximately.  Each window whose upper bound
+// reaches t is redrawn from its snapshot and scored exactly by
+// max_log_likelihood_ratio; the rest enter the same SampleQuantiles with
+// their fast values.  The top k values are then the exact ones and the
+// thresholds come out bit-identical.  The bound is far below the gaps
+// between neighbouring order statistics, so about k windows per quantile
+// are recomputed (16 of 3000 at the default confidence).
+//
 // The on-line detector scans the same fixed ratio grid on every check, so
 // the table also precomputes one scan row per grid ratio, {r, ln r,
 // threshold(r)}.  A check then costs one multiply-add per (ratio,
