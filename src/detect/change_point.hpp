@@ -114,6 +114,9 @@ class ChangePointDetector final : public RateDetector {
   /// below the window size and freezes afterwards (piecewise-constant
   /// output between change points).
   std::size_t settling_ = 0;
+  /// Left-fold sum of the window while it settles (bit-identical to
+  /// re-summing it front to back each sample).
+  double settle_sum_ = 0.0;
   Hertz rate_{0.0};
   bool warmed_up_ = false;
   std::uint64_t changes_ = 0;
