@@ -196,6 +196,9 @@ class Probe {
   HistogramMetric* delay_violation_hist_ = nullptr;
   HistogramMetric* detect_latency_hist_ = nullptr;
   HistogramMetric* idle_hist_ = nullptr;
+  /// The detector counters, cached on their first increment.
+  std::uint64_t* decisions_ = nullptr;
+  std::uint64_t* changes_ = nullptr;
   /// Time of the last workload rate change not yet acknowledged by a
   /// detector.
   std::optional<Seconds> rate_change_at_;
