@@ -430,6 +430,10 @@ void Engine::deactivate_components(workload::MediaType type, Seconds now) {
 
 void Engine::arm_dpm(Seconds now) {
   cancel_arm();
+  // The pending arrival was scheduled before this filter would be, so at
+  // the same time it runs first; either way it cancels the filter before
+  // it could fire.  Skip the event the kernel would only tombstone.
+  if (next_arrival_ && *next_arrival_ <= now + cfg_.dpm_arm_delay) return;
   arm_event_ = sim_.schedule_at(now + cfg_.dpm_arm_delay, [this] {
     const obs::ScopedSpan span{profiler_, span_dpm_idle_};
     const Seconds t = sim_.now();

@@ -89,8 +89,9 @@ def main():
 
     # Kernel events per decoded frame: a frame's arrival and its decode
     # completion are its only kernel events (WLAN on/off, decode start and
-    # the memory release keep their kernel position off the heap), so the
-    # default runs of both media read about 2.26.
+    # the memory release keep their kernel position off the heap, and the
+    # DPM idle filter is not scheduled when the pending arrival would
+    # cancel it), so the default runs of both media read about 2.0.
     for media in ("mp3", "mpeg"):
         proc = subprocess.run(
             [binary, "run", "--media", media, "--metrics-json", "-"],
@@ -103,10 +104,15 @@ def main():
         scheduled = run_counters.get("sim.events_scheduled", 0)
         if decoded <= 0:
             fail(f"`run --media {media}` decoded no frames: {run_counters}")
-        if scheduled / decoded > 2.5:
+        if scheduled / decoded > 2.1:
             fail(f"`run --media {media}` scheduled {scheduled} kernel events "
                  f"for {decoded} frames ({scheduled / decoded:.2f} per frame, "
-                 f"limit 2.5)")
+                 f"limit 2.1)")
+        cancelled = run_counters.get("sim.events_cancelled", 0)
+        if media == "mp3" and cancelled / decoded > 0.01:
+            fail(f"`run --media mp3` cancelled {cancelled} kernel events "
+                 f"for {decoded} frames ({cancelled / decoded:.3f} per frame, "
+                 f"limit 0.01)")
 
     # A small sweep through the scenario runner, parallel, with CSV export
     # and metrics emission.
