@@ -6,8 +6,10 @@
 // DVS governor chooses among.  These are model diagrams rather than data
 // plots, so this bench *instantiates* them: it prints the (f, V, P) active
 // sub-state set of the SmartBadge and the concrete time-indexed policy the
-// TISMDP solver computes over the idle bins — i.e. the content the figures
-// sketch.
+// TISMDP plan search picks, sampled at a grid of elapsed idle times — i.e.
+// the content the figures sketch.
+#include <limits>
+
 #include "bench_common.hpp"
 
 using namespace dvs;
@@ -32,36 +34,34 @@ int main() {
   hw::SmartBadge badge;
   const dpm::DpmCostModel costs = dpm::smartbadge_cost_model(badge);
   const auto idle = std::make_shared<dpm::ParetoIdle>(1.8, seconds(8.0));
-  const dpm::TismdpSolver solver{costs, idle};
-  const dpm::TimeIndexedPolicy policy = solver.solve_unconstrained();
+  const dpm::SleepPlan plan =
+      dpm::solve_tismdp_mix(costs, *idle,
+                            Seconds{std::numeric_limits<double>::infinity()})
+          .primary;
+  const dpm::PlanEvaluation ev = dpm::evaluate_plan(plan, costs, *idle);
 
   std::printf("\nFigure 7: time-indexed idle states (Pareto idle, mean %.0f s)\n",
               idle->mean().value());
   TextTable t;
   t.set_header({"Elapsed idle time", "P(still idle)", "Commanded state"});
-  // Print the action at a readable subset of boundaries plus every change.
-  hw::PowerState prev = hw::PowerState::Active;  // sentinel != first action
-  std::size_t printed = 0;
-  for (std::size_t i = 0; i < policy.boundaries.size(); ++i) {
-    const bool action_change = policy.actions[i] != prev;
-    const bool milestone = i % (policy.boundaries.size() / 12 + 1) == 0;
-    if (!action_change && !milestone) continue;
-    if (++printed > 24) break;
-    t.add_row({TextTable::num(policy.boundaries[i].value(), 3) + " s",
-               TextTable::num(idle->survival(policy.boundaries[i]), 3),
-               std::string(hw::to_string(policy.actions[i]))});
-    prev = policy.actions[i];
+  for (const Seconds at : dpm::timeout_grid(seconds(200.0), 2)) {
+    hw::PowerState state = hw::PowerState::Idle;
+    for (const auto& step : plan.steps) {
+      if (step.after <= at) state = step.state;
+    }
+    t.add_row({TextTable::num(at.value(), 3) + " s",
+               TextTable::num(idle->survival(at), 3),
+               std::string(hw::to_string(state))});
   }
   t.print();
 
-  const dpm::SleepPlan plan = policy.to_plan();
-  std::printf("\ncollapsed plan:");
+  std::printf("\nplan:");
   for (const auto& step : plan.steps) {
     std::printf("  ->%s @ %.2f s", std::string(hw::to_string(step.state)).c_str(),
                 step.after.value());
   }
   std::printf("\nexpected energy %.1f J/idle period, expected wakeup delay"
-              " %.3f s\n", policy.expected_energy, policy.expected_delay);
+              " %.3f s\n", ev.expected_energy.value(), ev.expected_delay.value());
 
   std::printf("\nShape check: the time index is what makes the policy"
               " non-trivial — the commanded\nstate deepens with elapsed idle"

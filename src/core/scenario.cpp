@@ -7,7 +7,6 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "dpm/adaptive.hpp"
-#include "dpm/tismdp_solver.hpp"
 #include "hw/cpu_catalog.hpp"
 #include "workload/work_model.hpp"
 
@@ -75,28 +74,42 @@ WorkloadSpec WorkloadSpec::usage_session(SessionConfig cfg) {
 
 // ---- DPM axis -------------------------------------------------------------------
 
+namespace {
+
+struct DpmKindName {
+  DpmKind kind;
+  const char* name;
+};
+
+constexpr DpmKindName kDpmKindNames[] = {
+    {DpmKind::None, "none"},         {DpmKind::Timeout, "timeout"},
+    {DpmKind::Renewal, "renewal"},   {DpmKind::Tismdp, "tismdp"},
+    {DpmKind::Adaptive, "adaptive"}, {DpmKind::Oracle, "oracle"},
+};
+
+}  // namespace
+
 std::string to_string(DpmKind kind) {
-  switch (kind) {
-    case DpmKind::None: return "none";
-    case DpmKind::Timeout: return "timeout";
-    case DpmKind::Renewal: return "renewal";
-    case DpmKind::Tismdp: return "tismdp";
-    case DpmKind::SolverTismdp: return "tismdp-dp";
-    case DpmKind::Adaptive: return "adaptive";
-    case DpmKind::Oracle: return "oracle";
+  for (const DpmKindName& e : kDpmKindNames) {
+    if (e.kind == kind) return e.name;
   }
   return "?";
 }
 
 std::optional<DpmKind> dpm_kind_from_string(std::string_view name) {
-  if (name == "none") return DpmKind::None;
-  if (name == "timeout") return DpmKind::Timeout;
-  if (name == "renewal") return DpmKind::Renewal;
-  if (name == "tismdp") return DpmKind::Tismdp;
-  if (name == "tismdp-dp") return DpmKind::SolverTismdp;
-  if (name == "adaptive") return DpmKind::Adaptive;
-  if (name == "oracle") return DpmKind::Oracle;
+  for (const DpmKindName& e : kDpmKindNames) {
+    if (name == e.name) return e.kind;
+  }
   return std::nullopt;
+}
+
+std::string known_dpm_kinds() {
+  std::string known;
+  for (const DpmKindName& e : kDpmKindNames) {
+    if (!known.empty()) known += ", ";
+    known += e.name;
+  }
+  return known;
 }
 
 std::string DpmSpec::name() const {
@@ -105,7 +118,6 @@ std::string DpmSpec::name() const {
       return "timeout(" + num(timeout_standby.value()) + "s," +
              num(timeout_off.value()) + "s)";
     case DpmKind::Tismdp:
-    case DpmKind::SolverTismdp:
     case DpmKind::Adaptive:
       return to_string(kind) + "(" + num(max_delay.value()) + "s)";
     default:
@@ -126,9 +138,6 @@ dpm::DpmPolicyPtr make_dpm_policy(const DpmSpec& spec,
       return std::make_shared<dpm::RenewalPolicy>(costs, idle);
     case DpmKind::Tismdp:
       return std::make_shared<dpm::TismdpPolicy>(costs, idle, spec.max_delay);
-    case DpmKind::SolverTismdp:
-      return std::make_shared<dpm::SolverTismdpPolicy>(costs, idle,
-                                                       spec.max_delay);
     case DpmKind::Adaptive: {
       dpm::AdaptiveDpmConfig acfg;
       acfg.max_expected_delay = spec.max_delay;

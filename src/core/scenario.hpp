@@ -66,12 +66,14 @@ struct WorkloadSpec {
 
 // ---- DPM axis -------------------------------------------------------------------
 
-enum class DpmKind { None, Timeout, Renewal, Tismdp, SolverTismdp, Adaptive, Oracle };
+enum class DpmKind { None, Timeout, Renewal, Tismdp, Adaptive, Oracle };
 
 std::string to_string(DpmKind kind);
 /// Parses the CLI spelling ("none", "timeout", "renewal", "tismdp",
-/// "tismdp-dp", "adaptive", "oracle"); nullopt for unknown names.
+/// "adaptive", "oracle"); nullopt for unknown names.
 std::optional<DpmKind> dpm_kind_from_string(std::string_view name);
+/// Every CLI spelling, comma-separated, for usage errors.
+std::string known_dpm_kinds();
 
 struct DpmSpec {
   DpmKind kind = DpmKind::None;

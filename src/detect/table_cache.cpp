@@ -1,60 +1,29 @@
 #include "detect/table_cache.hpp"
 
-#include <bit>
-#include <cstdio>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 namespace dvs::detect {
 
 namespace {
 
-// Keys use the exact bit pattern of every field: two configs share a table
-// only when the characterization they describe is bit-for-bit the same.
-void append_u64(std::string& key, std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx.",
-                static_cast<unsigned long long>(v));
-  key += buf;
-}
-
-void append_double(std::string& key, double v) {
-  append_u64(key, std::bit_cast<std::uint64_t>(v));
-}
-
+// Two configs share a table only when the characterization they describe
+// is bit-for-bit the same.
 std::string config_key(const ChangePointConfig& cfg) {
   std::string key;
   key.reserve(10 * 17);
-  append_u64(key, cfg.window);
-  append_u64(key, cfg.check_interval);
-  append_u64(key, cfg.min_tail);
-  append_double(key, cfg.confidence);
-  append_double(key, cfg.grid_step);
-  append_u64(key, cfg.grid_points);
-  append_u64(key, cfg.mc_windows);
-  append_u64(key, cfg.mc_seed);
+  append_key_u64(key, cfg.window);
+  append_key_u64(key, cfg.check_interval);
+  append_key_u64(key, cfg.min_tail);
+  append_key_double(key, cfg.confidence);
+  append_key_double(key, cfg.grid_step);
+  append_key_u64(key, cfg.grid_points);
+  append_key_u64(key, cfg.mc_windows);
+  append_key_u64(key, cfg.mc_seed);
   return key;
 }
 
-// Each entry owns a once_flag so concurrent first use of one config
-// characterizes exactly once while other configs build in parallel.  The
-// registry mutex is held only for map lookups, never during the (slow)
-// Monte-Carlo characterization.
-struct Entry {
-  std::once_flag once;
-  std::shared_ptr<const ThresholdTable> table;
-};
-
-struct Cache {
-  std::mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> entries;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-
-Cache& cache() {
-  static Cache c;  // leaked-on-exit by design: destructor order is unsafe
+Memo<ThresholdTable>& cache() {
+  static Memo<ThresholdTable> c;
   return c;
 }
 
@@ -62,37 +31,13 @@ Cache& cache() {
 
 std::shared_ptr<const ThresholdTable> shared_threshold_table(
     const ChangePointConfig& cfg) {
-  Cache& c = cache();
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock{c.mu};
-    std::shared_ptr<Entry>& slot = c.entries[config_key(cfg)];
-    if (!slot) {
-      slot = std::make_shared<Entry>();
-      ++c.misses;
-    } else {
-      ++c.hits;
-    }
-    entry = slot;
-  }
-  std::call_once(entry->once, [&] {
-    entry->table = std::make_shared<const ThresholdTable>(cfg);
+  return cache().get(config_key(cfg), [&] {
+    return std::make_shared<const ThresholdTable>(cfg);
   });
-  return entry->table;
 }
 
-TableCacheStats threshold_table_cache_stats() {
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock{c.mu};
-  return {c.hits, c.misses, c.entries.size()};
-}
+TableCacheStats threshold_table_cache_stats() { return cache().stats(); }
 
-void clear_threshold_table_cache() {
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock{c.mu};
-  c.entries.clear();
-  c.hits = 0;
-  c.misses = 0;
-}
+void clear_threshold_table_cache() { cache().clear(); }
 
 }  // namespace dvs::detect

@@ -14,20 +14,16 @@
 // process is tiny.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
+#include "common/memo.hpp"
 #include "detect/threshold_table.hpp"
 
 namespace dvs::detect {
 
 /// Counters for the cache tests and for sizing intuition; `entries` is the
 /// number of distinct configs characterized so far.
-struct TableCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t entries = 0;
-};
+using TableCacheStats = MemoStats;
 
 /// The shared table for `cfg`, characterizing it on first use.
 /// Thread-safe; deterministic (characterization depends only on cfg).

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/fit.hpp"
+#include "dpm/solve_cache.hpp"
 
 namespace dvs::dpm {
 
@@ -15,6 +16,8 @@ AdaptiveDpmPolicy::AdaptiveDpmPolicy(DpmCostModel costs, AdaptiveDpmConfig cfg)
                 "AdaptiveDpmPolicy: history smaller than warmup");
   DVS_CHECK_MSG(cfg_.fallback_off > cfg_.fallback_standby,
                 "AdaptiveDpmPolicy: fallback timeouts out of order");
+  DVS_CHECK_MSG(cfg_.max_expected_delay.value() >= 0.0,
+                "AdaptiveDpmPolicy: negative delay constraint");
   fallback_.steps.push_back({cfg_.fallback_standby, hw::PowerState::Standby});
   fallback_.steps.push_back({cfg_.fallback_off, hw::PowerState::Off});
   fallback_.validate();
@@ -47,11 +50,14 @@ void AdaptiveDpmPolicy::refit() {
     fitted_ = std::make_shared<ExponentialIdle>(Seconds{expo.mean});
   }
 
-  // Re-optimize with the same constrained search TismdpPolicy runs.
-  const TismdpPolicy solved{costs_, fitted_, cfg_.max_expected_delay};
-  primary_ = solved.primary_plan();
-  secondary_ = solved.secondary_plan();
-  mix_p_ = solved.mix_probability();
+  // Re-optimize with the same constrained search TismdpPolicy runs, but
+  // uncached: a freshly fitted distribution's bits never repeat, so every
+  // cache entry would be a miss that lives for the process.
+  TismdpMixSolution solved =
+      solve_tismdp_mix(costs_, *fitted_, cfg_.max_expected_delay);
+  primary_ = std::move(solved.primary);
+  secondary_ = std::move(solved.secondary);
+  mix_p_ = solved.mix_p;
 }
 
 SleepPlan AdaptiveDpmPolicy::plan(std::optional<Seconds>, Rng& rng) {

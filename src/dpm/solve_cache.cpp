@@ -1,13 +1,10 @@
 #include "dpm/solve_cache.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <limits>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.hpp"
@@ -71,186 +68,53 @@ TismdpMixSolution solve_tismdp_mix(const DpmCostModel& costs,
   return out;
 }
 
-// ---- key construction ---------------------------------------------------------
+// ---- the cache ---------------------------------------------------------------
 
 namespace {
 
-// Keys use the exact bit pattern of every double: two solves share a
-// result only when their inputs are bit-for-bit identical.
-void append_u64(std::string& key, std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx.",
-                static_cast<unsigned long long>(v));
-  key += buf;
-}
-
-void append_double(std::string& key, double v) {
-  append_u64(key, std::bit_cast<std::uint64_t>(v));
-}
-
-void append_costs(std::string& key, const DpmCostModel& costs) {
-  append_double(key, costs.idle_power.value());
-  append_double(key, costs.active_power.value());
-  append_u64(key, costs.options.size());
-  for (const SleepOption& opt : costs.options) {
-    append_u64(key, static_cast<std::uint64_t>(opt.state));
-    append_double(key, opt.power.value());
-    append_double(key, opt.wakeup_latency.value());
-    append_double(key, opt.wakeup_energy.value());
-  }
-}
-
-// `kind` separates the mix-search and DP-solver namespaces so their keys
-// can never collide.
-std::string solve_key(char kind, const DpmCostModel& costs,
-                      const std::string& idle_key, Seconds max_delay) {
+std::string solve_key(const DpmCostModel& costs, const std::string& idle_key,
+                      Seconds max_delay) {
   std::string key;
   key.reserve(32 + 4 * 17 * (2 + costs.options.size()) + idle_key.size());
-  key += kind;
-  key += '.';
-  append_costs(key, costs);
-  append_double(key, max_delay.value());
+  append_key_double(key, costs.idle_power.value());
+  append_key_double(key, costs.active_power.value());
+  append_key_u64(key, costs.options.size());
+  for (const SleepOption& opt : costs.options) {
+    append_key_u64(key, static_cast<std::uint64_t>(opt.state));
+    append_key_double(key, opt.power.value());
+    append_key_double(key, opt.wakeup_latency.value());
+    append_key_double(key, opt.wakeup_energy.value());
+  }
+  append_key_double(key, max_delay.value());
   key += idle_key;
   return key;
 }
 
-template <typename T>
-struct Entry {
-  std::once_flag once;
-  std::shared_ptr<const T> value;
-};
-
-// One registry per cached value type; both report into the same stats so
-// the tests (and users) see a single solve-cache picture.
-struct Stats {
-  std::mutex mu;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-
-Stats& stats() {
-  static Stats s;
-  return s;
-}
-
-template <typename T>
-struct Registry {
-  std::mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<Entry<T>>> entries;
-};
-
-template <typename T>
-Registry<T>& registry() {
-  static Registry<T> r;  // leaked-on-exit by design
-  return r;
-}
-
-void count(bool hit) {
-  Stats& s = stats();
-  std::lock_guard<std::mutex> lock{s.mu};
-  ++(hit ? s.hits : s.misses);
-}
-
-template <typename T, typename Solve>
-std::shared_ptr<const T> memoized(const std::string& key, Solve&& solve) {
-  Registry<T>& reg = registry<T>();
-  std::shared_ptr<Entry<T>> entry;
-  bool hit = false;
-  {
-    std::lock_guard<std::mutex> lock{reg.mu};
-    std::shared_ptr<Entry<T>>& slot = reg.entries[key];
-    if (!slot) {
-      slot = std::make_shared<Entry<T>>();
-    } else {
-      hit = true;
-    }
-    entry = slot;
-  }
-  count(hit);
-  std::call_once(entry->once, [&] {
-    entry->value = std::make_shared<const T>(solve());
-  });
-  return entry->value;
+Memo<TismdpMixSolution>& cache() {
+  static Memo<TismdpMixSolution> c;
+  return c;
 }
 
 }  // namespace
-
-// ---- public cached entry points -----------------------------------------------
 
 std::shared_ptr<const TismdpMixSolution> cached_tismdp_mix(
     const DpmCostModel& costs, const IdleDistributionPtr& idle,
     Seconds max_expected_delay) {
   DVS_CHECK_MSG(idle != nullptr, "cached_tismdp_mix: null idle distribution");
-  const std::string idle_key = idle->cache_key();
-  if (idle_key.empty()) {
-    count(false);
+  const auto solve = [&] {
     return std::make_shared<const TismdpMixSolution>(
         solve_tismdp_mix(costs, *idle, max_expected_delay));
-  }
-  return memoized<TismdpMixSolution>(
-      solve_key('m', costs, idle_key, max_expected_delay),
-      [&] { return solve_tismdp_mix(costs, *idle, max_expected_delay); });
-}
-
-std::shared_ptr<const TismdpSolver::ConstrainedSolution>
-cached_tismdp_solution(const DpmCostModel& costs,
-                       const IdleDistributionPtr& idle,
-                       Seconds max_expected_delay,
-                       const TismdpSolverConfig& cfg) {
-  DVS_CHECK_MSG(idle != nullptr,
-                "cached_tismdp_solution: null idle distribution");
-  const std::string idle_key = idle->cache_key();
-  const auto solve = [&] {
-    return TismdpSolver{costs, idle, cfg}.solve(max_expected_delay);
   };
+  const std::string idle_key = idle->cache_key();
   if (idle_key.empty()) {
-    count(false);
-    return std::make_shared<const TismdpSolver::ConstrainedSolution>(solve());
+    cache().count_uncached();
+    return solve();
   }
-  std::string key = solve_key('d', costs, idle_key, max_expected_delay);
-  append_u64(key, cfg.bins);
-  append_double(key, cfg.bin_min.value());
-  append_double(key, cfg.horizon.value());
-  append_u64(key, cfg.bisect_iters);
-  return memoized<TismdpSolver::ConstrainedSolution>(key, solve);
+  return cache().get(solve_key(costs, idle_key, max_expected_delay), solve);
 }
 
-SolveCacheStats tismdp_solve_cache_stats() {
-  SolveCacheStats out;
-  {
-    Stats& s = stats();
-    std::lock_guard<std::mutex> lock{s.mu};
-    out.hits = s.hits;
-    out.misses = s.misses;
-  }
-  {
-    auto& r = registry<TismdpMixSolution>();
-    std::lock_guard<std::mutex> lock{r.mu};
-    out.entries += r.entries.size();
-  }
-  {
-    auto& r = registry<TismdpSolver::ConstrainedSolution>();
-    std::lock_guard<std::mutex> lock{r.mu};
-    out.entries += r.entries.size();
-  }
-  return out;
-}
+SolveCacheStats tismdp_solve_cache_stats() { return cache().stats(); }
 
-void clear_tismdp_solve_cache() {
-  {
-    auto& r = registry<TismdpMixSolution>();
-    std::lock_guard<std::mutex> lock{r.mu};
-    r.entries.clear();
-  }
-  {
-    auto& r = registry<TismdpSolver::ConstrainedSolution>();
-    std::lock_guard<std::mutex> lock{r.mu};
-    r.entries.clear();
-  }
-  Stats& s = stats();
-  std::lock_guard<std::mutex> lock{s.mu};
-  s.hits = 0;
-  s.misses = 0;
-}
+void clear_tismdp_solve_cache() { cache().clear(); }
 
 }  // namespace dvs::dpm

@@ -1,12 +1,10 @@
-// Process-wide cache of TISMDP policy solves.
+// Process-wide cache of TISMDP plan searches.
 //
-// Both TISMDP implementations pay a construction-time optimization — the
-// direct plan search (TismdpPolicy: evaluate_plan over every candidate
-// plan) and the DP solver (SolverTismdpPolicy: backward induction plus a
-// Lagrangian bisection).  The solve depends only on the cost model, the
-// idle distribution, and the delay constraint, all of which repeat across
-// sweep points, replicates, and processes' worth of tests — so the result
-// is memoized by value.
+// TismdpPolicy pays a construction-time optimization: the direct plan
+// search (evaluate_plan over every candidate plan).  The solve depends only
+// on the cost model, the idle distribution, and the delay constraint, all
+// of which repeat across sweep points, replicates, and processes' worth of
+// tests — so the result is memoized by value.
 //
 // The idle distribution is polymorphic, so identity comes from
 // IdleDistribution::cache_key(): distributions returning the same
@@ -15,14 +13,13 @@
 // subclass that doesn't implement the key).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
+#include "common/memo.hpp"
 #include "common/units.hpp"
 #include "dpm/cost_model.hpp"
 #include "dpm/idle_model.hpp"
 #include "dpm/policy.hpp"
-#include "dpm/tismdp_solver.hpp"
 
 namespace dvs::dpm {
 
@@ -47,21 +44,9 @@ std::shared_ptr<const TismdpMixSolution> cached_tismdp_mix(
     const DpmCostModel& costs, const IdleDistributionPtr& idle,
     Seconds max_expected_delay);
 
-/// Memoized TismdpSolver{costs, idle, cfg}.solve(max_expected_delay), with
-/// the same key discipline as cached_tismdp_mix.
-std::shared_ptr<const TismdpSolver::ConstrainedSolution>
-cached_tismdp_solution(const DpmCostModel& costs,
-                       const IdleDistributionPtr& idle,
-                       Seconds max_expected_delay,
-                       const TismdpSolverConfig& cfg = {});
-
-/// Counters across both solve caches (mix + DP).  `entries` counts
-/// distinct keys; uncacheable (empty-key) solves count as misses.
-struct SolveCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t entries = 0;
-};
+/// Solve-cache counters.  `entries` counts distinct keys; uncacheable
+/// (empty-key) solves count as misses.
+using SolveCacheStats = MemoStats;
 
 [[nodiscard]] SolveCacheStats tismdp_solve_cache_stats();
 

@@ -11,7 +11,7 @@
 //                       fleet::builtin_fleets / find_fleet
 //   * fault injection:  fault::FaultSpec, fault::builtin_faults
 //   * shared assets:    detect::shared_threshold_table,
-//                       dpm::cached_tismdp_solution (process-wide caches)
+//                       dpm::cached_tismdp_mix (process-wide caches)
 //   * observability:    obs::MetricsRegistry, obs::TraceRecorder, sinks,
 //                       telemetry (obs::QuantileSketch,
 //                       obs::TelemetrySnapshotter, obs::SpanProfiler,
@@ -19,7 +19,7 @@
 //   * workloads:        workload clip tables, trace builders, decoders
 //   * hardware models:  hw::SmartBadge, hw::Sa1100, battery / DC-DC
 //   * building blocks:  sim::Simulator, the queue models, detectors, the
-//                       DPM policies and TISMDP solver, common utilities
+//                       DPM policies and TISMDP plan search, common utilities
 //
 // Internal headers under src/ may move, split, or change freely between
 // releases; code that includes only "dvs.hpp" keeps compiling.
@@ -94,7 +94,6 @@
 #include "dpm/policy.hpp"
 #include "dpm/power_manager.hpp"
 #include "dpm/solve_cache.hpp"
-#include "dpm/tismdp_solver.hpp"
 
 // Fault injection.
 #include "fault/fault_spec.hpp"

@@ -202,7 +202,8 @@ void JobSpec::validate() const {
       (void)resolve_detector(run.detector);
       check_policy(run.policy);
       if (!core::dpm_kind_from_string(run.dpm)) {
-        bad("unknown dpm policy \"" + run.dpm + "\"");
+        bad("unknown dpm policy \"" + run.dpm + "\" (known: " +
+            core::known_dpm_kinds() + ")");
       }
       // throws on unknown names (empty = fault-free, not an error)
       if (!run.faults.empty()) fault::parse_fault_list(run.faults);

@@ -253,6 +253,13 @@ def main():
         if proc.returncode != 2 or flag not in proc.stderr:
             fail(f"`{' '.join(args)}` should be a usage error naming {flag} "
                  f"(exit 2), got {proc.returncode}\n{proc.stderr}")
+    # An unknown --dpm kind is a usage error that lists the known kinds.
+    proc = subprocess.run([binary, "run", "--dpm", "tismdp-dp"],
+                          capture_output=True, text=True, timeout=60)
+    if proc.returncode != 2 or "tismdp-dp" not in proc.stderr \
+            or "adaptive" not in proc.stderr:
+        fail(f"`run --dpm tismdp-dp` should be a usage error listing the "
+             f"known kinds (exit 2), got {proc.returncode}\n{proc.stderr}")
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run([binary, "tail", tmp, "--since", "x1"],
                               capture_output=True, text=True, timeout=60)

@@ -49,8 +49,7 @@ TEST(DpmSpec, NamesEncodeParameters) {
 
 TEST(DpmSpec, KindStringsRoundTrip) {
   for (DpmKind k : {DpmKind::None, DpmKind::Timeout, DpmKind::Renewal,
-                    DpmKind::Tismdp, DpmKind::SolverTismdp, DpmKind::Adaptive,
-                    DpmKind::Oracle}) {
+                    DpmKind::Tismdp, DpmKind::Adaptive, DpmKind::Oracle}) {
     const auto parsed = dpm_kind_from_string(to_string(k));
     ASSERT_TRUE(parsed.has_value()) << to_string(k);
     EXPECT_EQ(*parsed, k);
@@ -171,7 +170,7 @@ TEST(MakeDpmPolicy, InstantiatesEachKindFresh) {
   DpmSpec none;
   EXPECT_EQ(make_dpm_policy(none, costs, idle), nullptr);
   for (DpmKind k : {DpmKind::Timeout, DpmKind::Renewal, DpmKind::Tismdp,
-                    DpmKind::SolverTismdp, DpmKind::Adaptive, DpmKind::Oracle}) {
+                    DpmKind::Adaptive, DpmKind::Oracle}) {
     DpmSpec spec;
     spec.kind = k;
     const auto a = make_dpm_policy(spec, costs, idle);

@@ -4,6 +4,7 @@
 
 #include "common/stats.hpp"
 #include "dpm/power_manager.hpp"
+#include "dpm/solve_cache.hpp"
 
 namespace dvs::dpm {
 namespace {
@@ -141,6 +142,38 @@ TEST(Adaptive, ConfigValidation) {
   bad.max_history = 10;
   bad.min_observations = 20;
   EXPECT_THROW((void)(AdaptiveDpmPolicy(badge_costs(), bad)), std::logic_error);
+  bad = AdaptiveDpmConfig{};
+  bad.max_expected_delay = seconds(-0.1);
+  EXPECT_THROW((void)(AdaptiveDpmPolicy(badge_costs(), bad)), std::logic_error);
+}
+
+TEST(Adaptive, RefitsBypassTheSolveCache) {
+  // Every refit solves against a freshly fitted distribution whose bits
+  // never repeat, so caching those solves would only grow the process-wide
+  // cache.  The plans must still be the ones TismdpPolicy serves.
+  const DpmCostModel costs = badge_costs();
+  AdaptiveDpmPolicy policy{costs};
+  const ParetoIdle truth{1.8, seconds(8.0)};
+  Rng rng{8};
+  const SolveCacheStats before = tismdp_solve_cache_stats();
+  for (int i = 0; i < 1000; ++i) policy.observe_idle_period(truth.sample(rng));
+  const SolveCacheStats after = tismdp_solve_cache_stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.entries, before.entries);
+
+  ASSERT_TRUE(policy.learned());
+  const IdleDistributionPtr fit{IdleDistributionPtr{},
+                                policy.fitted_distribution()};
+  const TismdpPolicy informed{costs, fit, AdaptiveDpmConfig{}.max_expected_delay};
+  const SleepPlan& got = policy.current_primary_plan();
+  const SleepPlan& want = informed.primary_plan();
+  ASSERT_EQ(got.steps.size(), want.steps.size());
+  for (std::size_t i = 0; i < got.steps.size(); ++i) {
+    EXPECT_EQ(got.steps[i].after.value(), want.steps[i].after.value()) << i;
+    EXPECT_EQ(got.steps[i].state, want.steps[i].state) << i;
+  }
+  EXPECT_EQ(policy.mix_probability(), informed.mix_probability());
 }
 
 }  // namespace

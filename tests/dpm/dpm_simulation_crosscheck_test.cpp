@@ -5,7 +5,7 @@
 
 #include "common/stats.hpp"
 #include "dpm/power_manager.hpp"
-#include "dpm/tismdp_solver.hpp"
+#include "tismdp_reference.hpp"
 
 namespace dvs::dpm {
 namespace {

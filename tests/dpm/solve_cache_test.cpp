@@ -116,25 +116,5 @@ TEST(SolveCache, EmptyCacheKeyOptsOutOfCaching) {
   EXPECT_EQ(a->mix_p, fresh.mix_p);
 }
 
-TEST(SolveCache, DpSolutionsAreCachedPerSolverConfig) {
-  clear_tismdp_solve_cache();
-  const DpmCostModel costs = badge_costs();
-  const IdleDistributionPtr idle =
-      std::make_shared<ParetoIdle>(2.2, Seconds{0.5});
-
-  const auto a = cached_tismdp_solution(costs, idle, Seconds{0.5});
-  const auto b = cached_tismdp_solution(costs, idle, Seconds{0.5});
-  EXPECT_EQ(a.get(), b.get());
-
-  TismdpSolverConfig coarse;
-  coarse.bins = 40;
-  const auto c = cached_tismdp_solution(costs, idle, Seconds{0.5}, coarse);
-  EXPECT_NE(a.get(), c.get());
-
-  // Same inputs never collide with the mix-solve namespace either.
-  (void)cached_tismdp_mix(costs, idle, Seconds{0.5});
-  EXPECT_EQ(tismdp_solve_cache_stats().entries, 3u);
-}
-
 }  // namespace
 }  // namespace dvs::dpm

@@ -1,8 +1,9 @@
-#include "dpm/tismdp_solver.hpp"
+#include "tismdp_reference.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/stats.hpp"
+#include "dpm/solve_cache.hpp"
 
 namespace dvs::dpm {
 namespace {
@@ -43,20 +44,19 @@ TEST(TismdpSolver, MatchesPlanEvaluationOnItsOwnPlan) {
 
 TEST(TismdpSolver, AgreesWithDirectPlanSearch) {
   // Cross-validation: the DP optimum and the TismdpPolicy plan search
-  // optimize the same objective over (essentially) the same policy class,
-  // so their unconstrained expected energies must agree to within the
-  // discretization error.
+  // (solve_tismdp_mix) optimize the same objective over (essentially) the
+  // same policy class, so their unconstrained expected energies must agree
+  // to within the discretization error.
   const DpmCostModel costs = badge_costs();
   const auto idle = std::make_shared<ParetoIdle>(1.8, seconds(8.0));
 
   const TismdpSolver solver{costs, idle};
   const TimeIndexedPolicy dp = solver.solve_unconstrained();
 
-  double search_best = std::numeric_limits<double>::infinity();
-  for (const SleepPlan& plan : candidate_plans(costs, seconds(80.0))) {
-    search_best = std::min(
-        search_best, evaluate_plan(plan, costs, *idle).expected_energy.value());
-  }
+  const TismdpMixSolution search = solve_tismdp_mix(
+      costs, *idle, Seconds{std::numeric_limits<double>::infinity()});
+  const double search_best =
+      evaluate_plan(search.primary, costs, *idle).expected_energy.value();
   EXPECT_NEAR(dp.expected_energy, search_best, 0.05 * search_best);
 }
 

@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "serve/job_spec.hpp"
 
@@ -144,6 +145,22 @@ TEST(JobSpec, RejectsBadDocuments) {
   // missing required section
   reject(R"({"schema": "dvs-job-v1", "kind": "sweep"})");
   reject(R"({"schema": "dvs-job-v1", "kind": "fleet"})");
+}
+
+TEST(JobSpec, UnknownDpmKindListsKnownKinds) {
+  try {
+    (void)JobSpec::parse_text(R"({"schema": "dvs-job-v1", "kind": "run",
+                                  "run": {"dpm": "tismdp-dp"}})",
+                              "j");
+    FAIL() << "tismdp-dp parsed as a DPM kind";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("\"tismdp-dp\""), std::string::npos) << msg;
+    EXPECT_NE(msg.find("(known: none, timeout, renewal, tismdp, adaptive, "
+                       "oracle)"),
+              std::string::npos)
+        << msg;
+  }
 }
 
 TEST(JobSpec, TakesWholeInRangeIntegersOnly) {

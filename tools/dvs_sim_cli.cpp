@@ -99,7 +99,7 @@
 //   --ema-gain <g>            EMA gain (default 0.03)
 //   --delay <s>               target mean total frame delay (default 0.1/0.15)
 //   --cv2 <v>                 service-variability model for the policy (default 1 = M/M/1)
-//   --dpm none|timeout|renewal|tismdp|tismdp-dp|adaptive|oracle  (default none)
+//   --dpm none|timeout|renewal|tismdp|adaptive|oracle  (default none)
 //   --dpm-delay <s>           TISMDP expected-wakeup-delay bound (default 0.5)
 //   --seed <n>                workload seed (default 1)
 //   --save-trace <path>       write the generated trace and exit
