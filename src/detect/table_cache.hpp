@@ -1,17 +1,19 @@
-// Process-wide cache of Monte-Carlo threshold characterizations.
+// Process-wide cache of threshold characterizations.
 //
-// A ThresholdTable costs ~30 ms to build (3000 windows x ~20 ratios per
-// ChangePointConfig, see threshold_table.hpp) and is immutable once built,
-// so every consumer with the same config can share one instance.  Before
-// this cache, only SweepRunner avoided recharacterizing; tests, examples,
-// benches, and single-run CLI invocations each paid the full cost —
-// sometimes several times per process.
+// A ThresholdTable is immutable once built, so every consumer with the same
+// config can share one instance.  The built-in configs (ChangePointConfig{}
+// and its mc_windows = 500 variant, the only ones the scenarios, fleets and
+// job documents reach) ship their characterization as recorded data in
+// table_cache.cpp: their first use is a data load of 21 numbers, bitwise
+// equal to the Monte-Carlo's output.  Any other config is characterized on
+// first use, which costs ~30 ms for 3000 windows x 20 ratios (see
+// threshold_table.hpp).
 //
 // Keyed by ChangePointConfig *value*.  Concurrent first use of the same
-// config characterizes exactly once (other threads wait on it); distinct
-// configs characterize in parallel.  Entries live for the process —
-// tables are a few hundred bytes, and the config space touched by one
-// process is tiny.
+// config builds exactly once (other threads wait on it); distinct configs
+// build in parallel.  Either kind of first use counts as one miss.
+// Entries live for the process — tables are a few hundred bytes, and the
+// config space touched by one process is tiny.
 #pragma once
 
 #include <memory>
@@ -25,8 +27,9 @@ namespace dvs::detect {
 /// number of distinct configs characterized so far.
 using TableCacheStats = MemoStats;
 
-/// The shared table for `cfg`, characterizing it on first use.
-/// Thread-safe; deterministic (characterization depends only on cfg).
+/// The shared table for `cfg`, built on first use: from the recorded data
+/// when `cfg` equals a built-in config in every field, by the Monte-Carlo
+/// otherwise.  Thread-safe; deterministic (the table depends only on cfg).
 std::shared_ptr<const ThresholdTable> shared_threshold_table(
     const ChangePointConfig& cfg = {});
 

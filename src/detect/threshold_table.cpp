@@ -39,6 +39,21 @@ double max_log_likelihood_ratio(const std::vector<double>& normalized_window,
 
 namespace {
 
+/// The characterized ratios: descending reciprocals then ascending powers
+/// of grid_step, kept sorted.
+std::vector<double> ratio_grid(const ChangePointConfig& cfg) {
+  DVS_CHECK_MSG(cfg.grid_step > 1.0, "ThresholdTable: grid step must be > 1");
+  DVS_CHECK_MSG(cfg.grid_points >= 1, "ThresholdTable: need at least one grid point");
+  std::vector<double> ratios;
+  for (std::size_t j = cfg.grid_points; j >= 1; --j) {
+    ratios.push_back(std::pow(cfg.grid_step, -static_cast<double>(j)));
+  }
+  for (std::size_t j = 1; j <= cfg.grid_points; ++j) {
+    ratios.push_back(std::pow(cfg.grid_step, static_cast<double>(j)));
+  }
+  return ratios;
+}
+
 /// ln 2^600: one unit of the suffix product's exponent counter.
 constexpr double kLnRescale = 600.0 * std::numbers::ln2;
 
@@ -122,21 +137,26 @@ double certified_quantile(const std::vector<double>& approx,
 
 }  // namespace
 
-ThresholdTable::ThresholdTable(const ChangePointConfig& cfg) : cfg_(cfg) {
+ThresholdTable::ThresholdTable(const ChangePointConfig& cfg,
+                               std::span<const double> thresholds,
+                               double scan_margin)
+    : cfg_(cfg), ratios_(ratio_grid(cfg)), scan_margin_(scan_margin) {
+  DVS_CHECK_MSG(thresholds.size() == ratios_.size(),
+                "ThresholdTable: need one threshold per grid ratio");
+  entries_.reserve(ratios_.size());
+  for (std::size_t i = 0; i < ratios_.size(); ++i) {
+    entries_.emplace_back(ratios_[i], thresholds[i]);
+  }
+  build_scan_rows();
+}
+
+ThresholdTable::ThresholdTable(const ChangePointConfig& cfg)
+    : cfg_(cfg), ratios_(ratio_grid(cfg)) {
   DVS_CHECK_MSG(cfg.window >= 2 * cfg.min_tail, "ThresholdTable: window too small");
   DVS_CHECK_MSG(cfg.confidence > 0.5 && cfg.confidence < 1.0,
                 "ThresholdTable: confidence must be in (0.5, 1)");
-  DVS_CHECK_MSG(cfg.grid_step > 1.0, "ThresholdTable: grid step must be > 1");
-  DVS_CHECK_MSG(cfg.grid_points >= 1, "ThresholdTable: need at least one grid point");
   DVS_CHECK_MSG(cfg.mc_windows >= 200, "ThresholdTable: too few Monte-Carlo windows");
 
-  // Ratios: descending reciprocals then ascending powers, kept sorted.
-  for (std::size_t j = cfg.grid_points; j >= 1; --j) {
-    ratios_.push_back(std::pow(cfg.grid_step, -static_cast<double>(j)));
-  }
-  for (std::size_t j = 1; j <= cfg.grid_points; ++j) {
-    ratios_.push_back(std::pow(cfg.grid_step, static_cast<double>(j)));
-  }
   std::vector<double> log_ratios;
   for (double r : ratios_) log_ratios.push_back(std::log(r));
 
@@ -220,11 +240,13 @@ ThresholdTable::ThresholdTable(const ChangePointConfig& cfg) : cfg_(cfg) {
         return best;
       });
   scan_margin_ = std::max(0.0, margin);
+  build_scan_rows();
+}
 
+void ThresholdTable::build_scan_rows() {
   scan_rows_.reserve(ratios_.size());
-  for (std::size_t i = 0; i < ratios_.size(); ++i) {
-    scan_rows_.push_back(
-        ScanRow{ratios_[i], log_ratios[i], threshold_for_ratio(ratios_[i])});
+  for (const double r : ratios_) {
+    scan_rows_.push_back(ScanRow{r, std::log(r), threshold_for_ratio(r)});
   }
 }
 

@@ -60,9 +60,16 @@
 // candidate) and no logarithm or interpolation.  The rows are built once by
 // the constructor and are immutable afterwards, so a table shared across
 // threads (detect/table_cache.hpp) needs no further synchronisation.
+//
+// Recorded characterizations.  A table is fully determined by its config,
+// its thresholds and its scan margin: the ratio grid and the scan rows are
+// derived from them.  So a characterization run once off-line can be
+// shipped as those 2 grid_points + 1 numbers and rebuilt without any
+// Monte-Carlo; detect/table_cache.cpp does that for the built-in configs.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -111,6 +118,15 @@ class ThresholdTable {
   /// Runs the Monte-Carlo characterization (deterministic given cfg).
   explicit ThresholdTable(const ChangePointConfig& cfg);
 
+  /// Rebuilds a recorded characterization of `cfg` without the Monte-Carlo:
+  /// `thresholds` are the entries' thresholds ascending by ratio (one per
+  /// grid ratio) and `scan_margin` the scan margin.  The ratio grid and the
+  /// scan rows come from the same code as the characterizing constructor's,
+  /// so the table is bitwise equal to ThresholdTable{cfg} when the numbers
+  /// were recorded from it.
+  ThresholdTable(const ChangePointConfig& cfg, std::span<const double> thresholds,
+                 double scan_margin);
+
   /// Threshold for an arbitrary ratio r (> 0, != 1): interpolated in
   /// log-ratio space and clamped to the characterized range.
   [[nodiscard]] double threshold_for_ratio(double r) const;
@@ -136,6 +152,9 @@ class ThresholdTable {
   [[nodiscard]] const ChangePointConfig& config() const { return cfg_; }
 
  private:
+  /// Fills scan_rows_ from ratios_ and entries_.
+  void build_scan_rows();
+
   ChangePointConfig cfg_;
   std::vector<std::pair<double, double>> entries_;  ///< (ratio, threshold)
   std::vector<double> ratios_;

@@ -1,11 +1,9 @@
 #include "dpm/idle_model.hpp"
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
 
 #include "common/check.hpp"
+#include "common/memo.hpp"
 
 namespace dvs::dpm {
 
@@ -14,11 +12,11 @@ namespace {
 // Cache keys embed parameter bit patterns, not decimal renderings, so two
 // distributions share solves only when they are numerically identical.
 std::string param_bits(const char* tag, double a, double b) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%s(%016llx,%016llx)", tag,
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(a)),
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(b)));
-  return buf;
+  std::string key = tag;
+  key += ':';
+  append_key_double(key, a);
+  append_key_double(key, b);
+  return key;
 }
 
 }  // namespace

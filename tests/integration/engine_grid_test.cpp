@@ -2,6 +2,8 @@
 // combination of detector and DPM policy on both media types.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
 #include <tuple>
 
 #include "core/experiment.hpp"
@@ -62,6 +64,19 @@ dpm::DpmPolicyPtr make_policy(DpmChoice c) {
 using GridParam = std::tuple<DetectorKind, DpmChoice, workload::MediaType>;
 
 class EngineGrid : public ::testing::TestWithParam<GridParam> {};
+
+/// Instance name, e.g. ChangePoint_Tismdp_Mp3.
+std::string grid_name(const ::testing::TestParamInfo<GridParam>& info) {
+  const auto [detector, dpm_choice, media] = info.param;
+  std::string name;
+  for (const char c : to_string(detector)) {
+    if (std::isalnum(static_cast<unsigned char>(c))) name += c;
+  }
+  std::string dpm = to_string(dpm_choice);
+  dpm[0] = static_cast<char>(std::toupper(static_cast<unsigned char>(dpm[0])));
+  return name + "_" + dpm + "_" +
+         (media == workload::MediaType::Mp3Audio ? "Mp3" : "Mpeg");
+}
 
 TEST_P(EngineGrid, InvariantsHold) {
   const auto [detector, dpm_choice, media] = GetParam();
@@ -147,7 +162,8 @@ INSTANTIATE_TEST_SUITE_P(
                           DpmChoice::Renewal, DpmChoice::Tismdp,
                           DpmChoice::Oracle, DpmChoice::Adaptive),
         ::testing::Values(workload::MediaType::Mp3Audio,
-                          workload::MediaType::MpegVideo)));
+                          workload::MediaType::MpegVideo)),
+    grid_name);
 
 }  // namespace
 }  // namespace dvs::core
