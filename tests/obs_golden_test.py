@@ -12,6 +12,12 @@ in tests/golden/obs_digests.json rather than the files themselves.
 Wall-clock readings (the `wall.*` gauges, `dvs_wall_*` in OpenMetrics) are
 the only run-to-run differences; they are removed before hashing.
 
+One `dvs-sim sweep` config covers the merged-registry path: the sweep folds
+every point's metrics registry into one (MetricsRegistry::merge_from), so
+its --metrics-json must hash to SWEEP_DIGEST at every worker count in
+SWEEP_JOBS.  Its `sweep.wall_seconds` and `sweep.jobs` gauges are removed
+before hashing as well.
+
 Regenerate the digests only for an intentional change to the output (the
 same rule as perfbench's --write-pins), and say why in the change log:
 
@@ -45,6 +51,12 @@ CONFIGS = [
       "--dpm", "tismdp"]),
 ]
 
+# The merged-registry config: `dvs-sim sweep` arguments, the worker counts
+# that must agree, and the digest of their --metrics-json.
+SWEEP_ARGS = ["table4", "--replicates", "1"]
+SWEEP_JOBS = [1, 4]
+SWEEP_DIGEST = "30e1c77f186ad289c87b1dddf8dbdf3a200be268025214406411c94cb34c995e"
+
 # (artifact file name, flag that writes it)
 ARTIFACTS = [
     ("trace.jsonl", "--trace-jsonl"),
@@ -57,9 +69,12 @@ ARTIFACTS = [
     ("telemetry.jsonl", "--telemetry-jsonl"),
 ]
 
-# A JSON member `"wall.<name>": <number>` with its separator, and an
-# OpenMetrics line about a dvs_wall_* series.
-WALL_JSON = re.compile(rb'"wall\.[A-Za-z0-9_.]+":\s*[-+0-9.eE]+,?[ \t]*\n?')
+# A JSON member `"wall.<name>": <number>` (or a sweep's wall-time or worker
+# count gauge) with its separator, and an OpenMetrics line about a dvs_wall_*
+# series.
+WALL_JSON = re.compile(
+    rb'"(wall\.[A-Za-z0-9_.]+|sweep\.wall_seconds|sweep\.jobs)":'
+    rb'\s*[-+0-9.eE]+,?[ \t]*\n?')
 WALL_OM = re.compile(rb"^(# [A-Z]+ )?dvs_wall_[^\n]*\n", re.MULTILINE)
 
 
@@ -90,6 +105,17 @@ def run_config(binary, tmp, name, args):
             if os.path.exists(os.path.join(out, fname))}
 
 
+def run_sweep(binary, tmp, jobs):
+    out = os.path.join(tmp, "sweep_jobs%d.json" % jobs)
+    cmd = [binary, "sweep"] + SWEEP_ARGS + ["--jobs", str(jobs),
+                                            "--metrics-json", out]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        fail("`%s` exit code %d\n%s" %
+             (" ".join(cmd), proc.returncode, proc.stderr))
+    return digest(out)
+
+
 def main():
     args = sys.argv[1:]
     write = "--write" in args
@@ -101,8 +127,11 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         actual = {name: run_config(binary, tmp, name, cfg)
                   for name, cfg in CONFIGS}
+        sweeps = {jobs: run_sweep(binary, tmp, jobs) for jobs in SWEEP_JOBS}
 
     if write:
+        print("sweep %s metrics.json digest: %s (SWEEP_DIGEST in this file)" %
+              (" ".join(SWEEP_ARGS), sweeps[SWEEP_JOBS[0]]))
         os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
         with open(DIGESTS, "w") as f:
             json.dump(actual, f, indent=2, sort_keys=True)
@@ -123,11 +152,15 @@ def main():
                     name, " ".join(cfg), fname,
                     "missing" if fname not in got else
                     "unexpected" if fname not in want else "differs"))
+    for jobs, got in sorted(sweeps.items()):
+        if got != SWEEP_DIGEST:
+            mismatches.append("dvs-sim sweep %s --jobs %d: metrics.json differs"
+                              % (" ".join(SWEEP_ARGS), jobs))
     if mismatches:
         fail("%d artifact(s) changed:\n  %s" %
              (len(mismatches), "\n  ".join(mismatches)))
     print("obs golden: %d artifacts byte-identical" %
-          sum(len(d) for d in actual.values()))
+          (sum(len(d) for d in actual.values()) + len(sweeps)))
 
 
 if __name__ == "__main__":
