@@ -387,4 +387,10 @@ std::string fmt17(double v) {
   return buf;
 }
 
+std::string fmt9(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  return buf;
+}
+
 }  // namespace dvs::json

@@ -106,6 +106,9 @@ std::string escape(std::string_view s);
 /// %.17g: the shortest printf format that round-trips every finite double.
 std::string fmt17(double v);
 
+/// %.9g: the compact form of the metrics, trace, and telemetry outputs.
+std::string fmt9(double v);
+
 /// Opens a JSONL log for appending.  A torn final line (a SIGKILL
 /// mid-append) is truncated away first — appending after the fragment
 /// would glue the next record onto it and hide every later line from

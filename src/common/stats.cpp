@@ -57,78 +57,7 @@ void RunningStats::merge(const RunningStats& other) {
   sum_ += other.sum_;
 }
 
-void RunningStats::absorb(std::size_t n, double sum, double min, double max) {
-  if (n == 0) return;
-  RunningStats other;
-  other.n_ = n;
-  other.sum_ = sum;
-  other.mean_ = sum / static_cast<double>(n);
-  other.m2_ = 0.0;  // within-set spread unknown; see header
-  other.min_ = min;
-  other.max_ = max;
-  merge(other);
-}
-
 void RunningStats::reset() { *this = RunningStats{}; }
-
-// ---- Histogram --------------------------------------------------------------
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must be > lo");
-  if (bins == 0) throw std::invalid_argument("Histogram: need at least one bin");
-}
-
-void Histogram::add(double x) { add(x, 1); }
-
-void Histogram::add(double x, std::size_t weight) {
-  total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += weight;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // float edge case at hi
-  counts_[idx] += weight;
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range("Histogram::bin_count");
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range("Histogram::bin_lo");
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) throw std::logic_error("Histogram::quantile(): empty");
-  if (q < 0.0 || q > 1.0) throw std::domain_error("Histogram::quantile(): q in [0,1]");
-  const double target = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (target <= cum) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (target <= next && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  underflow_ = overflow_ = total_ = 0;
-}
 
 // ---- SampleQuantiles ---------------------------------------------------------
 

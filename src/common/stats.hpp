@@ -1,8 +1,9 @@
-// Streaming statistics and histograms.
+// Streaming statistics and exact sample quantiles.
 //
 // Used by the simulation metrics (mean frame delay, energy accounting
-// cross-checks), by the off-line change-point characterization (quantile of
-// the log-likelihood-ratio histogram, Section 3.1 of the paper), and by the
+// cross-checks), by the off-line change-point characterization (the paper's
+// histogram of ln P_max, Section 3.1, is read only for its high quantile, so
+// SampleQuantiles keeps the samples and answers it exactly), and by the
 // exponential-fit validation of Figure 6.
 #pragma once
 
@@ -34,13 +35,6 @@ class RunningStats {
   /// Merges another accumulator into this one (parallel-friendly).
   void merge(const RunningStats& other);
 
-  /// Folds in a summarized sample set known only by its count, sum, and
-  /// extrema (e.g. recovered from a serialized artifact that kept no
-  /// second moment).  Count/mean/sum/min/max stay exact; the absorbed
-  /// set contributes zero within-set variance, so variance() afterwards
-  /// is a lower bound.  No-op when n == 0.
-  void absorb(std::size_t n, double sum, double min, double max);
-
   void reset();
 
  private:
@@ -50,46 +44,6 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
   double sum_ = 0.0;
-};
-
-/// Fixed-range histogram with uniform bins plus underflow/overflow counters.
-///
-/// The paper's off-line characterization accumulates ln(P_max) values "in a
-/// histogram, and then the value ... that gives very high probability that
-/// the rate has changed is chosen" — i.e. a quantile query, provided here.
-class Histogram {
- public:
-  /// Builds a histogram covering [lo, hi) with `bins` uniform bins.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  void add(double x, std::size_t weight);
-
-  [[nodiscard]] std::size_t total_count() const { return total_; }
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const;
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] double lo() const { return lo_; }
-  [[nodiscard]] double hi() const { return hi_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
-  /// Value below which fraction q of the mass lies (linear interpolation
-  /// within the containing bin).  q in [0, 1]; throws if the histogram is
-  /// empty.  Underflow mass counts as lo(), overflow as hi().
-  [[nodiscard]] double quantile(double q) const;
-
-  void reset();
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 /// Exact empirical quantile over a stored sample (for small sample sets

@@ -12,6 +12,19 @@
 
 namespace dvs::core {
 
+namespace {
+
+/// How long the WLAN stays active to receive one frame.
+constexpr Seconds kWlanRxTime = seconds(0.002);
+// A zero burst could put a WLAN-on between two equal-time WLAN-offs.
+static_assert(kWlanRxTime.value() > 0.0, "WLAN reception time must be > 0");
+/// Interarrival gaps at or above this are idle periods, not rate samples.
+constexpr Seconds kSessionGapThreshold = seconds(2.0);
+/// Hardware-idle filter before the DPM policy owns an idle period.
+constexpr Seconds kDpmArmDelay = seconds(0.5);
+
+}  // namespace
+
 Engine::Engine(EngineConfig cfg, std::vector<PlaybackItem> items)
     : cfg_(std::move(cfg)),
       items_(std::move(items)),
@@ -19,8 +32,6 @@ Engine::Engine(EngineConfig cfg, std::vector<PlaybackItem> items)
       buffer_(cfg_.buffer_capacity) {
   DVS_CHECK_MSG(!items_.empty(), "Engine: no playback items");
   DVS_CHECK_MSG(cfg_.target_delay.value() > 0.0, "Engine: target delay must be > 0");
-  DVS_CHECK_MSG(cfg_.wlan_rx_time.value() > 0.0,
-                "Engine: WLAN reception time must be > 0");
   for (std::size_t i = 0; i < items_.size(); ++i) {
     DVS_CHECK_MSG(!items_[i].trace.frames().empty(), "Engine: empty trace item");
     DVS_CHECK_MSG(items_[i].decoder.max_frequency() == badge_.cpu().max_frequency(),
@@ -224,7 +235,7 @@ void Engine::handle_arrival() {
   if (accepted) {
     if (prev_arrival_) {
       const Seconds gap = now - *prev_arrival_;
-      if (gap.value() > 0.0 && gap < cfg_.session_gap_threshold) {
+      if (gap.value() > 0.0 && gap < kSessionGapThreshold) {
         gov.on_arrival(now, gap, static_cast<double>(buffer_.size()));
         if (probe_ != nullptr && probe_->tracing() && gov.adaptive()) {
           probe_->detector_sample(now, "arrival", gov.detector_name(), gap,
@@ -288,7 +299,7 @@ void Engine::apply_transitions_before(Seconds at, std::uint64_t seq) {
 }
 
 void Engine::start_wlan_burst(Seconds at) {
-  wlan_busy_until_ = std::max(wlan_busy_until_, at + cfg_.wlan_rx_time);
+  wlan_busy_until_ = std::max(wlan_busy_until_, at + kWlanRxTime);
   if (!defer_follow_up(at, wlan_on_)) {
     sim_.schedule_at(at, [this] { wlan_on(); });
   }
@@ -433,8 +444,8 @@ void Engine::arm_dpm(Seconds now) {
   // The pending arrival was scheduled before this filter would be, so at
   // the same time it runs first; either way it cancels the filter before
   // it could fire.  Skip the event the kernel would only tombstone.
-  if (next_arrival_ && *next_arrival_ <= now + cfg_.dpm_arm_delay) return;
-  arm_event_ = sim_.schedule_at(now + cfg_.dpm_arm_delay, [this] {
+  if (next_arrival_ && *next_arrival_ <= now + kDpmArmDelay) return;
+  arm_event_ = sim_.schedule_at(now + kDpmArmDelay, [this] {
     const obs::ScopedSpan span{profiler_, span_dpm_idle_};
     const Seconds t = sim_.now();
     // Playback stopped: the display is no longer being accessed.

@@ -20,9 +20,9 @@
 //  * MP3 decode touches CPU+SRAM; MPEG decode touches CPU+DRAM and keeps
 //    the display lit between frames.  The display auto-idles when playback
 //    stops (at the idle filter), independent of the DPM policy.
-//  * Arrival-rate samples are gated: a gap larger than
-//    `session_gap_threshold` is an idle period, not rate information (the
-//    paper models idle-state arrivals separately from the active state).
+//  * Arrival-rate samples are gated: a gap of 2 s or more is an idle
+//    period, not rate information (the paper models idle-state arrivals
+//    separately from the active state).
 //
 // Kernel mapping: each frame costs two kernel events, its arrival and its
 // decode completion (DPM steps, wakeup completions and the samplers add
@@ -82,10 +82,9 @@ struct PlaybackItem {
 /// and the engine-facing EngineConfig.  The two structs inherit this base,
 /// and to_engine_config() copies it in one slice assignment — add a field
 /// here and it reaches the engine with no per-field plumbing (the drift
-/// that once silently dropped buffer_capacity and wlan_rx_time cannot
-/// recur).  Only the CPU model and the detector configuration differ
-/// between the layers (pointer-to-shared vs owned value) and stay in the
-/// derived structs.
+/// that once silently dropped buffer_capacity cannot recur).  Only the CPU
+/// model and the detector configuration differ between the layers
+/// (pointer-to-shared vs owned value) and stay in the derived structs.
 struct EngineSettings {
   DetectorKind detector = DetectorKind::ChangePoint;
   /// Governor policy: a policy::GovernorFactory key ("paper", "max",
@@ -97,9 +96,6 @@ struct EngineSettings {
   /// paper's M/M/1 (Eq. 5); other values use the M/G/1 P-K inversion.
   double service_cv2 = 1.0;
   dpm::DpmPolicyPtr dpm_policy;  ///< null -> NeverSleepPolicy
-  Seconds wlan_rx_time{0.002};
-  Seconds session_gap_threshold{2.0};
-  Seconds dpm_arm_delay{0.5};  ///< hardware-idle filter before the DPM owns the period
   std::size_t buffer_capacity = 0;  ///< 0 = unbounded
   /// > 0: sample the instantaneous whole-badge power on this period into
   /// Metrics::power_trace (for power-profile plots).

@@ -376,8 +376,8 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
     reg.counter("sweep.cells") += out.cells.size();
     reg.gauge("sweep.jobs") = out.jobs;
     reg.gauge("sweep.wall_seconds") = out.wall_seconds;
-    auto& energy_hist = reg.histogram("sweep.point_energy_kj", 0.0, 50.0, 100);
-    auto& delay_hist = reg.histogram("sweep.point_delay_s", 0.0, 2.0, 100);
+    auto& energy_hist = reg.histogram("sweep.point_energy_kj", 0.0, 50.0);
+    auto& delay_hist = reg.histogram("sweep.point_delay_s", 0.0, 2.0);
     std::uint64_t total_faults = 0;
     std::uint64_t total_recoveries = 0;
     double total_degraded = 0.0;

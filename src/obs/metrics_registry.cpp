@@ -1,53 +1,40 @@
 #include "obs/metrics_registry.hpp"
 
-#include <cstdio>
 #include <stdexcept>
+
+#include "common/json.hpp"
 
 namespace dvs::obs {
 
-namespace {
-
-std::string fmt_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
+double HistogramMetric::mean() const {
+  if (sketch_.empty()) {
+    throw std::logic_error("HistogramMetric::mean(): no samples");
+  }
+  return sum_ / static_cast<double>(count());
 }
 
-}  // namespace
-
 void HistogramMetric::merge(const HistogramMetric& other) {
-  if (hist_.lo() != other.hist_.lo() || hist_.hi() != other.hist_.hi() ||
-      hist_.bins() != other.hist_.bins()) {
+  if (lo_ != other.lo_ || hi_ != other.hi_) {
     throw std::invalid_argument(
-        "HistogramMetric::merge: incompatible histogram shapes");
+        "HistogramMetric::merge: incompatible histogram ranges");
   }
-  for (std::size_t i = 0; i < other.hist_.bins(); ++i) {
-    if (other.hist_.bin_count(i) > 0) {
-      hist_.add(other.hist_.bin_lo(i), other.hist_.bin_count(i));
-    }
-  }
-  // Clamped mass merges as clamped mass (bin_lo of an end bin would lie).
-  if (other.hist_.underflow() > 0) {
-    hist_.add(other.hist_.lo() - 1.0, other.hist_.underflow());
-  }
-  if (other.hist_.overflow() > 0) {
-    hist_.add(other.hist_.hi(), other.hist_.overflow());
-  }
-  stats_.merge(other.stats_);
+  underflow_ += other.underflow_;
+  overflow_ += other.overflow_;
+  sum_ += other.sum_;
   sketch_.merge(other.sketch_);
 }
 
 void HistogramMetric::absorb_sketch(const QuantileSketch& s, double sum) {
   if (s.empty()) return;
-  stats_.absorb(s.count(), sum, s.min(), s.max());
+  sum_ += sum;
   sketch_.merge(s);
 }
 
 HistogramMetric& MetricsRegistry::histogram(const std::string& name, double lo,
-                                            double hi, std::size_t bins) {
+                                            double hi) {
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_.emplace(name, HistogramMetric{lo, hi, bins}).first;
+    it = histograms_.emplace(name, HistogramMetric{lo, hi}).first;
   }
   return it->second;
 }
@@ -73,24 +60,20 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   for (const auto& [name, h] : other.histograms_) {
     auto it = histograms_.find(name);
     if (it == histograms_.end()) {
-      it = histograms_
-               .emplace(name, HistogramMetric{h.histogram().lo(),
-                                              h.histogram().hi(),
-                                              h.histogram().bins()})
-               .first;
+      it = histograms_.emplace(name, HistogramMetric{h.lo(), h.hi()}).first;
     }
     it->second.merge(h);
   }
   // Gauges deliberately skipped (see header).
 }
 
-std::vector<std::pair<std::string, double>> MetricsRegistry::clamped_histograms(
-    double threshold) const {
+std::vector<std::pair<std::string, double>>
+MetricsRegistry::out_of_range_histograms(double threshold) const {
   std::vector<std::pair<std::string, double>> out;
   for (const auto& [name, h] : histograms_) {
     if (h.count() == 0) continue;
     const double frac =
-        static_cast<double>(h.clamped()) / static_cast<double>(h.count());
+        static_cast<double>(h.out_of_range()) / static_cast<double>(h.count());
     if (frac > threshold) out.emplace_back(name, frac);
   }
   return out;
@@ -106,7 +89,8 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges_) {
-    os << (first ? "\n" : ",\n") << "    \"" << name << "\": " << fmt_num(value);
+    os << (first ? "\n" : ",\n") << "    \"" << name
+       << "\": " << json::fmt9(value);
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -115,14 +99,14 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     os << (first ? "\n" : ",\n") << "    \"" << name
        << "\": {\"count\": " << h.count();
     if (h.count() > 0) {
-      os << ", \"mean\": " << fmt_num(h.stats().mean())
-         << ", \"min\": " << fmt_num(h.stats().min())
-         << ", \"max\": " << fmt_num(h.stats().max())
-         << ", \"p50\": " << fmt_num(h.sketch().quantile(0.5))
-         << ", \"p90\": " << fmt_num(h.sketch().quantile(0.9))
-         << ", \"p99\": " << fmt_num(h.sketch().quantile(0.99))
-         << ", \"underflow\": " << h.histogram().underflow()
-         << ", \"overflow\": " << h.histogram().overflow();
+      os << ", \"mean\": " << json::fmt9(h.mean())
+         << ", \"min\": " << json::fmt9(h.min())
+         << ", \"max\": " << json::fmt9(h.max())
+         << ", \"p50\": " << json::fmt9(h.sketch().quantile(0.5))
+         << ", \"p90\": " << json::fmt9(h.sketch().quantile(0.9))
+         << ", \"p99\": " << json::fmt9(h.sketch().quantile(0.99))
+         << ", \"underflow\": " << h.underflow()
+         << ", \"overflow\": " << h.overflow();
     }
     os << "}";
     first = false;

@@ -20,13 +20,13 @@ Probe::Probe(const Sinks& sinks)
       ledger_(sinks.ledger),
       flight_(sinks.flight) {
   if (metrics_ == nullptr) return;
-  delay_hist_ = &metrics_->histogram("frames.delay_s", 0.0, 2.0, 200);
-  decode_hist_ = &metrics_->histogram("frames.decode_s", 0.0, 0.2, 200);
+  delay_hist_ = &metrics_->histogram("frames.delay_s", 0.0, 2.0);
+  decode_hist_ = &metrics_->histogram("frames.decode_s", 0.0, 0.2);
   detect_latency_hist_ =
-      &metrics_->histogram("detector.detection_latency_s", 0.0, 60.0, 120);
+      &metrics_->histogram("detector.detection_latency_s", 0.0, 60.0);
   delay_violation_hist_ =
-      &metrics_->histogram("frames.delay_over_target", 0.0, 10.0, 100);
-  idle_hist_ = &metrics_->histogram("dpm.idle_period_s", 0.0, 120.0, 240);
+      &metrics_->histogram("frames.delay_over_target", 0.0, 10.0);
+  idle_hist_ = &metrics_->histogram("dpm.idle_period_s", 0.0, 120.0);
 }
 
 void Probe::emit(Seconds now, Payload payload) {

@@ -1,6 +1,5 @@
 #include "obs/sinks.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/json.hpp"
@@ -16,17 +15,11 @@ constexpr int kGovernorLane = 2;
 constexpr int kDetectorLane = 3;
 constexpr int kDpmLane = 4;
 
-std::string fmt_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
 /// Builds the {"k":v,...} field list of one JSONL line.
 class JsonFields {
  public:
   JsonFields& num(std::string_view key, double v) {
-    return raw(key, fmt_num(v));
+    return raw(key, json::fmt9(v));
   }
   JsonFields& num(std::string_view key, std::uint64_t v) {
     return raw(key, std::to_string(v));
@@ -186,7 +179,7 @@ StreamSinkBase::StreamSinkBase(const std::string& path)
 void JsonlSink::on_event(const Event& event) {
   JsonFields f;
   std::visit(JsonlVisitor{f}, event.payload);
-  out() << "{\"ts\":" << fmt_num(event.ts) << ",\"type\":\""
+  out() << "{\"ts\":" << json::fmt9(event.ts) << ",\"type\":\""
         << type_name(event.payload) << "\"" << f.body() << "}\n";
 }
 
@@ -199,9 +192,9 @@ void CsvTimelineSink::header_once() {
 void CsvTimelineSink::on_event(const Event& event) {
   header_once();
   const CsvRow row = std::visit(CsvVisitor{}, event.payload);
-  out() << fmt_num(event.ts) << ',' << type_name(event.payload) << ','
-        << row.label << ',' << row.id << ',' << fmt_num(row.a) << ','
-        << fmt_num(row.b) << ',' << fmt_num(row.c) << "\n";
+  out() << json::fmt9(event.ts) << ',' << type_name(event.payload) << ','
+        << row.label << ',' << row.id << ',' << json::fmt9(row.a) << ','
+        << json::fmt9(row.b) << ',' << json::fmt9(row.c) << "\n";
 }
 
 int ChromeTraceSink::lane_for(const std::string& name) {
@@ -237,14 +230,15 @@ void ChromeTraceSink::emit(double ts_us, char ph, int tid,
   first_ = false;
   last_ts_us_ = ts_us;
   out() << "{\"name\":\"" << json::escape(name) << "\",\"ph\":\"" << ph
-        << "\",\"ts\":" << fmt_num(ts_us) << ",\"pid\":1,\"tid\":" << tid;
+        << "\",\"ts\":" << json::fmt9(ts_us) << ",\"pid\":1,\"tid\":" << tid;
   if (!args_json.empty()) out() << ",\"args\":" << args_json;
   out() << "}";
 }
 
 void ChromeTraceSink::counter(double ts_us, const std::string& name,
                               double value) {
-  emit(ts_us, 'C', kGovernorLane, name, "{\"value\":" + fmt_num(value) + "}");
+  emit(ts_us, 'C', kGovernorLane, name,
+       "{\"value\":" + json::fmt9(value) + "}");
 }
 
 void ChromeTraceSink::on_event(const Event& event) {
@@ -268,13 +262,13 @@ void ChromeTraceSink::on_event(const Event& event) {
       sink.decode_open_ = true;
       sink.emit(us, 'B', kDecoderLane, "decode",
                 "{\"frame\":" + std::to_string(p.frame_id) +
-                    ",\"freq_mhz\":" + fmt_num(p.freq_mhz) + "}");
+                    ",\"freq_mhz\":" + json::fmt9(p.freq_mhz) + "}");
     }
     void operator()(const DecodeDone& p) {
       if (sink.decode_open_) {
         sink.decode_open_ = false;
         sink.emit(us, 'E', kDecoderLane, "decode",
-                  "{\"delay_s\":" + fmt_num(p.delay_s) + "}");
+                  "{\"delay_s\":" + json::fmt9(p.delay_s) + "}");
       }
       sink.counter(us, "queue_len", static_cast<double>(p.queue_len));
     }
@@ -285,19 +279,19 @@ void ChromeTraceSink::on_event(const Event& event) {
       if (!p.detected) return;  // non-detections would swamp the lane
       sink.emit(us, 'i', kDetectorLane,
                 "rate_change:" + std::string(p.stream),
-                "{\"ln_p_max\":" + fmt_num(p.ln_p_max) +
-                    ",\"rate_hz\":" + fmt_num(p.rate_hz) + "}");
+                "{\"ln_p_max\":" + json::fmt9(p.ln_p_max) +
+                    ",\"rate_hz\":" + json::fmt9(p.rate_hz) + "}");
     }
     void operator()(const FreqCommit& p) {
       sink.counter(us, "cpu_mhz", p.freq_mhz);
       sink.emit(us, 'i', kGovernorLane, "freq_commit",
                 "{\"step\":" + std::to_string(p.step) +
-                    ",\"freq_mhz\":" + fmt_num(p.freq_mhz) +
-                    ",\"voltage_v\":" + fmt_num(p.voltage_v) + "}");
+                    ",\"freq_mhz\":" + json::fmt9(p.freq_mhz) +
+                    ",\"voltage_v\":" + json::fmt9(p.voltage_v) + "}");
     }
     void operator()(const DpmIdleEnter& p) {
       sink.emit(us, 'i', kDpmLane, "idle_enter",
-                p.hint_s >= 0.0 ? "{\"hint_s\":" + fmt_num(p.hint_s) + "}"
+                p.hint_s >= 0.0 ? "{\"hint_s\":" + json::fmt9(p.hint_s) + "}"
                                 : std::string());
     }
     void operator()(const DpmSleepCommand& p) {
@@ -306,7 +300,7 @@ void ChromeTraceSink::on_event(const Event& event) {
     void operator()(const DpmWakeup& p) {
       sink.emit(us, 'i', kDpmLane, "wakeup",
                 "{\"from\":\"" + json::escape(p.from_state) +
-                    "\",\"latency_s\":" + fmt_num(p.latency_s) + "}");
+                    "\",\"latency_s\":" + json::fmt9(p.latency_s) + "}");
     }
     void operator()(const ComponentState& p) {
       const std::string comp(p.component);
@@ -317,20 +311,20 @@ void ChromeTraceSink::on_event(const Event& event) {
       }
       sink.open_span_[comp] = std::string(p.to);
       sink.emit(us, 'B', lane, std::string(p.to),
-                "{\"power_mw\":" + fmt_num(p.power_mw) + "}");
+                "{\"power_mw\":" + json::fmt9(p.power_mw) + "}");
     }
     void operator()(const FaultInjected& p) {
       sink.emit(us, 'i', kGovernorLane, "fault:" + std::string(p.kind),
-                "{\"magnitude\":" + fmt_num(p.magnitude) + "}");
+                "{\"magnitude\":" + json::fmt9(p.magnitude) + "}");
     }
     void operator()(const WatchdogEscalate& p) {
       sink.emit(us, 'i', kGovernorLane, "watchdog_escalate",
-                "{\"delay_s\":" + fmt_num(p.delay_s) +
-                    ",\"queue\":" + fmt_num(p.queue_len) + "}");
+                "{\"delay_s\":" + json::fmt9(p.delay_s) +
+                    ",\"queue\":" + json::fmt9(p.queue_len) + "}");
     }
     void operator()(const WatchdogRecover& p) {
       sink.emit(us, 'i', kGovernorLane, "watchdog_recover",
-                "{\"degraded_s\":" + fmt_num(p.time_degraded_s) + "}");
+                "{\"degraded_s\":" + json::fmt9(p.time_degraded_s) + "}");
     }
   };
   std::visit(Visitor{*this, us}, event.payload);

@@ -1,22 +1,11 @@
 #include "obs/telemetry/openmetrics.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <sstream>
 
 #include "common/json.hpp"
 
 namespace dvs::obs {
-
-namespace {
-
-std::string fmt_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string openmetrics_name(const std::string& name) {
   std::string out = "dvs_";
@@ -36,26 +25,26 @@ void write_openmetrics(const MetricsRegistry& reg, std::ostream& os) {
   for (const auto& [name, value] : reg.gauges()) {
     const std::string n = openmetrics_name(name);
     os << "# TYPE " << n << " gauge\n";
-    os << n << " " << fmt_num(value) << "\n";
+    os << n << " " << json::fmt9(value) << "\n";
   }
   for (const auto& [name, h] : reg.histograms()) {
     const std::string n = openmetrics_name(name);
     os << "# TYPE " << n << " summary\n";
     if (h.count() > 0) {
-      os << n << "{quantile=\"0.5\"} " << fmt_num(h.sketch().quantile(0.5))
+      os << n << "{quantile=\"0.5\"} " << json::fmt9(h.sketch().quantile(0.5))
          << "\n";
-      os << n << "{quantile=\"0.9\"} " << fmt_num(h.sketch().quantile(0.9))
+      os << n << "{quantile=\"0.9\"} " << json::fmt9(h.sketch().quantile(0.9))
          << "\n";
-      os << n << "{quantile=\"0.99\"} " << fmt_num(h.sketch().quantile(0.99))
+      os << n << "{quantile=\"0.99\"} " << json::fmt9(h.sketch().quantile(0.99))
          << "\n";
     }
     os << n << "_count " << h.count() << "\n";
-    os << n << "_sum " << fmt_num(h.count() > 0 ? h.stats().sum() : 0.0)
-       << "\n";
-    // Binned-histogram clamping, visible to scrapers as its own counter.
+    os << n << "_sum " << json::fmt9(h.sum()) << "\n";
+    // Samples outside the registered range, visible to scrapers as their
+    // own counter.
     const std::string cn = n + "_clamped";
     os << "# TYPE " << cn << " counter\n";
-    os << cn << "_total " << h.clamped() << "\n";
+    os << cn << "_total " << h.out_of_range() << "\n";
   }
   os << "# EOF\n";
 }

@@ -7,10 +7,10 @@
 // non-[a-zA-Z0-9_] characters become underscores.  Counters render as
 // counter families (sample name `<family>_total`), gauges as gauges, and
 // histogram metrics as summaries: `{quantile="0.5|0.9|0.99"}` samples from
-// the quantile sketch plus `_count` / `_sum` from the exact moments, and a
-// companion `<family>_clamped_total` counter exposing binned-histogram
-// underflow + overflow.  Output ends with the mandatory `# EOF` marker and
-// is validated in CI by scripts/check_openmetrics.py.
+// the quantile sketch plus the exact `_count` / `_sum`, and a companion
+// `<family>_clamped_total` counter of the samples outside the histogram's
+// registered range (underflow + overflow).  Output ends with the mandatory
+// `# EOF` marker and is validated in CI by scripts/check_openmetrics.py.
 #pragma once
 
 #include <ostream>

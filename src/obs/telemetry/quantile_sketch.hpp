@@ -7,10 +7,10 @@
 // P² estimator (Jain & Chlamtac 1985; Raatikainen 1987): nine markers whose
 // heights chase the {min, 0.25, 0.5, 0.7, 0.9, 0.945, 0.99, 0.995, max}
 // rank curve with parabolic adjustments, so p50/p90/p99 queries cost O(1)
-// space no matter how many samples flow through.  This replaces the
-// fixed-bin Histogram interpolation for the metrics-JSON percentiles: no
-// a-priori range, no clamping, and observed rank error well under 0.02 on
-// the workloads we run (docs/OBSERVABILITY.md "Sketch accuracy").
+// space no matter how many samples flow through.  It answers every
+// metrics-JSON percentile: no a-priori range, no clamping, and observed rank
+// error well under 0.02 on the workloads we run (docs/OBSERVABILITY.md
+// "Sketch accuracy").
 //
 // Sketches merge: SweepRunner combines the per-point sketches of a cell's
 // replicates (and of its workers) into one population sketch.  Merging two

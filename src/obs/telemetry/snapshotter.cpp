@@ -1,18 +1,8 @@
 #include "obs/telemetry/snapshotter.hpp"
 
-#include <cstdio>
+#include "common/json.hpp"
 
 namespace dvs::obs {
-
-namespace {
-
-std::string fmt_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-}  // namespace
 
 bool TelemetrySnapshotter::open(const std::string& path) {
   file_.open(path);
@@ -36,12 +26,12 @@ void TelemetrySnapshotter::snapshot(double t, const std::string& source,
   ++written_;
 
   std::ostream& os = *os_;
-  os << "{\"t\": " << fmt_num(t) << ", \"source\": \"" << source << "\"";
+  os << "{\"t\": " << json::fmt9(t) << ", \"source\": \"" << source << "\"";
   if (!live.empty()) {
     os << ", \"live\": {";
     bool first = true;
     for (const auto& [name, value] : live) {
-      os << (first ? "" : ", ") << "\"" << name << "\": " << fmt_num(value);
+      os << (first ? "" : ", ") << "\"" << name << "\": " << json::fmt9(value);
       first = false;
     }
     os << "}";
@@ -55,7 +45,7 @@ void TelemetrySnapshotter::snapshot(double t, const std::string& source,
   os << "}, \"gauges\": {";
   first = true;
   for (const auto& [name, value] : reg.gauges()) {
-    os << (first ? "" : ", ") << "\"" << name << "\": " << fmt_num(value);
+    os << (first ? "" : ", ") << "\"" << name << "\": " << json::fmt9(value);
     first = false;
   }
   os << "}, \"quantiles\": {";
@@ -64,10 +54,10 @@ void TelemetrySnapshotter::snapshot(double t, const std::string& source,
     if (h.count() == 0) continue;
     os << (first ? "" : ", ") << "\"" << name
        << "\": {\"count\": " << h.count()
-       << ", \"mean\": " << fmt_num(h.stats().mean())
-       << ", \"p50\": " << fmt_num(h.sketch().quantile(0.5))
-       << ", \"p90\": " << fmt_num(h.sketch().quantile(0.9))
-       << ", \"p99\": " << fmt_num(h.sketch().quantile(0.99)) << "}";
+       << ", \"mean\": " << json::fmt9(h.mean())
+       << ", \"p50\": " << json::fmt9(h.sketch().quantile(0.5))
+       << ", \"p90\": " << json::fmt9(h.sketch().quantile(0.9))
+       << ", \"p99\": " << json::fmt9(h.sketch().quantile(0.99)) << "}";
     first = false;
   }
   os << "}}\n";

@@ -175,7 +175,7 @@ JobSummary run_run_job(const JobSpec& spec, const JobPaths& paths) {
   summary.energy_j = m.total_energy.value();
   if (const obs::HistogramMetric* h = reg.find_histogram("frames.delay_s")) {
     summary.frame_delay_sketch = h->sketch();
-    summary.frame_delay_sum_s = h->count() > 0 ? h->stats().sum() : 0.0;
+    summary.frame_delay_sum_s = h->sum();
   }
   return units.finish(run.counts, run.wall_seconds, std::move(summary));
 }

@@ -180,9 +180,9 @@ obs::MetricsRegistry fold_daemon_metrics(const DoneJobs& done,
   reg.counter("serve.units_restored") = 0;
   reg.gauge("serve.energy_j") = 0.0;
   obs::HistogramMetric& frame_delay =
-      reg.histogram("serve.frame_delay_s", 0.0, 2.0, 200);
+      reg.histogram("serve.frame_delay_s", 0.0, 2.0);
   obs::HistogramMetric& device_delay =
-      reg.histogram("serve.device_delay_s", 0.0, 2.0, 200);
+      reg.histogram("serve.device_delay_s", 0.0, 2.0);
 
   for (const auto& [stem, summary] : done) {
     ++reg.counter("serve.jobs_done");

@@ -59,54 +59,6 @@ TEST(RunningStats, MergeWithEmptySides) {
   EXPECT_EQ(a.count(), 1u);
 }
 
-TEST(Histogram, CountsAndBounds) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(42.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total_count(), 6u);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW((void)(Histogram(1.0, 1.0, 10)), std::invalid_argument);
-  EXPECT_THROW((void)(Histogram(2.0, 1.0, 10)), std::invalid_argument);
-  EXPECT_THROW((void)(Histogram(0.0, 1.0, 0)), std::invalid_argument);
-}
-
-TEST(Histogram, QuantileOfUniformMass) {
-  Histogram h{0.0, 100.0, 100};
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.995), 99.5, 1.0);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.0);
-  EXPECT_THROW((void)(h.quantile(1.5)), std::domain_error);
-}
-
-TEST(Histogram, QuantileAgainstNormalSample) {
-  Rng rng{77};
-  Histogram h{-5.0, 5.0, 500};
-  for (int i = 0; i < 200000; ++i) h.add(rng.normal());
-  EXPECT_NEAR(h.quantile(0.5), 0.0, 0.03);
-  EXPECT_NEAR(h.quantile(0.975), 1.96, 0.05);
-  EXPECT_NEAR(h.quantile(0.995), 2.576, 0.08);
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h{0.0, 1.0, 4};
-  h.add(0.5);
-  h.reset();
-  EXPECT_EQ(h.total_count(), 0u);
-  EXPECT_THROW((void)(h.quantile(0.5)), std::logic_error);
-}
-
 TEST(SampleQuantiles, ExactSmallSample) {
   SampleQuantiles q;
   for (double x : {3.0, 1.0, 2.0, 4.0, 5.0}) q.add(x);

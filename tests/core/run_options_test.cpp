@@ -1,7 +1,7 @@
 // RunOptions <-> EngineConfig round-trip: every field a caller can set must
 // reach the engine (this is the drift that once silently dropped
-// buffer_capacity and wlan_rx_time), plus behavioral checks that the two
-// previously-dropped fields actually change simulation results.
+// buffer_capacity), plus a behavioral check that the previously-dropped
+// field actually changes simulation results.
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
@@ -27,9 +27,6 @@ TEST(RunOptionsRoundTrip, EveryFieldReachesTheEngineConfig) {
   cfg.ema_gain = 0.5;
   cfg.sliding_window = 77;
   opts.detector_cfg = &cfg;
-  opts.dpm_arm_delay = seconds(0.9);
-  opts.session_gap_threshold = seconds(3.3);
-  opts.wlan_rx_time = seconds(0.005);
   opts.buffer_capacity = 17;
   opts.power_sample_period = seconds(2.5);
   opts.watchdog.enabled = true;
@@ -64,9 +61,6 @@ TEST(RunOptionsRoundTrip, EveryFieldReachesTheEngineConfig) {
   EXPECT_EQ(ec.seed, 987u);
   EXPECT_DOUBLE_EQ(ec.detectors.ema_gain, 0.5);
   EXPECT_EQ(ec.detectors.sliding_window, 77u);
-  EXPECT_DOUBLE_EQ(ec.dpm_arm_delay.value(), 0.9);
-  EXPECT_DOUBLE_EQ(ec.session_gap_threshold.value(), 3.3);
-  EXPECT_DOUBLE_EQ(ec.wlan_rx_time.value(), 0.005);
   EXPECT_EQ(ec.buffer_capacity, 17u);
   EXPECT_DOUBLE_EQ(ec.power_sample_period.value(), 2.5);
   EXPECT_TRUE(ec.watchdog.enabled);
@@ -95,10 +89,6 @@ TEST(RunOptionsRoundTrip, DefaultsMatchEngineDefaults) {
   EXPECT_EQ(ec.policy, def.policy);
   EXPECT_DOUBLE_EQ(ec.target_delay.value(), def.target_delay.value());
   EXPECT_DOUBLE_EQ(ec.service_cv2, def.service_cv2);
-  EXPECT_DOUBLE_EQ(ec.wlan_rx_time.value(), def.wlan_rx_time.value());
-  EXPECT_DOUBLE_EQ(ec.session_gap_threshold.value(),
-                   def.session_gap_threshold.value());
-  EXPECT_DOUBLE_EQ(ec.dpm_arm_delay.value(), def.dpm_arm_delay.value());
   EXPECT_EQ(ec.buffer_capacity, def.buffer_capacity);
   EXPECT_DOUBLE_EQ(ec.cpu.max_frequency().value(),
                    def.cpu.max_frequency().value());
@@ -157,8 +147,8 @@ TEST(RunAssembly, NullFaultsLeavesWatchdogDisarmed) {
   EXPECT_EQ(opts.dpm_policy, nullptr);  // DpmKind::None
 }
 
-// A short MP3 run under the Max detector (no detection noise) so the two
-// behavioral checks are cheap and deterministic.
+// A short MP3 run under the Max detector (no detection noise) so the
+// behavioral check is cheap and deterministic.
 Metrics short_run(const RunOptions& opts) {
   const hw::Sa1100 cpu;
   const workload::DecoderModel dec =
@@ -179,19 +169,6 @@ TEST(RunOptionsBehavior, BoundedBufferDropsFramesUnboundedDoesNot) {
   const Metrics bounded = short_run(opts);
   EXPECT_GT(bounded.frames_dropped, 0u);
   EXPECT_LT(bounded.frames_decoded, unbounded.frames_decoded);
-}
-
-TEST(RunOptionsBehavior, WlanRxTimeChangesRadioEnergy) {
-  RunOptions opts;
-  opts.detector = DetectorKind::Max;
-  opts.wlan_rx_time = seconds(0.001);
-  const Metrics small = short_run(opts);
-
-  opts.wlan_rx_time = seconds(0.02);
-  const Metrics large = short_run(opts);
-
-  // A 20x longer active burst per received frame must cost more energy.
-  EXPECT_GT(large.total_energy.value(), small.total_energy.value());
 }
 
 }  // namespace

@@ -104,20 +104,20 @@ TEST(MetricsAggregation, SharedRegistryEqualsMergeOfReplicateRegistries) {
       const HistogramMetric* h = s.find_histogram(name);
       ASSERT_NE(h, nullptr) << name;
       count += h->count();
-      sum += h->stats().mean() * static_cast<double>(h->count());
-      mn = std::min(mn, h->stats().min());
-      mx = std::max(mx, h->stats().max());
+      sum += h->sum();
+      mn = std::min(mn, h->min());
+      mx = std::max(mx, h->max());
     }
     EXPECT_EQ(m->count(), count) << name;
-    EXPECT_NEAR(m->stats().mean(), sum / static_cast<double>(count),
-                1e-12 * std::abs(m->stats().mean()))
+    EXPECT_NEAR(m->mean(), sum / static_cast<double>(count),
+                1e-12 * std::abs(m->mean()))
         << name;
-    EXPECT_DOUBLE_EQ(m->stats().min(), mn) << name;
-    EXPECT_DOUBLE_EQ(m->stats().max(), mx) << name;
-    // Binned mass merges too: quantiles of the merged histogram stay
-    // inside the replicate min/max envelope.
-    EXPECT_GE(m->histogram().quantile(0.5), mn);
-    EXPECT_LE(m->histogram().quantile(0.5), mx);
+    EXPECT_DOUBLE_EQ(m->min(), mn) << name;
+    EXPECT_DOUBLE_EQ(m->max(), mx) << name;
+    // Sketches merge too: quantiles of the merged histogram stay inside
+    // the replicate min/max envelope.
+    EXPECT_GE(m->sketch().quantile(0.5), mn);
+    EXPECT_LE(m->sketch().quantile(0.5), mx);
   }
 
   // Gauges: last writer wins — the shared registry reports the final

@@ -31,10 +31,10 @@ TEST(MetricsRegistry, GaugesHoldLatestValue) {
 
 TEST(MetricsRegistry, HistogramGetOrCreateReturnsSameObject) {
   MetricsRegistry reg;
-  HistogramMetric& h1 = reg.histogram("delay", 0.0, 1.0, 10);
+  HistogramMetric& h1 = reg.histogram("delay", 0.0, 1.0);
   h1.add(0.25);
   // Second call with the same name must not reset the metric.
-  HistogramMetric& h2 = reg.histogram("delay", 0.0, 1.0, 10);
+  HistogramMetric& h2 = reg.histogram("delay", 0.0, 1.0);
   EXPECT_EQ(&h1, &h2);
   EXPECT_EQ(h2.count(), 1u);
   EXPECT_EQ(reg.find_histogram("delay"), &h1);
@@ -42,21 +42,23 @@ TEST(MetricsRegistry, HistogramGetOrCreateReturnsSameObject) {
 }
 
 TEST(HistogramMetric, FeedsBothHistogramAndExactStats) {
-  HistogramMetric m{0.0, 10.0, 100};
+  HistogramMetric m{0.0, 10.0};
   for (int i = 1; i <= 9; ++i) m.add(static_cast<double>(i));
   EXPECT_EQ(m.count(), 9u);
-  EXPECT_DOUBLE_EQ(m.stats().mean(), 5.0);
-  EXPECT_DOUBLE_EQ(m.stats().min(), 1.0);
-  EXPECT_DOUBLE_EQ(m.stats().max(), 9.0);
-  // The binned quantile should land near the exact median.
-  EXPECT_NEAR(m.histogram().quantile(0.5), 5.0, 0.2);
+  EXPECT_DOUBLE_EQ(m.sum(), 45.0);
+  EXPECT_DOUBLE_EQ(m.mean(), 5.0);
+  EXPECT_DOUBLE_EQ(m.min(), 1.0);
+  EXPECT_DOUBLE_EQ(m.max(), 9.0);
+  EXPECT_DOUBLE_EQ(m.sketch().quantile(0.5), 5.0);  // exact below capacity
+  EXPECT_EQ(m.out_of_range(), 0u);
+  EXPECT_THROW((void)HistogramMetric(0.0, 1.0).mean(), std::logic_error);
 }
 
 TEST(MetricsRegistry, WriteJsonEmitsAllSections) {
   MetricsRegistry reg;
   reg.counter("frames_decoded") = 42;
   reg.gauge("energy_j") = 1.5;
-  reg.histogram("delay_s", 0.0, 1.0, 10).add(0.5);
+  reg.histogram("delay_s", 0.0, 1.0).add(0.5);
 
   std::ostringstream os;
   reg.write_json(os);

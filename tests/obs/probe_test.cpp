@@ -125,12 +125,10 @@ TEST_F(ProbeTest, DecodeDone) {
   EXPECT_EQ(ledger_.delay_entries()[0].media, "mp3-audio");
   EXPECT_EQ(ledger_.delay_entries()[0].cause, Cause::Nominal);
   EXPECT_DOUBLE_EQ(ledger_.total_delay_s(), 0.3);
-  EXPECT_DOUBLE_EQ(metrics_.find_histogram("frames.delay_s")->stats().mean(),
-                   0.3);
-  EXPECT_DOUBLE_EQ(metrics_.find_histogram("frames.decode_s")->stats().mean(),
-                   0.02);
+  EXPECT_DOUBLE_EQ(metrics_.find_histogram("frames.delay_s")->mean(), 0.3);
+  EXPECT_DOUBLE_EQ(metrics_.find_histogram("frames.decode_s")->mean(), 0.02);
   EXPECT_DOUBLE_EQ(
-      metrics_.find_histogram("frames.delay_over_target")->stats().mean(),
+      metrics_.find_histogram("frames.delay_over_target")->mean(),
       2.0);
 }
 
@@ -172,7 +170,7 @@ TEST_F(ProbeTest, DetectedChangeFeedsCauseAndLatencyOnce) {
   const HistogramMetric* latency =
       metrics_.find_histogram("detector.detection_latency_s");
   ASSERT_EQ(latency->count(), 1u);
-  EXPECT_DOUBLE_EQ(latency->stats().mean(), 2.5);
+  EXPECT_DOUBLE_EQ(latency->mean(), 2.5);
   // The rate change is acknowledged: a second declaration adds no sample.
   probe_.detector_decision(Seconds{20.0}, "arrival", 9.0, 4.0, true,
                            Hertz{20.0});

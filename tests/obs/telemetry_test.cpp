@@ -1,7 +1,7 @@
 // Telemetry pillar: snapshotter JSONL (schema, throttles), OpenMetrics
 // exposition (naming, counter/_total rule, quantile summaries, # EOF),
 // span profiler (tree, self/total accounting, collapsed emission), and the
-// histogram clamp accounting + registry merge semantics behind them.
+// histogram range accounting + registry merge semantics behind them.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -21,7 +21,7 @@ MetricsRegistry sample_registry() {
   MetricsRegistry reg;
   reg.counter("frames_decoded") = 41;
   reg.gauge("energy_j") = 12.5;
-  HistogramMetric& h = reg.histogram("frames.delay_s", 0.0, 1.0, 10);
+  HistogramMetric& h = reg.histogram("frames.delay_s", 0.0, 1.0);
   for (int i = 1; i <= 100; ++i) h.add(i * 0.005);  // 0.005 .. 0.5
   return reg;
 }
@@ -193,15 +193,24 @@ TEST(SpanProfiler, FinalizeClosesOpenSpans) {
   EXPECT_GE(prof.node_total_s(outer), 0.0);
 }
 
-// ---- histogram clamp accounting and registry merge ------------------------
+// ---- histogram range accounting and registry merge ------------------------
 
 TEST(HistogramClamp, UnderOverflowExposedInJsonAndWarningList) {
   MetricsRegistry reg;
-  HistogramMetric& h = reg.histogram("narrow", 0.0, 1.0, 4);
-  for (int i = 0; i < 90; ++i) h.add(0.5);
-  for (int i = 0; i < 6; ++i) h.add(7.0);   // overflow
+  HistogramMetric& h = reg.histogram("narrow", 0.0, 1.0);
+  for (int i = 0; i < 89; ++i) h.add(0.5);
+  h.add(0.0);                               // lo is inside [lo, hi)
+  for (int i = 0; i < 5; ++i) h.add(7.0);   // overflow
+  h.add(1.0);                               // hi is overflow
   for (int i = 0; i < 4; ++i) h.add(-2.0);  // underflow
-  EXPECT_EQ(h.clamped(), 10u);
+  EXPECT_EQ(h.underflow(), 4u);
+  EXPECT_EQ(h.overflow(), 6u);
+  EXPECT_EQ(h.out_of_range(), 10u);
+  // The sum, mean and extrema see the true values.
+  EXPECT_DOUBLE_EQ(h.sum(), 89 * 0.5 + 5 * 7.0 + 1.0 - 4 * 2.0);
+  EXPECT_DOUBLE_EQ(h.mean(), h.sum() / 100.0);
+  EXPECT_DOUBLE_EQ(h.min(), -2.0);
+  EXPECT_DOUBLE_EQ(h.max(), 7.0);
 
   std::ostringstream os;
   reg.write_json(os);
@@ -209,28 +218,37 @@ TEST(HistogramClamp, UnderOverflowExposedInJsonAndWarningList) {
   const json::Value& hj = doc->at("histograms").at("narrow");
   EXPECT_DOUBLE_EQ(hj.at("underflow").as_number(), 4.0);
   EXPECT_DOUBLE_EQ(hj.at("overflow").as_number(), 6.0);
-  // The sketch sees the true values: p99 beyond the binned range.
+  // The sketch sees the true values: p99 beyond the registered range.
   EXPECT_GT(hj.at("p99").as_number(), 1.0);
 
-  const auto flagged = reg.clamped_histograms(0.01);
+  const auto flagged = reg.out_of_range_histograms(0.01);
   ASSERT_EQ(flagged.size(), 1u);
   EXPECT_EQ(flagged[0].first, "narrow");
   EXPECT_NEAR(flagged[0].second, 0.10, 1e-12);
-  EXPECT_TRUE(reg.clamped_histograms(0.25).empty());
+  EXPECT_TRUE(reg.out_of_range_histograms(0.25).empty());
 }
 
 TEST(RegistryMerge, CountersAddHistogramsFoldGaugesSkipped) {
   MetricsRegistry a;
   a.counter("events") = 10;
   a.gauge("last_power") = 5.0;
-  a.histogram("delay", 0.0, 1.0, 10).add(0.25);
+  HistogramMetric& ad = a.histogram("delay", 0.0, 1.0);
+  ad.add(0.25);
+  ad.add(-0.5);  // underflow
+  ad.add(3.0);   // overflow
 
   MetricsRegistry b;
   b.counter("events") = 7;
   b.counter("only_b") = 3;
   b.gauge("last_power") = 9.0;
-  b.histogram("delay", 0.0, 1.0, 10).add(0.75);
-  b.histogram("only_b_hist", 0.0, 2.0, 4).add(1.5);
+  HistogramMetric& bd = b.histogram("delay", 0.0, 1.0);
+  bd.add(0.75);
+  bd.add(-1.0);  // underflow
+  bd.add(-2.0);  // underflow
+  bd.add(1.0);   // overflow
+  HistogramMetric& bo = b.histogram("only_b_hist", 0.0, 2.0);
+  bo.add(1.5);
+  bo.add(2.5);  // overflow
 
   a.merge_from(b);
   EXPECT_EQ(a.counter_value("events"), 17u);
@@ -238,18 +256,62 @@ TEST(RegistryMerge, CountersAddHistogramsFoldGaugesSkipped) {
   EXPECT_DOUBLE_EQ(a.gauge_value("last_power"), 5.0);  // gauges skipped
   const HistogramMetric* d = a.find_histogram("delay");
   ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->count(), 2u);
-  EXPECT_DOUBLE_EQ(d->sketch().quantile(1.0), 0.75);
+  EXPECT_EQ(d->count(), 7u);
+  EXPECT_EQ(d->underflow(), 3u);
+  EXPECT_EQ(d->overflow(), 2u);
+  EXPECT_DOUBLE_EQ(d->sum(), (0.25 - 0.5 + 3.0) + (0.75 - 1.0 - 2.0 + 1.0));
+  EXPECT_DOUBLE_EQ(d->min(), -2.0);
+  EXPECT_DOUBLE_EQ(d->max(), 3.0);
+  EXPECT_DOUBLE_EQ(d->sketch().quantile(1.0), 3.0);
   const HistogramMetric* ob = a.find_histogram("only_b_hist");
   ASSERT_NE(ob, nullptr);
-  EXPECT_EQ(ob->count(), 1u);
+  EXPECT_EQ(ob->count(), 2u);
+  EXPECT_DOUBLE_EQ(ob->lo(), 0.0);
+  EXPECT_DOUBLE_EQ(ob->hi(), 2.0);
+  EXPECT_EQ(ob->underflow(), 0u);
+  EXPECT_EQ(ob->overflow(), 1u);
+  EXPECT_DOUBLE_EQ(ob->sum(), 4.0);
+}
+
+TEST(HistogramAbsorb, SketchGivesCountAndExtremaSumAddsRangeCountsStay) {
+  HistogramMetric h{0.0, 1.0};
+  h.add(0.5);
+  h.add(-1.0);  // underflow
+  h.add(4.0);   // overflow
+
+  // The serialized form of a job's delays: a sketch and its sum, holding
+  // samples on both sides of the range.
+  QuantileSketch s;
+  for (double x : {0.25, -3.0, 9.0}) s.add(x);
+  h.absorb_sketch(s, 6.25);
+  EXPECT_EQ(h.count(), 6u);
+  EXPECT_DOUBLE_EQ(h.min(), -3.0);
+  EXPECT_DOUBLE_EQ(h.max(), 9.0);
+  EXPECT_DOUBLE_EQ(h.sum(), 3.5 + 6.25);
+  EXPECT_DOUBLE_EQ(h.mean(), (3.5 + 6.25) / 6.0);
+  EXPECT_EQ(h.underflow(), 1u);  // the sketch carries no range counts
+  EXPECT_EQ(h.overflow(), 1u);
+
+  h.absorb_sketch(QuantileSketch{}, 1.0);  // empty sketch: no-op, sum too
+  EXPECT_EQ(h.count(), 6u);
+  EXPECT_DOUBLE_EQ(h.sum(), 3.5 + 6.25);
+  EXPECT_DOUBLE_EQ(h.min(), -3.0);
+  EXPECT_DOUBLE_EQ(h.max(), 9.0);
+  EXPECT_EQ(h.out_of_range(), 2u);
+
+  HistogramMetric fresh{0.0, 1.0};  // absorbing into an empty metric
+  fresh.absorb_sketch(s, 6.25);
+  EXPECT_EQ(fresh.count(), 3u);
+  EXPECT_DOUBLE_EQ(fresh.sum(), 6.25);
+  EXPECT_DOUBLE_EQ(fresh.min(), -3.0);
+  EXPECT_EQ(fresh.out_of_range(), 0u);
 }
 
 TEST(RegistryMerge, MismatchedHistogramShapesThrow) {
   MetricsRegistry a;
-  a.histogram("h", 0.0, 1.0, 10);
+  a.histogram("h", 0.0, 1.0);
   MetricsRegistry b;
-  b.histogram("h", 0.0, 2.0, 10);
+  b.histogram("h", 0.0, 2.0);
   EXPECT_THROW(a.merge_from(b), std::invalid_argument);
 }
 

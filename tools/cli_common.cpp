@@ -175,13 +175,13 @@ bool write_document(const std::string& path, const char* what,
   return true;
 }
 
-void warn_clamped(const obs::MetricsRegistry& registry) {
-  for (const auto& [name, frac] : registry.clamped_histograms(0.01)) {
+void warn_out_of_range(const obs::MetricsRegistry& registry) {
+  for (const auto& [name, frac] : registry.out_of_range_histograms(0.01)) {
     std::fprintf(stderr,
-                 "dvs_sim: warning: histogram %s clamped %.1f%% of samples"
-                 " outside its bin range (see underflow/overflow in the"
-                 " metrics JSON; sketch quantiles remain exact-range)\n",
-                 name.c_str(), frac * 100.0);
+                 "dvs_sim: warning: %.1f%% of histogram %s's samples fell"
+                 " outside its registered range (see underflow/overflow in"
+                 " the metrics JSON); its quantiles are unaffected\n",
+                 frac * 100.0, name.c_str());
   }
 }
 

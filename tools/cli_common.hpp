@@ -99,9 +99,9 @@ bool write_document(const std::string& path, const char* what,
                     std::FILE* hout,
                     const std::function<void(std::ostream&)>& write);
 
-/// Warns on stderr about every histogram that folded more than 1% of its
-/// samples into its underflow/overflow counters.
-void warn_clamped(const obs::MetricsRegistry& registry);
+/// Warns on stderr about every histogram with more than 1% of its samples
+/// outside its registered range.
+void warn_out_of_range(const obs::MetricsRegistry& registry);
 
 /// Opens --telemetry-jsonl when given (a usage error for "-": stdout is
 /// reserved for machine documents).  False, after an error message, when

@@ -169,17 +169,17 @@ int report_metrics(const std::string& path) {
 
   TextTable hist{"delay percentiles"};
   hist.set_header({"histogram", "count", "mean", "p50", "p90", "p99", "max",
-                   "clamped"});
-  std::vector<std::pair<std::string, double>> clamped_warnings;
+                   "outside"});
+  std::vector<std::pair<std::string, double>> range_warnings;
   for (const auto& [name, h] : doc->at("histograms").as_object()) {
     const double count = h->number_or("count", 0.0);
     if (count == 0.0) {
       hist.add_row({name, "0"});
       continue;
     }
-    // Mass the fixed-bin view folded into its edge bins.  The sketch-backed
-    // quantile columns are unaffected; the warning is about the bins.
-    const double clamped =
+    // Samples outside the registered range; the sketch-backed quantile
+    // columns are unaffected.
+    const double outside =
         h->number_or("underflow", 0.0) + h->number_or("overflow", 0.0);
     hist.add_row({name, TextTable::num(count, 0),
                   TextTable::num(h->number_or("mean", 0.0), 5),
@@ -187,19 +187,19 @@ int report_metrics(const std::string& path) {
                   TextTable::num(h->number_or("p90", 0.0), 5),
                   TextTable::num(h->number_or("p99", 0.0), 5),
                   TextTable::num(h->number_or("max", 0.0), 5),
-                  clamped > 0.0 ? pct(clamped, count) : "-"});
-    if (clamped > 0.01 * count) {
-      clamped_warnings.emplace_back(name, clamped / count);
+                  outside > 0.0 ? pct(outside, count) : "-"});
+    if (outside > 0.01 * count) {
+      range_warnings.emplace_back(name, outside / count);
     }
   }
   hist.print();
   std::printf("\n");
-  for (const auto& [name, frac] : clamped_warnings) {
-    std::printf("WARNING: histogram %s clamped %.1f%% of its samples outside"
-                " the bin range; binned counts are unreliable at the edges\n",
-                name.c_str(), frac * 100.0);
+  for (const auto& [name, frac] : range_warnings) {
+    std::printf("WARNING: %.1f%% of histogram %s's samples fell outside its"
+                " registered range; its quantiles are unaffected\n",
+                frac * 100.0, name.c_str());
   }
-  if (!clamped_warnings.empty()) std::printf("\n");
+  if (!range_warnings.empty()) std::printf("\n");
 
   TextTable cnt{"counters"};
   cnt.set_header({"counter", "value"});

@@ -171,9 +171,9 @@ int cmd_run(const CliOptions& o) {
                  o.self_profile.c_str(), profiler.nodes().size(),
                  profiler.node_total_s(0) * 1e3);
   }
-  // Clamped-mass warning: a histogram silently folding >1% of its samples
-  // into the underflow/overflow counters means the binned view is lying.
-  warn_clamped(registry);
+  // More than 1% of a histogram's samples outside its registered range
+  // means the range is too narrow; the quantiles are unaffected.
+  warn_out_of_range(registry);
 
   if (!o.power_csv.empty()) {
     CsvWriter csv{o.power_csv};

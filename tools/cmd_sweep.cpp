@@ -136,7 +136,7 @@ int cmd_sweep(const CliOptions& o) {
     std::fprintf(hout, "telemetry jsonl -> %s (%zu snapshots)\n",
                  o.telemetry_jsonl.c_str(), telemetry.snapshots_written());
   }
-  warn_clamped(registry);
+  warn_out_of_range(registry);
   return 0;
 }
 
