@@ -32,9 +32,6 @@ class RunningStats {
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return sum_; }
 
-  /// Merges another accumulator into this one (parallel-friendly).
-  void merge(const RunningStats& other);
-
   void reset();
 
  private:

@@ -50,6 +50,21 @@ Seconds WorkloadSpec::default_delay_target() const {
   return kind == WorkloadKind::Mp3Sequence ? seconds(0.15) : seconds(0.1);
 }
 
+void WorkloadSpec::validate() const {
+  if (kind == WorkloadKind::Mp3Sequence &&
+      (mp3_labels.empty() ||
+       mp3_labels.find_first_not_of("ABCDEF") != std::string::npos)) {
+    throw std::invalid_argument(
+        "WorkloadSpec: mp3 sequence needs labels A-F, got \"" + mp3_labels +
+        "\"");
+  }
+  if (kind == WorkloadKind::MpegClip && mpeg_clip != "football" &&
+      mpeg_clip != "terminator2") {
+    throw std::invalid_argument("WorkloadSpec: unknown mpeg clip \"" +
+                                mpeg_clip + "\" (known: football, terminator2)");
+  }
+}
+
 WorkloadSpec WorkloadSpec::mp3(std::string labels) {
   WorkloadSpec w;
   w.kind = WorkloadKind::Mp3Sequence;
@@ -179,6 +194,7 @@ std::vector<RunPoint> ScenarioSpec::expand() const {
   DVS_CHECK_MSG(!faults.empty(), "ScenarioSpec: no fault axis");
   DVS_CHECK_MSG(!policies.empty(), "ScenarioSpec: no policy axis");
   DVS_CHECK_MSG(replicates > 0, "ScenarioSpec: replicates must be >= 1");
+  for (const WorkloadSpec& w : workloads) w.validate();
 
   std::vector<RunPoint> points;
   points.reserve(num_points());

@@ -58,6 +58,11 @@ struct WorkloadSpec {
   /// Default delay target for this workload's media (0.15 s audio, 0.1 s
   /// video/session), the paper's Tables 3/4 setup.
   [[nodiscard]] Seconds default_delay_target() const;
+  /// Throws std::invalid_argument on an MP3 sequence that is empty or has
+  /// a label outside A-F, or an MPEG clip other than football|terminator2.
+  /// Spec validation calls it for every workload, so a bad one fails the
+  /// run even when no unit plays it.
+  void validate() const;
 
   static WorkloadSpec mp3(std::string labels);
   static WorkloadSpec mpeg(std::string clip, Seconds limit = Seconds{0.0});

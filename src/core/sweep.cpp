@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -83,13 +82,10 @@ WorkloadAsset build_workload_asset(const WorkloadSpec& w,
     case WorkloadKind::MpegClip: {
       const workload::DecoderModel dec =
           workload::reference_mpeg_decoder(cpu.max_frequency());
+      // WorkloadSpec::validate admits only these two clips.
       workload::MpegClip clip = w.mpeg_clip == "terminator2"
                                     ? workload::terminator2_clip()
                                     : workload::football_clip();
-      if (w.mpeg_clip != "football" && w.mpeg_clip != "terminator2") {
-        throw std::invalid_argument("WorkloadSpec: unknown mpeg clip '" +
-                                    w.mpeg_clip + "'");
-      }
       if (w.mpeg_limit.value() > 0.0) {
         clip.duration =
             seconds(std::min(w.mpeg_limit.value(), clip.duration.value()));
@@ -209,8 +205,14 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
                spec.faults.size() +
            p.fault_idx;
   };
+  // Only the assets of points this run executes; a restored point's
+  // oracle solve still needs its trace, so an oracle sweep builds them all.
   std::unordered_map<std::size_t, WorkloadAsset> workload_assets;
   for (const RunPoint& p : points) {
+    if (!spec.oracle && opts_.restored != nullptr &&
+        opts_.restored->count(p.index) != 0) {
+      continue;
+    }
     const std::size_t key = asset_key(p);
     if (workload_assets.find(key) == workload_assets.end()) {
       workload_assets.emplace(

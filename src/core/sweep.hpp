@@ -10,7 +10,10 @@
 // immutable during the run: the prepared change-point threshold table
 // (DetectorFactoryConfig::prepare) and the per-(cpu, workload, replicate,
 // fault) frame traces / sessions (workload fault transforms run once at
-// asset-build time from RunPoint::fault_seed).  The runner keeps only
+// asset-build time from RunPoint::fault_seed) that some executed point
+// plays — or every one, when the oracle must solve restored points too.
+// An asset is a pure function of its seeds, so which points ask for it
+// changes no byte.  The runner keeps only
 // what is sweep-specific: asset building, executing one point, its
 // progress fields, and the per-cell fold over the partials in expansion
 // order.
@@ -59,9 +62,10 @@ struct CpuAsset {
 CpuAsset build_cpu_asset(const std::string& name);
 
 /// Per-(cpu, workload, trace seed, fault) shared asset, built once before
-/// dispatch and read-only afterwards.  The item list is behind a
-/// shared_ptr so thousands of concurrent runs (sweep points, fleet
-/// devices) can play the same prepared trace without copying it.
+/// dispatch for the units that play it and read-only afterwards.  The
+/// item list is behind a shared_ptr so thousands of concurrent runs (sweep
+/// points, fleet devices) can play the same prepared trace without copying
+/// it.
 struct WorkloadAsset {
   std::shared_ptr<const std::vector<PlaybackItem>> items;
   dpm::IdleDistributionPtr idle;
@@ -228,7 +232,8 @@ class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions opts = {}) : opts_(std::move(opts)) {}
 
-  /// Expands, prepares shared assets, executes every point, aggregates.
+  /// Expands, prepares the shared assets its executed points play,
+  /// executes every unrestored point, aggregates.
   SweepResult run(const ScenarioSpec& spec) const;
 
  private:

@@ -42,7 +42,37 @@ void write_group_row(CsvWriter& csv, const FleetGroupResult& g) {
           quantile_or_zero(g.dropped_sketch, 0.99));
 }
 
+std::size_t asset_slot(const FleetSpec& spec, const DevicePlan& plan) {
+  return (plan.workload_idx * spec.trace_variants + plan.variant) * 2 +
+         (plan.in_wave ? 1 : 0);
+}
+
 }  // namespace
+
+std::vector<bool> needed_assets(
+    const FleetSpec& spec, std::size_t shard_size,
+    const std::map<std::size_t, FleetShardPartial>* restored) {
+  std::vector<bool> needed(spec.workloads.size() * spec.trace_variants * 2);
+  // Without a wave no device plays an odd (wave-perturbed) slot.
+  const bool wave = spec.wave.fraction > 0.0 && !spec.wave.fault.empty();
+  std::size_t unmarked = wave ? needed.size() : needed.size() / 2;
+  for (std::uint64_t begin = 0; begin < spec.num_devices && unmarked > 0;
+       begin += shard_size) {
+    if (restored != nullptr && restored->count(begin / shard_size) != 0) {
+      continue;
+    }
+    const std::uint64_t end =
+        std::min<std::uint64_t>(begin + shard_size, spec.num_devices);
+    for (std::uint64_t id = begin; id < end && unmarked > 0; ++id) {
+      const std::size_t slot = asset_slot(spec, device_plan(spec, id));
+      if (!needed[slot]) {
+        needed[slot] = true;
+        --unmarked;
+      }
+    }
+  }
+  return needed;
+}
 
 void FleetResult::write_csv(CsvWriter& csv) const {
   csv.write_header({"workload", "policy", "devices", "wave_devices",
@@ -62,6 +92,8 @@ FleetResult FleetRunner::run(const FleetSpec& spec) const {
   out.jobs = core::resolve_jobs(opts_.jobs);
   const auto t0 = std::chrono::steady_clock::now();
 
+  const std::size_t shard_size = std::max<std::size_t>(1, opts_.shard_size);
+
   // ---- shared immutable assets, built once ------------------------------
   core::DetectorFactoryConfig detector_cfg = spec.detector_cfg;
   if (spec.detector == core::DetectorKind::ChangePoint) detector_cfg.prepare();
@@ -71,32 +103,37 @@ FleetResult FleetRunner::run(const FleetSpec& spec) const {
   const fault::FaultSpec* wave_fault =
       spec.wave.fraction > 0.0 ? fault::find_fault(spec.wave.fault) : nullptr;
 
-  // assets[workload][variant][0] = base, [1] = wave-perturbed (same trace
-  // seed: the wave hits the same content, delivered badly).
   const std::size_t W = spec.workloads.size();
   const std::size_t P = spec.policies.size();
   const std::size_t V = spec.trace_variants;
-  std::vector<core::WorkloadAsset> assets(W * V * 2);
   std::vector<Seconds> delay_targets(W);
   for (std::size_t w = 0; w < W; ++w) {
-    const core::WorkloadSpec& ws = spec.workloads[w].workload;
     delay_targets[w] = spec.delay_target.value() > 0.0
                            ? spec.delay_target
-                           : ws.default_delay_target();
-    for (std::size_t v = 0; v < V; ++v) {
-      const std::uint64_t trace_seed = fleet_trace_seed(spec, w, v);
-      assets[(w * V + v) * 2] = core::build_workload_asset(
-          ws, cpu.cpu, trace_seed, fault::FaultSpec{}, 0);
-      if (wave_fault != nullptr) {
-        assets[(w * V + v) * 2 + 1] = core::build_workload_asset(
-            ws, cpu.cpu, trace_seed, *wave_fault,
-            fleet_fault_seed(spec, w, v));
-      }
-    }
+                           : spec.workloads[w].workload.default_delay_target();
+  }
+  // assets[asset_slot]: (workload, variant) base copy, then its
+  // wave-perturbed copy (same trace seed: the wave hits the same content,
+  // delivered badly).  Only the slots an executed device plays are built,
+  // serially, in slot order.
+  const std::vector<bool> needed =
+      needed_assets(spec, shard_size, opts_.restored);
+  std::vector<core::WorkloadAsset> assets(needed.size());
+  for (std::size_t slot = 0; slot < needed.size(); ++slot) {
+    if (!needed[slot]) continue;
+    const std::size_t w = slot / 2 / V;
+    const std::size_t v = slot / 2 % V;
+    const core::WorkloadSpec& ws = spec.workloads[w].workload;
+    const std::uint64_t trace_seed = fleet_trace_seed(spec, w, v);
+    assets[slot] =
+        slot % 2 == 0
+            ? core::build_workload_asset(ws, cpu.cpu, trace_seed,
+                                         fault::FaultSpec{}, 0)
+            : core::build_workload_asset(ws, cpu.cpu, trace_seed, *wave_fault,
+                                         fleet_fault_seed(spec, w, v));
   }
 
   // ---- execute: one unit per shard ---------------------------------------
-  const std::size_t shard_size = std::max<std::size_t>(1, opts_.shard_size);
   const auto shard_begin = [&](std::size_t shard) {
     return static_cast<std::uint64_t>(shard) * shard_size;
   };
@@ -115,8 +152,9 @@ FleetResult FleetRunner::run(const FleetSpec& spec) const {
     for (std::uint64_t id = begin; id < end; ++id) {
       const DevicePlan plan = device_plan(spec, id);
       const bool faulted = plan.in_wave && wave_fault != nullptr;
-      const core::WorkloadAsset& asset =
-          assets[(plan.workload_idx * V + plan.variant) * 2 + (faulted ? 1 : 0)];
+      const core::WorkloadAsset& asset = assets[asset_slot(spec, plan)];
+      DVS_CHECK_MSG(asset.items != nullptr,
+                    "FleetRunner: device plays an asset that was not built");
 
       core::RunAssembly a;
       a.detector = spec.detector;

@@ -17,13 +17,16 @@
 //
 // Shared immutable assets, built once before dispatch: the prepared
 // change-point threshold table and one WorkloadAsset per (workload entry,
-// trace variant, {base, wave-perturbed}) — a million devices play a few
-// dozen traces, with per-device rate jitter re-timing each device's copy.
+// trace variant, {base, wave-perturbed}) that some executed device plays
+// (needed_assets below) — a million devices play a few dozen traces, with
+// per-device rate jitter re-timing each device's copy.  A slot that only
+// restored shards or no device at all would play is never built.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -106,11 +109,21 @@ struct FleetOptions : core::UnitOptions<FleetShardPartial> {
   std::function<void(std::size_t, const FleetShardPartial&)> on_shard;
 };
 
+/// Which shared workload assets a run plays: one flag per asset slot
+/// (workload_idx * trace_variants + variant) * 2 + in_wave, set when a
+/// device of a shard that `restored` does not supply (null = none) plays
+/// it.  Walks those devices in id order and stops once every slot the spec
+/// can reach is set.  `shard_size` is the runner's, at least 1.
+std::vector<bool> needed_assets(
+    const FleetSpec& spec, std::size_t shard_size,
+    const std::map<std::size_t, FleetShardPartial>* restored);
+
 class FleetRunner {
  public:
   explicit FleetRunner(FleetOptions opts = {}) : opts_(std::move(opts)) {}
 
-  /// Validates, prepares shared assets, simulates every device, folds.
+  /// Validates, prepares the shared assets its executed devices play,
+  /// simulates every device of the unrestored shards, folds.
   FleetResult run(const FleetSpec& spec) const;
 
  private:

@@ -63,6 +63,7 @@ void FleetSpec::validate() const {
     if (!(w.weight > 0.0)) {
       throw std::invalid_argument("FleetSpec: workload weights must be > 0");
     }
+    w.workload.validate();
   }
   for (const PolicyShare& p : policies) {
     if (!(p.weight > 0.0)) {

@@ -82,7 +82,8 @@ struct FleetSpec {
   core::DetectorFactoryConfig detector_cfg{};
 
   /// Throws std::invalid_argument on an inconsistent spec (no workloads,
-  /// non-positive weights, unknown wave fault, jitter outside [0, 1), ...).
+  /// an invalid workload, non-positive weights, unknown wave fault, jitter
+  /// outside [0, 1), ...).
   void validate() const;
 };
 

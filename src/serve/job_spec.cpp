@@ -188,14 +188,10 @@ void JobSpec::validate() const {
         bad("\"media\" must be mp3|mpeg, got \"" + run.media + "\"");
       }
       if (run.cycles <= 0) bad("\"cycles\" must be > 0");
-      if (!run.session && run.media == "mpeg" && run.clip != "football" &&
-          run.clip != "terminator2") {
-        bad("unknown clip \"" + run.clip + "\"");
-      }
-      if (!run.session && run.media == "mp3" &&
-          (run.sequence.empty() ||
-           run.sequence.find_first_not_of("ABCDEF") != std::string::npos)) {
-        bad("\"sequence\" needs labels A-F, got \"" + run.sequence + "\"");
+      if (!run.session) {
+        (run.media == "mp3" ? core::WorkloadSpec::mp3(run.sequence)
+                            : core::WorkloadSpec::mpeg(run.clip))
+            .validate();
       }
       if (run.cv2 < 0.0) bad("\"cv2\" must be >= 0");
       if (run.dpm_delay < 0.0) bad("\"dpm_delay\" must be >= 0");

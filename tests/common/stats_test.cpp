@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "common/rng.hpp"
-
 namespace dvs {
 namespace {
 
@@ -28,35 +26,6 @@ TEST(RunningStats, EmptyThrows) {
   EXPECT_THROW((void)(s.max()), std::logic_error);
   s.add(1.0);
   EXPECT_THROW((void)(s.variance()), std::logic_error);  // needs >= 2
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng{5};
-  RunningStats whole;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    whole.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  RunningStats a;
-  RunningStats b;
-  b.add(2.0);
-  a.merge(b);  // empty <- nonempty
-  EXPECT_EQ(a.count(), 1u);
-  RunningStats c;
-  a.merge(c);  // nonempty <- empty
-  EXPECT_EQ(a.count(), 1u);
 }
 
 TEST(SampleQuantiles, ExactSmallSample) {

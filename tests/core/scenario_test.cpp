@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "hw/smartbadge.hpp"
@@ -34,6 +35,20 @@ TEST(WorkloadSpec, DefaultDelayTargetsFollowThePaper) {
                    0.1);
   EXPECT_DOUBLE_EQ(
       WorkloadSpec::usage_session({}).default_delay_target().value(), 0.1);
+}
+
+TEST(WorkloadSpec, ValidateRejectsUnknownClipsAndLabels) {
+  EXPECT_NO_THROW(WorkloadSpec::mp3("ACEFBD").validate());
+  EXPECT_NO_THROW(WorkloadSpec::mpeg("terminator2").validate());
+  EXPECT_NO_THROW(WorkloadSpec::usage_session({}).validate());
+  EXPECT_THROW(WorkloadSpec::mp3("").validate(), std::invalid_argument);
+  EXPECT_THROW(WorkloadSpec::mp3("ACEG").validate(), std::invalid_argument);
+  EXPECT_THROW(WorkloadSpec::mpeg("nosuchclip").validate(),
+               std::invalid_argument);
+  // A sweep rejects it at expansion, before any point or asset exists.
+  ScenarioSpec s;
+  s.workloads = {WorkloadSpec::mp3("A"), WorkloadSpec::mpeg("nosuchclip")};
+  EXPECT_THROW((void)s.expand(), std::invalid_argument);
 }
 
 TEST(DpmSpec, NamesEncodeParameters) {

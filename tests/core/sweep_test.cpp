@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -217,6 +218,46 @@ TEST(SweepResult, PointsCsvHasOneRowPerPoint) {
     if (!row.empty()) ++rows;
   }
   EXPECT_EQ(rows, spec.num_points());
+}
+
+std::string csvs_of(const SweepResult& res) {
+  const std::string points = ::testing::TempDir() + "sweep_resume_points.csv";
+  const std::string cells = ::testing::TempDir() + "sweep_resume_cells.csv";
+  {
+    CsvWriter p(points);
+    res.write_points_csv(p);
+    CsvWriter c(cells);
+    res.write_cells_csv(c);
+  }
+  return slurp(points) + slurp(cells);
+}
+
+TEST(SweepRunner, RestoringEveryPointOfAWorkloadIsByteIdentical) {
+  // The restored workload's traces are never built, unless the oracle
+  // still needs them for the restored points' competitive ratios.
+  for (const bool oracle : {false, true}) {
+    ScenarioSpec spec = tiny_spec();
+    spec.workloads.push_back(WorkloadSpec::mpeg("football", seconds(2.0)));
+    spec.oracle = oracle;
+    std::map<std::size_t, RestoredPoint> checkpoint;
+    SweepOptions opts;
+    opts.collect_quantiles = true;
+    opts.on_point_checkpoint = [&checkpoint](const RunPoint& p,
+                                             const Metrics& m,
+                                             const obs::QuantileSketch& s) {
+      if (p.workload_idx == 0) checkpoint[p.index] = RestoredPoint{m, s};
+    };
+    const std::string full = csvs_of(SweepRunner{opts}.run(spec));
+    ASSERT_EQ(checkpoint.size(), spec.num_points() / 2);
+
+    SweepOptions resume;
+    resume.jobs = 2;
+    resume.collect_quantiles = true;
+    resume.restored = &checkpoint;
+    const SweepResult res = SweepRunner{resume}.run(spec);
+    EXPECT_EQ(res.units.restored, checkpoint.size());
+    EXPECT_EQ(csvs_of(res), full) << "oracle " << oracle;
+  }
 }
 
 TEST(SweepResult, FindCellLocatesByPredicate) {

@@ -1,10 +1,12 @@
-// FleetRunner: population results byte-identical at any --jobs, a complete
-// slice grid, one progress record per shard, and the fault wave / rate
-// jitter actually shaping the population.
+// FleetRunner: population results byte-identical at any --jobs and across
+// a resume, a complete slice grid, one progress record per shard, the fault
+// wave / rate jitter actually shaping the population, and shared assets
+// built for exactly the slots executed devices play.
 #include "fleet/fleet_runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -60,14 +62,103 @@ std::string csv_at_jobs(const FleetSpec& spec, int jobs,
 }
 
 TEST(FleetRunner, CsvIsByteIdenticalAtAnyJobs) {
-  const FleetSpec spec = test_spec();
-  // shard_size 16 -> 6 shards: with jobs 3 the schedule genuinely
-  // interleaves, so this pins the whole determinism chain (fixed shard
-  // partition, device-id-order accumulation, shard-order fold).
-  const std::string serial = csv_at_jobs(spec, 1, 16);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, csv_at_jobs(spec, 3, 16));
-  EXPECT_EQ(serial, csv_at_jobs(spec, 8, 16));
+  // shard_size 16 -> 6 shards at 96 devices: with jobs 3 the schedule
+  // genuinely interleaves, so this pins the whole determinism chain (fixed
+  // shard partition, device-id-order accumulation, shard-order fold).  At
+  // 1 and 64 devices only some asset slots are played, so the partial
+  // asset build is covered too.
+  for (const std::size_t devices : {1, 64, 96}) {
+    const FleetSpec spec = test_spec(devices);
+    const std::string serial = csv_at_jobs(spec, 1, 16);
+    EXPECT_FALSE(serial.empty());
+    EXPECT_EQ(serial, csv_at_jobs(spec, 3, 16)) << devices;
+    EXPECT_EQ(serial, csv_at_jobs(spec, 8, 16)) << devices;
+  }
+}
+
+/// needed_assets by brute force: every device of every unrestored shard.
+std::vector<bool> played_slots(
+    const FleetSpec& spec, std::size_t shard_size,
+    const std::map<std::size_t, FleetShardPartial>* restored) {
+  std::vector<bool> played(spec.workloads.size() * spec.trace_variants * 2);
+  for (std::uint64_t id = 0; id < spec.num_devices; ++id) {
+    if (restored != nullptr && restored->count(id / shard_size) != 0) continue;
+    const DevicePlan plan = device_plan(spec, id);
+    played[(plan.workload_idx * spec.trace_variants + plan.variant) * 2 +
+           (plan.in_wave ? 1 : 0)] = true;
+  }
+  return played;
+}
+
+TEST(NeededAssets, MatchesEveryDeviceOfTheUnrestoredShards) {
+  FleetSpec spec = *find_fleet("fleet_smoke");
+  for (const std::size_t devices : {1, 64, 512, 4096}) {
+    spec.num_devices = devices;
+    for (const std::size_t shard_size : {16, 1024}) {
+      const std::size_t shards = (devices + shard_size - 1) / shard_size;
+      std::map<std::size_t, FleetShardPartial> first, odd;
+      first[0] = {};
+      for (std::size_t s = 1; s < shards; s += 2) odd[s] = {};
+      for (const auto* restored : {static_cast<decltype(&odd)>(nullptr),
+                                   &first, &odd}) {
+        EXPECT_EQ(needed_assets(spec, shard_size, restored),
+                  played_slots(spec, shard_size, restored))
+            << devices << " devices, shard " << shard_size << ", "
+            << (restored == nullptr ? 0 : restored->size()) << " restored";
+      }
+    }
+  }
+}
+
+TEST(NeededAssets, SixtyFourSmokeDevicesPlay27Of48Traces) {
+  FleetSpec spec = *find_fleet("fleet_smoke");
+  spec.num_devices = 64;
+  const std::vector<bool> needed = needed_assets(spec, 1024, nullptr);
+  ASSERT_EQ(needed.size(), 48U);
+  EXPECT_EQ(std::count(needed.begin(), needed.end(), true), 27);
+  // Without a wave only base slots are ever played.
+  spec.wave = {};
+  spec.num_devices = 4096;
+  const std::vector<bool> base = needed_assets(spec, 1024, nullptr);
+  for (std::size_t slot = 0; slot < base.size(); ++slot) {
+    EXPECT_EQ(base[slot], slot % 2 == 0) << slot;
+  }
+}
+
+TEST(FleetRunner, ResumeSkippingSlotsOnlyRestoredShardsPlayIsByteIdentical) {
+  // A rare wave: each wave-perturbed trace has a handful of players.
+  FleetSpec spec = test_spec();
+  spec.wave.fraction = 0.05;
+  constexpr std::size_t kShard = 16;
+  std::map<std::size_t, FleetShardPartial> partials;
+  FleetOptions opts;
+  opts.shard_size = kShard;
+  opts.on_shard = [&partials](std::size_t shard, const FleetShardPartial& p) {
+    partials[shard] = p;
+  };
+  const std::string full = csv_at_jobs(spec, 1, kShard);
+  (void)FleetRunner{opts}.run(spec);
+
+  // Restore every shard but the first: some wave trace is then played
+  // only by restored devices, so the resumed run never builds it.
+  std::map<std::size_t, FleetShardPartial> restored = partials;
+  restored.erase(0);
+  ASSERT_NE(needed_assets(spec, kShard, &restored),
+            needed_assets(spec, kShard, nullptr));
+
+  FleetOptions resume;
+  resume.shard_size = kShard;
+  resume.jobs = 3;
+  resume.restored = &restored;
+  const FleetResult res = FleetRunner{resume}.run(spec);
+  EXPECT_EQ(res.units.restored, restored.size());
+  const std::string path = ::testing::TempDir() + "fleet_resume.csv";
+  {
+    CsvWriter csv{path};
+    res.write_csv(csv);
+  }
+  EXPECT_EQ(slurp(path), full);
+  std::remove(path.c_str());
 }
 
 TEST(FleetRunner, SliceGridIsCompleteAndConsistent) {
@@ -157,6 +248,14 @@ TEST(FleetRunner, DeviceCountOverrideScalesThePopulation) {
 TEST(FleetRunner, RejectsInvalidSpec) {
   FleetSpec spec = test_spec();
   spec.workloads.clear();
+  EXPECT_THROW(FleetRunner{}.run(spec), std::invalid_argument);
+}
+
+TEST(FleetRunner, RejectsUnknownClipThatNoDeviceDraws) {
+  // Assets are built only for the workloads devices draw: the unknown clip
+  // must fail spec validation, not depend on a device to reach it.
+  FleetSpec spec = test_spec(1);
+  spec.workloads.push_back({core::WorkloadSpec::mpeg("nosuchclip"), 1e-9});
   EXPECT_THROW(FleetRunner{}.run(spec), std::invalid_argument);
 }
 

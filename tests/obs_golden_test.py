@@ -12,11 +12,13 @@ in tests/golden/obs_digests.json rather than the files themselves.
 Wall-clock readings (the `wall.*` gauges, `dvs_wall_*` in OpenMetrics) are
 the only run-to-run differences; they are removed before hashing.
 
-One `dvs-sim sweep` config covers the merged-registry path: the sweep folds
+Two `dvs-sim sweep` configs cover the merged-registry path: the sweep folds
 every point's metrics registry into one (MetricsRegistry::merge_from), so
-its --metrics-json must hash to SWEEP_DIGEST at every worker count in
-SWEEP_JOBS.  Its `sweep.wall_seconds` and `sweep.jobs` gauges are removed
-before hashing as well.
+each one's --metrics-json must hash to its digest in SWEEPS at every worker
+count in SWEEP_JOBS.  `table4` keeps every histogram sample in range;
+`ablation-dpm-policies` has non-zero underflow/overflow counters to merge.
+Their `sweep.wall_seconds` and `sweep.jobs` gauges are removed before
+hashing as well.
 
 Regenerate the digests only for an intentional change to the output (the
 same rule as perfbench's --write-pins), and say why in the change log:
@@ -51,11 +53,15 @@ CONFIGS = [
       "--dpm", "tismdp"]),
 ]
 
-# The merged-registry config: `dvs-sim sweep` arguments, the worker counts
-# that must agree, and the digest of their --metrics-json.
-SWEEP_ARGS = ["table4", "--replicates", "1"]
+# The merged-registry configs: `dvs-sim sweep` arguments and the digest of
+# their --metrics-json, and the worker counts that must agree.
+SWEEPS = [
+    (["table4", "--replicates", "1"],
+     "30e1c77f186ad289c87b1dddf8dbdf3a200be268025214406411c94cb34c995e"),
+    (["ablation-dpm-policies", "--replicates", "1"],
+     "6a3e21d8f3bec4cfe0c9f9340c6b96f6833cd57b8c889eb8fbf74f23d717ca87"),
+]
 SWEEP_JOBS = [1, 4]
-SWEEP_DIGEST = "30e1c77f186ad289c87b1dddf8dbdf3a200be268025214406411c94cb34c995e"
 
 # (artifact file name, flag that writes it)
 ARTIFACTS = [
@@ -105,10 +111,10 @@ def run_config(binary, tmp, name, args):
             if os.path.exists(os.path.join(out, fname))}
 
 
-def run_sweep(binary, tmp, jobs):
-    out = os.path.join(tmp, "sweep_jobs%d.json" % jobs)
-    cmd = [binary, "sweep"] + SWEEP_ARGS + ["--jobs", str(jobs),
-                                            "--metrics-json", out]
+def run_sweep(binary, tmp, args, jobs):
+    out = os.path.join(tmp, "sweep_%s_jobs%d.json" % (args[0], jobs))
+    cmd = [binary, "sweep"] + args + ["--jobs", str(jobs),
+                                      "--metrics-json", out]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         fail("`%s` exit code %d\n%s" %
@@ -127,11 +133,13 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         actual = {name: run_config(binary, tmp, name, cfg)
                   for name, cfg in CONFIGS}
-        sweeps = {jobs: run_sweep(binary, tmp, jobs) for jobs in SWEEP_JOBS}
+        sweeps = {(i, jobs): run_sweep(binary, tmp, args, jobs)
+                  for i, (args, _) in enumerate(SWEEPS) for jobs in SWEEP_JOBS}
 
     if write:
-        print("sweep %s metrics.json digest: %s (SWEEP_DIGEST in this file)" %
-              (" ".join(SWEEP_ARGS), sweeps[SWEEP_JOBS[0]]))
+        for i, (args, _) in enumerate(SWEEPS):
+            print("sweep %s metrics.json digest: %s (SWEEPS in this file)" %
+                  (" ".join(args), sweeps[(i, SWEEP_JOBS[0])]))
         os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
         with open(DIGESTS, "w") as f:
             json.dump(actual, f, indent=2, sort_keys=True)
@@ -152,10 +160,11 @@ def main():
                     name, " ".join(cfg), fname,
                     "missing" if fname not in got else
                     "unexpected" if fname not in want else "differs"))
-    for jobs, got in sorted(sweeps.items()):
-        if got != SWEEP_DIGEST:
+    for (i, jobs), got in sorted(sweeps.items()):
+        args, want = SWEEPS[i]
+        if got != want:
             mismatches.append("dvs-sim sweep %s --jobs %d: metrics.json differs"
-                              % (" ".join(SWEEP_ARGS), jobs))
+                              % (" ".join(args), jobs))
     if mismatches:
         fail("%d artifact(s) changed:\n  %s" %
              (len(mismatches), "\n  ".join(mismatches)))
