@@ -53,34 +53,4 @@ bool PiecewiseLinear::strictly_monotone() const {
   return true;
 }
 
-double PiecewiseLinear::inverse(double y) const {
-  if (!strictly_monotone()) {
-    throw std::logic_error("PiecewiseLinear::inverse: curve is not strictly monotone");
-  }
-  const bool inc = increasing();
-  const double y_lo = inc ? knots_.front().second : knots_.back().second;
-  const double y_hi = inc ? knots_.back().second : knots_.front().second;
-  if (y <= y_lo) return inc ? knots_.front().first : knots_.back().first;
-  if (y >= y_hi) return inc ? knots_.back().first : knots_.front().first;
-
-  for (std::size_t i = 1; i < knots_.size(); ++i) {
-    const Point& a = knots_[i - 1];
-    const Point& b = knots_[i];
-    const double seg_lo = std::min(a.second, b.second);
-    const double seg_hi = std::max(a.second, b.second);
-    if (y >= seg_lo && y <= seg_hi) {
-      const double frac = (y - a.second) / (b.second - a.second);
-      return a.first + frac * (b.first - a.first);
-    }
-  }
-  // Unreachable for a monotone curve with y in range.
-  throw std::logic_error("PiecewiseLinear::inverse: no containing segment");
-}
-
-PiecewiseLinear PiecewiseLinear::scaled_y(double s) const {
-  std::vector<Point> pts = knots_;
-  for (auto& p : pts) p.second *= s;
-  return PiecewiseLinear{std::move(pts)};
-}
-
 }  // namespace dvs

@@ -3,8 +3,9 @@
 // The paper's frequency-setting policy uses "piece-wise linear approximation
 // based on the application frequency-performance tradeoff curve (Figures 4
 // and 5)" to map a required decoding rate back to a processor frequency, and
-// the V(f) curve of Figure 3 to set the voltage.  This class provides both
-// forward evaluation and (for strictly monotone curves) inversion.
+// the V(f) curve of Figure 3 to set the voltage.  This class provides the
+// forward evaluation; the policy inverts its strictly increasing curve by
+// searching the frequency steps.
 #pragma once
 
 #include <cstddef>
@@ -33,12 +34,6 @@ class PiecewiseLinear {
   /// Linear interpolation at x (clamped to [x_front, x_back]).
   [[nodiscard]] double operator()(double x) const;
 
-  /// Inverse evaluation: the x such that f(x) == y.  Requires the curve to
-  /// be strictly monotone in y (checked at construction time lazily on the
-  /// first inverse call; throws std::logic_error otherwise).  Out-of-range
-  /// y clamps to the corresponding end x.
-  [[nodiscard]] double inverse(double y) const;
-
   [[nodiscard]] bool increasing() const;
   [[nodiscard]] bool strictly_monotone() const;
 
@@ -48,9 +43,6 @@ class PiecewiseLinear {
   [[nodiscard]] double x_max() const { return knots_.back().first; }
   [[nodiscard]] double y_at_x_min() const { return knots_.front().second; }
   [[nodiscard]] double y_at_x_max() const { return knots_.back().second; }
-
-  /// Returns a new curve with every y multiplied by s.
-  [[nodiscard]] PiecewiseLinear scaled_y(double s) const;
 
  private:
   void validate() const;

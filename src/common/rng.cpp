@@ -55,13 +55,6 @@ double Rng::pareto(double shape, double scale) {
   return scale / std::pow(1.0 - uniform(), 1.0 / shape);
 }
 
-double Rng::weibull(double shape, double scale) {
-  if (shape <= 0.0 || scale <= 0.0) {
-    throw std::domain_error("weibull(): shape and scale must be > 0");
-  }
-  return scale * std::pow(-std::log(1.0 - uniform()), 1.0 / shape);
-}
-
 double Rng::normal() {
   // Box-Muller; u1 in (0,1] to keep the log finite.
   const double u1 = 1.0 - uniform();
@@ -73,15 +66,5 @@ double Rng::normal(double mean, double sigma) {
   if (sigma < 0.0) throw std::domain_error("normal(): sigma must be >= 0");
   return mean + sigma * normal();
 }
-
-double Rng::lognormal(double mu, double sigma) {
-  return std::exp(normal(mu, sigma));
-}
-
-double Rng::uniform_closed(double lo, double hi) {
-  return lo + (hi - lo) * uniform();
-}
-
-Rng Rng::split() { return Rng{next_u64()}; }
 
 }  // namespace dvs

@@ -69,27 +69,11 @@ class Rng {
   /// found to model real idle-time tails, unlike the exponential.
   double pareto(double shape, double scale);
 
-  /// Weibull variate with shape k > 0 and scale s > 0:
-  /// s * (-ln(1-U))^(1/k).  Shape 1 is the exponential with mean s; shape
-  /// > 1 gives more regular (lower-variance) intervals, shape < 1 burstier.
-  double weibull(double shape, double scale);
-
   /// Standard normal via Box-Muller (no state caching; two uniforms per call).
   double normal();
 
   /// Normal with given mean and standard deviation (sigma >= 0).
   double normal(double mean, double sigma);
-
-  /// Log-normal: exp(normal(mu, sigma)).
-  double lognormal(double mu, double sigma);
-
-  /// Uniform over [lo, hi] inclusive-ish (used for wakeup transition times,
-  /// which the paper models as uniformly distributed).
-  double uniform_closed(double lo, double hi);
-
-  /// Creates an independent child generator (stream splitting) — deterministic
-  /// function of the current state, then advances this generator.
-  Rng split();
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

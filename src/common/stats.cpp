@@ -39,8 +39,6 @@ double RunningStats::max() const {
   return max_;
 }
 
-void RunningStats::reset() { *this = RunningStats{}; }
-
 // ---- SampleQuantiles ---------------------------------------------------------
 
 double SampleQuantiles::quantile(double q) const {
@@ -64,23 +62,11 @@ void TimeWeightedStats::add(double value, double dt) {
   if (dt == 0.0) return;
   weighted_sum_ += value * dt;
   total_time_ += dt;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
 }
 
 double TimeWeightedStats::mean() const {
   if (total_time_ <= 0.0) throw std::logic_error("TimeWeightedStats::mean(): no time accumulated");
   return weighted_sum_ / total_time_;
-}
-
-double TimeWeightedStats::min() const {
-  if (total_time_ <= 0.0) throw std::logic_error("TimeWeightedStats::min(): no time accumulated");
-  return min_;
-}
-
-double TimeWeightedStats::max() const {
-  if (total_time_ <= 0.0) throw std::logic_error("TimeWeightedStats::max(): no time accumulated");
-  return max_;
 }
 
 }  // namespace dvs

@@ -14,7 +14,8 @@
 
 namespace dvs {
 
-/// Numerically stable running mean / variance / extrema (Welford).
+/// Numerically stable running mean / variance / extrema (Welford).  The
+/// product reads max(); min() is kept for the tests that bound a sample.
 class RunningStats {
  public:
   void add(double x);
@@ -31,8 +32,6 @@ class RunningStats {
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return sum_; }
-
-  void reset();
 
  private:
   std::size_t n_ = 0;
@@ -68,14 +67,10 @@ class TimeWeightedStats {
   [[nodiscard]] double total_time() const { return total_time_; }
   /// Time-weighted mean; throws if no time has been accumulated.
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
 
  private:
   double weighted_sum_ = 0.0;
   double total_time_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace dvs

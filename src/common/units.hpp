@@ -11,7 +11,6 @@
 #include <cmath>
 #include <compare>
 #include <stdexcept>
-#include <string>
 
 namespace dvs {
 
@@ -99,14 +98,5 @@ inline Hertz rate(Seconds t) {
 
 /// Events completed in a time span at constant rate (dimensionless count).
 constexpr double events_in(Hertz r, Seconds t) { return r.value() * t.value(); }
-
-// ---- formatting helpers ----------------------------------------------------
-
-std::string to_string(Seconds t);
-std::string to_string(Hertz r);
-std::string to_string(MegaHertz f);
-std::string to_string(Volts v);
-std::string to_string(MilliWatts p);
-std::string to_string(Joules e);
 
 }  // namespace dvs

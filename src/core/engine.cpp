@@ -491,12 +491,7 @@ void Engine::take_telemetry_snapshot(Seconds now) {
   obs::TelemetrySnapshotter::Live live;
   live.reserve(8);
   live.emplace_back("sim_time_s", now.value());
-  double energy = 0.0;
-  for (std::size_t i = 0; i < badge_.num_components(); ++i) {
-    energy += badge_.component(static_cast<hw::BadgeComponentId>(i))
-                  .energy_consumed(now)
-                  .value();
-  }
+  const double energy = badge_.total_energy(now).value();
   live.emplace_back("energy_j", energy);
   live.emplace_back("avg_power_mw",
                     now.value() > 0.0 ? energy / now.value() * 1e3 : 0.0);

@@ -166,14 +166,6 @@ dpm::DpmPolicyPtr make_dpm_policy(const DpmSpec& spec,
 
 // ---- the grid -------------------------------------------------------------------
 
-std::string RunPoint::label() const {
-  std::string l = workload.name() + "/" + core::to_string(detector) + "/" +
-                  dpm.name() + "/r" + std::to_string(replicate);
-  if (policy != "paper") l += "/p:" + policy;
-  if (!faults.none()) l += "/f:" + faults.name;
-  return l;
-}
-
 std::size_t ScenarioSpec::num_cells() const {
   return workloads.size() * cpus.size() * policies.size() *
          service_cv2s.size() * delay_targets.size() * faults.size() *

@@ -130,9 +130,6 @@ struct RunPoint {
   /// detector of the same row and fault (algorithms still compete on
   /// identical perturbed traces), distinct per fault spec.
   std::uint64_t fault_seed = 0;
-
-  /// Human label, e.g. "mp3:ACEFBD/Change Point/tismdp(0.5s)/r0".
-  [[nodiscard]] std::string label() const;
 };
 
 /// A declarative sweep: the cross product of the axes below, replicated.

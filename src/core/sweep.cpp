@@ -168,14 +168,6 @@ std::function<void(const RunPoint&, RunOptions&)> flight_dumps_in(
   };
 }
 
-const CellResult* SweepResult::find_cell(
-    const std::function<bool(const CellResult&)>& pred) const {
-  for (const CellResult& c : cells) {
-    if (pred(c)) return &c;
-  }
-  return nullptr;
-}
-
 SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
   SweepResult out;
   out.scenario = spec.name;

@@ -174,10 +174,6 @@ struct SweepResult {
   std::vector<CellResult> cells;    ///< cell order
   UnitCounts units;                 ///< points executed vs restored
 
-  /// First cell matching the predicate; nullptr when none does.
-  [[nodiscard]] const CellResult* find_cell(
-      const std::function<bool(const CellResult&)>& pred) const;
-
   /// Consolidated CSV emission — the one writer all sweeps share.
   void write_points_csv(CsvWriter& csv) const;
   void write_cells_csv(CsvWriter& csv) const;

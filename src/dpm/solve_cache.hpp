@@ -51,7 +51,9 @@ using SolveCacheStats = MemoStats;
 [[nodiscard]] SolveCacheStats tismdp_solve_cache_stats();
 
 /// Drops every cached solve (outstanding shared_ptrs stay valid) and
-/// zeroes the stats.  For tests that need a cold cache.
+/// zeroes the stats.  No product calls it; it is kept on purpose so tests
+/// (SolveCache, the sweep cache-determinism and cache-concurrency tests)
+/// start from a cold process-wide cache.
 void clear_tismdp_solve_cache();
 
 }  // namespace dvs::dpm

@@ -1,7 +1,11 @@
-// Public umbrella header: the stable surface of the DVS/DPM engine.
+// Public umbrella header for the DVS/DPM engine.
 //
 // External artifacts — examples, benches, downstream tools — include only
-// this header.  Everything re-exported here is the supported API:
+// this header.  The supported API is what the shipped binaries use: the
+// dvs-sim CLI, the bench_* programs, the examples and the repo benchmark's
+// driver.  A member that none of them reaches is deleted rather than kept
+// "for users" (scripts/link_scan.py guards whole files; docs/ARCHITECTURE.md
+// lists the few test oracles kept on purpose).  The main entry points:
 //
 //   * single runs:      core::RunOptions, core::run_single_trace,
 //                       core::run_items, core::Metrics
@@ -22,7 +26,7 @@
 //                       DPM policies and TISMDP plan search, common utilities
 //
 // Internal headers under src/ may move, split, or change freely between
-// releases; code that includes only "dvs.hpp" keeps compiling.
+// releases.
 #pragma once
 
 // Common utilities (units, RNG, stats, fitting, CSV/table output).

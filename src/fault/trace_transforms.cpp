@@ -180,26 +180,7 @@ struct ApplyVisitor {
   }
 };
 
-struct KindVisitor {
-  std::string_view operator()(const RateSpike&) const { return "rate_spike"; }
-  std::string_view operator()(const RateStep&) const { return "rate_step"; }
-  std::string_view operator()(const BurstArrivals&) const {
-    return "burst_arrivals";
-  }
-  std::string_view operator()(const HeavyTailWork&) const {
-    return "heavy_tail_work";
-  }
-  std::string_view operator()(const TruncateTrace&) const {
-    return "truncate_trace";
-  }
-  std::string_view operator()(const CorruptWork&) const { return "corrupt_work"; }
-};
-
 }  // namespace
-
-std::string_view fault_kind(const TraceFault& fault) {
-  return std::visit(KindVisitor{}, fault);
-}
 
 workload::FrameTrace apply_fault(const workload::FrameTrace& trace,
                                  const TraceFault& fault, Rng& rng) {

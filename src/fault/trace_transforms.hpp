@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -78,9 +77,6 @@ struct CorruptWork {
 
 using TraceFault = std::variant<RateSpike, RateStep, BurstArrivals,
                                 HeavyTailWork, TruncateTrace, CorruptWork>;
-
-/// Stable snake_case name of the fault type ("rate_spike", ...).
-std::string_view fault_kind(const TraceFault& fault);
 
 /// Applies one fault; all randomness comes from `rng`.
 workload::FrameTrace apply_fault(const workload::FrameTrace& trace,

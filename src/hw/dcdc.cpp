@@ -28,8 +28,4 @@ MilliWatts DcDcConverter::input_power(MilliWatts load) const {
   return MilliWatts{load.value() / efficiency_at(load)};
 }
 
-MilliWatts DcDcConverter::loss(MilliWatts load) const {
-  return input_power(load) - load;
-}
-
 }  // namespace dvs::hw

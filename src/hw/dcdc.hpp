@@ -27,9 +27,6 @@ class DcDcConverter {
   /// Battery-side draw needed to deliver `load` at the output.
   [[nodiscard]] MilliWatts input_power(MilliWatts load) const;
 
-  /// Power burned in the converter itself.
-  [[nodiscard]] MilliWatts loss(MilliWatts load) const;
-
  private:
   PiecewiseLinear efficiency_;
 };

@@ -88,13 +88,6 @@ std::size_t Sa1100::step_at_or_above(MegaHertz f) const {
   return steps_.size() - 1;
 }
 
-std::size_t Sa1100::step_at_or_below(MegaHertz f) const {
-  for (std::size_t i = steps_.size(); i-- > 0;) {
-    if (steps_[i].frequency <= f) return i;
-  }
-  return 0;
-}
-
 double Sa1100::energy_per_cycle_ratio(std::size_t step) const {
   const Volts v = voltage_at(step);
   const Volts v_max = steps_.back().min_voltage;

@@ -66,9 +66,6 @@ class Sa1100 {
   /// step when f exceeds the table.
   [[nodiscard]] std::size_t step_at_or_above(MegaHertz f) const;
 
-  /// Index of the highest step whose frequency is <= f; clamps to step 0.
-  [[nodiscard]] std::size_t step_at_or_below(MegaHertz f) const;
-
   /// Time to retune the PLL between any two frequency settings.
   [[nodiscard]] Seconds frequency_switch_latency() const { return switch_latency_; }
 

@@ -43,10 +43,6 @@ const Component& SmartBadge::component(BadgeComponentId id) const {
   return components_[static_cast<std::size_t>(id)];
 }
 
-Seconds SmartBadge::set_state(BadgeComponentId id, PowerState s, Seconds now) {
-  return component(id).set_state(s, now);
-}
-
 Seconds SmartBadge::set_all(PowerState s, Seconds now) {
   Seconds worst{0.0};
   for (auto& c : components_) {

@@ -34,11 +34,6 @@ class SmartBadge {
   [[nodiscard]] const Component& component(BadgeComponentId id) const;
   [[nodiscard]] std::size_t num_components() const { return components_.size(); }
 
-  /// Commands one component into a state (see Component::set_state for the
-  /// wakeup-latency contract).  Changing the CPU component into Active keeps
-  /// its power consistent with the current frequency step.
-  Seconds set_state(BadgeComponentId id, PowerState s, Seconds now);
-
   /// Commands every component into `s`; returns the worst wakeup latency.
   Seconds set_all(PowerState s, Seconds now);
 

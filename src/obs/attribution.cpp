@@ -36,34 +36,6 @@ void AttributionLedger::charge_delay(const std::string& media, double delay_s) {
   ++total_frames_;
 }
 
-std::vector<EnergyEntry> AttributionLedger::energy_entries() const {
-  std::vector<EnergyEntry> out;
-  out.reserve(energy_.size());
-  for (const auto& [key, cell] : energy_) {
-    out.push_back(EnergyEntry{key.component, key.state, key.freq_step,
-                              static_cast<Cause>(key.cause), cell.energy_j,
-                              cell.time_s});
-  }
-  return out;
-}
-
-std::vector<DelayEntry> AttributionLedger::delay_entries() const {
-  std::vector<DelayEntry> out;
-  out.reserve(delay_.size());
-  for (const auto& [key, cell] : delay_) {
-    out.push_back(DelayEntry{key.media, key.freq_step,
-                             static_cast<Cause>(key.cause), cell.delay_s,
-                             cell.frames});
-  }
-  return out;
-}
-
-std::vector<double> AttributionLedger::energy_by_cause() const {
-  std::vector<double> by_cause(kNumCauses, 0.0);
-  for (const auto& [key, cell] : energy_) by_cause[key.cause] += cell.energy_j;
-  return by_cause;
-}
-
 // Full round-trip precision: the JSON is the reconciliation surface, so the
 // serialized sums must re-parse to the exact doubles the run produced.
 using json::fmt17;

@@ -47,25 +47,6 @@ constexpr std::size_t kNumCauses = 7;
 /// Stable kebab-case name ("nominal", "detector-change", ...).
 const char* to_string(Cause cause);
 
-/// One row of the energy ledger.
-struct EnergyEntry {
-  std::string component;
-  std::string state;  ///< "active"/"idle"/"standby"/"off"/"wake"
-  std::size_t freq_step = 0;
-  Cause cause = Cause::Nominal;
-  double energy_j = 0.0;
-  double time_s = 0.0;
-};
-
-/// One row of the delay ledger.
-struct DelayEntry {
-  std::string media;
-  std::size_t freq_step = 0;
-  Cause cause = Cause::Nominal;
-  double delay_s = 0.0;
-  std::uint64_t frames = 0;
-};
-
 class AttributionLedger {
  public:
   // ---- feeding (engine-internal) -----------------------------------------
@@ -95,18 +76,13 @@ class AttributionLedger {
   [[nodiscard]] double total_delay_s() const { return total_delay_; }
   [[nodiscard]] std::uint64_t total_frames() const { return total_frames_; }
 
-  /// Rows in deterministic (map) key order.
-  [[nodiscard]] std::vector<EnergyEntry> energy_entries() const;
-  [[nodiscard]] std::vector<DelayEntry> delay_entries() const;
-
-  /// Energy rollup by cause alone (index = static_cast<size_t>(Cause)).
-  [[nodiscard]] std::vector<double> energy_by_cause() const;
-
   [[nodiscard]] bool empty() const {
     return energy_.empty() && delay_.empty();
   }
 
   /// {"schema":"dvs-ledger-v1","totals":{...},"energy":[...],"delay":[...]}
+  /// with the rows in key order.  The one way to read the rows: `report`
+  /// and the reconciliation tests parse this document.
   void write_json(std::ostream& os) const;
 
  private:

@@ -39,11 +39,6 @@ HistogramMetric& MetricsRegistry::histogram(const std::string& name, double lo,
   return it->second;
 }
 
-std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
 double MetricsRegistry::gauge_value(const std::string& name) const {
   const auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second;

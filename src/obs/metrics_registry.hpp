@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
@@ -50,6 +51,12 @@ class HistogramMetric {
   [[nodiscard]] double max() const { return sketch_.max(); }
   [[nodiscard]] double lo() const { return lo_; }
   [[nodiscard]] double hi() const { return hi_; }
+  /// False for a histogram registered over (-inf, inf): nothing can fall
+  /// outside it, so it has no out-of-range counts to export.
+  [[nodiscard]] bool bounded() const {
+    return lo_ > -std::numeric_limits<double>::infinity() ||
+           hi_ < std::numeric_limits<double>::infinity();
+  }
   /// Samples below lo() and at or above hi().  Informational only: the
   /// sketch, sum, and extrema always see the true values.
   [[nodiscard]] std::size_t underflow() const { return underflow_; }
@@ -86,7 +93,6 @@ class MetricsRegistry {
   HistogramMetric& histogram(const std::string& name, double lo, double hi);
 
   /// Read-only lookups (0 / nullptr when absent) for tests and reports.
-  [[nodiscard]] std::uint64_t counter_value(const std::string& name) const;
   [[nodiscard]] double gauge_value(const std::string& name) const;
   [[nodiscard]] const HistogramMetric* find_histogram(
       const std::string& name) const;

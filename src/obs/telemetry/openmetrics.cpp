@@ -41,7 +41,8 @@ void write_openmetrics(const MetricsRegistry& reg, std::ostream& os) {
     os << n << "_count " << h.count() << "\n";
     os << n << "_sum " << json::fmt9(h.sum()) << "\n";
     // Samples outside the registered range, visible to scrapers as their
-    // own counter.
+    // own counter; a histogram registered unbounded has no range to leave.
+    if (!h.bounded()) continue;
     const std::string cn = n + "_clamped";
     os << "# TYPE " << cn << " counter\n";
     os << cn << "_total " << h.out_of_range() << "\n";

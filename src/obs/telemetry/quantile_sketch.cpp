@@ -75,8 +75,6 @@ QuantileSketch::marker_probs() {
 QuantileSketch::QuantileSketch(std::size_t exact_capacity)
     : capacity_(std::max<std::size_t>(exact_capacity, kMarkers)) {}
 
-void QuantileSketch::reset() { *this = QuantileSketch{capacity_}; }
-
 void QuantileSketch::add(double x) {
   if (count_ == 0) {
     min_ = max_ = x;

@@ -74,8 +74,6 @@ class QuantileSketch {
   /// Parses write_text output; throws std::runtime_error on malformed input.
   static QuantileSketch read_text(std::istream& is);
 
-  void reset();
-
  private:
   /// Target rank of each marker (extended-P² layout for p50/p90/p99).
   static const std::array<double, kMarkers>& marker_probs();

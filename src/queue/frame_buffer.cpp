@@ -30,11 +30,6 @@ std::optional<workload::Frame> FrameBuffer::pop(Seconds now) {
   return f;
 }
 
-Seconds FrameBuffer::head_arrival() const {
-  DVS_CHECK_MSG(!frames_.empty(), "FrameBuffer: head of empty buffer");
-  return frames_.front().arrival;
-}
-
 void FrameBuffer::record_departure(Seconds arrival, Seconds departure) {
   DVS_CHECK_MSG(departure >= arrival, "FrameBuffer: departure precedes arrival");
   delay_stats_.add((departure - arrival).value());

@@ -35,9 +35,6 @@ class FrameBuffer {
   [[nodiscard]] std::size_t dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t total_pushed() const { return pushed_; }
 
-  /// Arrival time of the head frame (throws if empty).
-  [[nodiscard]] Seconds head_arrival() const;
-
   /// Records the departure of a frame that arrived at `arrival`; feeds the
   /// delay statistics.  Called by the system when decode completes.
   void record_departure(Seconds arrival, Seconds departure);

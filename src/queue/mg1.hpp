@@ -13,6 +13,11 @@
 // For cv2 = 1 this reduces to the M/M/1 results of Eq. 5; for deterministic
 // service (cv2 = 0) the required rate is noticeably lower, which the
 // cv2-aware frequency policy converts into extra energy savings.
+//
+// The policy calls only the static required_service_rate.  The instance
+// API is kept on purpose as the test oracle that
+// Mg1.RequiredServiceRateInvertsDelay and Mg1SimProperty check the policy's
+// rate and the simulated queue against.
 #pragma once
 
 #include "common/units.hpp"

@@ -3,8 +3,9 @@
 // "In the active state, where the exponential distribution is used to
 // describe frame arrivals and service times, the behavior of the system can
 // be modeled using [an] M/M/1 queue model."  The policy uses the mean
-// total-delay formula; the tests use the rest to validate the simulator
-// against theory.
+// total-delay formula (the static required_service_rate).  The instance
+// API is kept on purpose as the test oracle: the Mm1 tests and
+// Mm1SimProperty check the simulator and required_service_rate against it.
 #pragma once
 
 #include "common/units.hpp"

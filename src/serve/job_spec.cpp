@@ -2,10 +2,7 @@
 
 #include <climits>
 #include <cstdint>
-#include <fstream>
-#include <ostream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/scenario.hpp"
@@ -154,11 +151,6 @@ JobSpec JobSpec::parse(const json::Value& doc, const std::string& fallback_id) {
   return spec;
 }
 
-JobSpec JobSpec::parse_text(const std::string& text,
-                            const std::string& fallback_id) {
-  return parse(*json::parse(text), fallback_id);
-}
-
 JobSpec JobSpec::parse_file(const std::string& path) {
   std::string stem = path;
   if (const auto slash = stem.find_last_of('/'); slash != std::string::npos) {
@@ -229,53 +221,6 @@ const core::ScenarioSpec* JobSpec::spec_scenario() const {
 
 const dvs::fleet::FleetSpec* JobSpec::spec_fleet() const {
   return dvs::fleet::find_fleet(fleet.name);
-}
-
-void JobSpec::write_json(std::ostream& os) const {
-  std::ostringstream body;
-  body << "{\n"
-       << "  \"schema\": \"" << kJobSchema << "\",\n"
-       << "  \"id\": \"" << json::escape(id) << "\",\n"
-       << "  \"kind\": \"" << to_string(kind) << "\",\n";
-  if (seed_set) body << "  \"seed\": " << seed << ",\n";
-  body << "  \"jobs\": " << jobs << ",\n"
-       << "  \"checkpoint_every\": " << checkpoint_every << ",\n";
-  switch (kind) {
-    case JobKind::Run:
-      body << "  \"run\": {\n"
-           << "    \"media\": \"" << json::escape(run.media) << "\",\n"
-           << "    \"sequence\": \"" << json::escape(run.sequence) << "\",\n"
-           << "    \"clip\": \"" << json::escape(run.clip) << "\",\n"
-           << "    \"seconds\": " << run.seconds << ",\n"
-           << "    \"session\": " << (run.session ? "true" : "false") << ",\n"
-           << "    \"cycles\": " << run.cycles << ",\n"
-           << "    \"detector\": \"" << json::escape(run.detector) << "\",\n"
-           << "    \"policy\": \"" << json::escape(run.policy) << "\",\n"
-           << "    \"dpm\": \"" << json::escape(run.dpm) << "\",\n"
-           << "    \"dpm_delay\": " << run.dpm_delay << ",\n"
-           << "    \"delay\": " << run.delay << ",\n"
-           << "    \"cv2\": " << run.cv2 << ",\n"
-           << "    \"faults\": \"" << json::escape(run.faults) << "\"\n"
-           << "  }\n";
-      break;
-    case JobKind::Sweep:
-      body << "  \"sweep\": {\n"
-           << "    \"scenario\": \"" << json::escape(sweep.scenario) << "\",\n"
-           << "    \"replicates\": " << sweep.replicates << ",\n"
-           << "    \"faults\": \"" << json::escape(sweep.faults) << "\",\n"
-           << "    \"policy\": \"" << json::escape(sweep.policy) << "\"\n"
-           << "  }\n";
-      break;
-    case JobKind::Fleet:
-      body << "  \"fleet\": {\n"
-           << "    \"name\": \"" << json::escape(fleet.name) << "\",\n"
-           << "    \"devices\": " << fleet.devices << ",\n"
-           << "    \"shard_size\": " << fleet.shard_size << "\n"
-           << "  }\n";
-      break;
-  }
-  body << "}\n";
-  os << body.str();
 }
 
 }  // namespace dvs::serve

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "common/json.hpp"
@@ -106,8 +105,6 @@ struct JobSpec {
   /// Throws std::invalid_argument on schema violations and unresolvable
   /// names, json::ParseError on malformed JSON.
   static JobSpec parse(const json::Value& doc, const std::string& fallback_id);
-  static JobSpec parse_text(const std::string& text,
-                            const std::string& fallback_id);
   static JobSpec parse_file(const std::string& path);
 
   /// Checks the active section's names and values — the one validator of
@@ -119,11 +116,6 @@ struct JobSpec {
   /// not of that kind or the name is unknown).
   [[nodiscard]] const core::ScenarioSpec* spec_scenario() const;
   [[nodiscard]] const dvs::fleet::FleetSpec* spec_fleet() const;
-
-  /// Writes the job back out as a dvs-job-v1 document (only the active
-  /// section, only non-default fields omitted = false: everything explicit
-  /// so round trips are self-describing).
-  void write_json(std::ostream& os) const;
 };
 
 }  // namespace dvs::serve

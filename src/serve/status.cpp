@@ -4,6 +4,7 @@
 #include <climits>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -169,8 +170,11 @@ DoneJobs load_done_jobs(const std::string& root) {
 obs::MetricsRegistry fold_daemon_metrics(const DoneJobs& done,
                                          std::size_t failed_jobs) {
   obs::MetricsRegistry reg;
-  // Families exist from the first scrape, even with nothing completed yet;
-  // delay shapes match the engine's frames.delay_s histogram.
+  // Families exist from the first scrape, even with nothing completed yet.
+  // The delays arrive as sketches, never as single samples, so the fold
+  // cannot count out-of-range ones: the delay summaries are registered
+  // unbounded, which keeps their always-zero _clamped family out of
+  // metrics.om.
   reg.counter("serve.jobs_done") = 0;
   reg.counter("serve.jobs_failed") = 0;
   reg.counter("serve.jobs_unsummarized") = 0;
@@ -179,10 +183,11 @@ obs::MetricsRegistry fold_daemon_metrics(const DoneJobs& done,
   reg.counter("serve.units_executed") = 0;
   reg.counter("serve.units_restored") = 0;
   reg.gauge("serve.energy_j") = 0.0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   obs::HistogramMetric& frame_delay =
-      reg.histogram("serve.frame_delay_s", 0.0, 2.0);
+      reg.histogram("serve.frame_delay_s", -kInf, kInf);
   obs::HistogramMetric& device_delay =
-      reg.histogram("serve.device_delay_s", 0.0, 2.0);
+      reg.histogram("serve.device_delay_s", -kInf, kInf);
 
   for (const auto& [stem, summary] : done) {
     ++reg.counter("serve.jobs_done");

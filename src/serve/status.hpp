@@ -126,7 +126,10 @@ DoneJobs load_done_jobs(const std::string& root);
 obs::MetricsRegistry fold_daemon_metrics(const DoneJobs& done,
                                          std::size_t failed_jobs);
 
-/// The cold fold: load_done_jobs(root) and the failed/ job count.
+/// The cold fold: load_done_jobs(root) and the failed/ job count.  The
+/// daemon folds from memory; this is kept for the repo benchmark's final
+/// refold and as the oracle of the cold-refold tests (daemon_test,
+/// status_test) that the live fold must match.
 obs::MetricsRegistry collect_daemon_metrics(const std::string& root);
 
 }  // namespace dvs::serve

@@ -6,17 +6,6 @@
 
 namespace dvs::workload {
 
-RateSchedule::RateSchedule(std::vector<Segment> segments)
-    : segments_(std::move(segments)) {
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    DVS_CHECK_MSG(segments_[i].rate.value() > 0.0, "RateSchedule: rate must be > 0");
-    if (i > 0) {
-      DVS_CHECK_MSG(segments_[i].start >= segments_[i - 1].start,
-                    "RateSchedule: starts must be non-decreasing");
-    }
-  }
-}
-
 void RateSchedule::append(Seconds start, Hertz rate) {
   DVS_CHECK_MSG(rate.value() > 0.0, "RateSchedule: rate must be > 0");
   if (!segments_.empty()) {

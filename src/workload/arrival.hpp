@@ -28,9 +28,6 @@ class RateSchedule {
     Hertz rate;
   };
 
-  RateSchedule() = default;
-  explicit RateSchedule(std::vector<Segment> segments);
-
   /// Appends a segment; starts must be non-decreasing and rates positive.
   void append(Seconds start, Hertz rate);
 

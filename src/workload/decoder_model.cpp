@@ -50,16 +50,6 @@ PiecewiseLinear DecoderModel::performance_curve(const hw::Sa1100& cpu) const {
   return PiecewiseLinear{std::move(pts)};
 }
 
-PiecewiseLinear DecoderModel::rate_curve(const hw::Sa1100& cpu) const {
-  std::vector<PiecewiseLinear::Point> pts;
-  pts.reserve(cpu.num_steps());
-  for (const auto& step : cpu.steps()) {
-    pts.emplace_back(step.frequency.value(),
-                     mean_decode_rate(step.frequency).value());
-  }
-  return PiecewiseLinear{std::move(pts)};
-}
-
 Seconds DecoderModel::normalize_to_max(Seconds observed, MegaHertz f) const {
   return observed * performance_ratio(f);
 }

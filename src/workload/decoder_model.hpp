@@ -54,9 +54,6 @@ class DecoderModel {
   /// based on the application frequency-performance tradeoff curve").
   [[nodiscard]] PiecewiseLinear performance_curve(const hw::Sa1100& cpu) const;
 
-  /// Same, but with absolute decode rates as y values.
-  [[nodiscard]] PiecewiseLinear rate_curve(const hw::Sa1100& cpu) const;
-
   /// Normalizes a decode time observed at frequency f to the equivalent
   /// decode time at the top frequency: t_max = t_obs * performance_ratio(f).
   /// The service-rate detector runs on these normalized samples so its

@@ -29,8 +29,6 @@ MpegWork::MpegWork(Weights w, double content_sigma)
   mean_ = sum / static_cast<double>(kGop.size());
 }
 
-char MpegWork::frame_type_at(std::size_t i) const { return kGop[i % kGop.size()]; }
-
 double MpegWork::cv2() const {
   // GOP pattern: discrete distribution over the normalized weights.
   double sum_sq = 0.0;

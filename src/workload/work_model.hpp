@@ -72,10 +72,6 @@ class MpegWork final : public WorkModel {
   [[nodiscard]] std::string name() const override { return "mpeg-work"; }
   void reset() override { pos_ = 0; }
 
-  /// The frame type at GOP position i (for tests and trace labelling).
-  [[nodiscard]] char frame_type_at(std::size_t i) const;
-  [[nodiscard]] std::size_t gop_length() const { return kGop.size(); }
-
   /// Exact analytic cv2: GOP pattern variance composed with the lognormal
   /// content noise, (1 + cv2_gop)(1 + cv2_noise) - 1.
   [[nodiscard]] double cv2() const override;

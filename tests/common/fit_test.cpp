@@ -32,7 +32,7 @@ TEST(Fit, JitteredExponentialHasModerateError) {
   std::vector<double> sample;
   const double rate = 25.0;
   for (int i = 0; i < 20000; ++i) {
-    const double jitter = rng.lognormal(-0.5 * 0.6 * 0.6, 0.6);
+    const double jitter = std::exp(rng.normal(-0.5 * 0.6 * 0.6, 0.6));
     sample.push_back(rng.exponential(rate) * jitter);
   }
   const ExponentialFit fit = fit_exponential(sample);

@@ -30,46 +30,11 @@ TEST(PiecewiseLinear, RejectsBadKnots) {
   EXPECT_THROW((void)(PiecewiseLinear({{2.0, 0.0}, {1.0, 1.0}})), std::invalid_argument);
 }
 
-TEST(PiecewiseLinear, InverseRoundTrips) {
-  const PiecewiseLinear f = make_curve();
-  for (double x : {0.0, 0.3, 0.9, 1.5, 2.7, 3.0}) {
-    EXPECT_NEAR(f.inverse(f(x)), x, 1e-12);
-  }
-}
-
-TEST(PiecewiseLinear, InverseOfDecreasingCurve) {
-  const PiecewiseLinear f{{0.0, 10.0}, {1.0, 4.0}, {2.0, 0.0}};
-  EXPECT_FALSE(f.increasing());
-  EXPECT_TRUE(f.strictly_monotone());
-  EXPECT_NEAR(f.inverse(7.0), 0.5, 1e-12);
-  EXPECT_NEAR(f.inverse(2.0), 1.5, 1e-12);
-  // Clamps.
-  EXPECT_DOUBLE_EQ(f.inverse(11.0), 0.0);
-  EXPECT_DOUBLE_EQ(f.inverse(-1.0), 2.0);
-}
-
-TEST(PiecewiseLinear, InverseClampsAtEnds) {
-  const PiecewiseLinear f = make_curve();
-  EXPECT_DOUBLE_EQ(f.inverse(-3.0), 0.0);
-  EXPECT_DOUBLE_EQ(f.inverse(25.0), 3.0);
-}
-
-TEST(PiecewiseLinear, NonMonotoneInverseThrows) {
-  const PiecewiseLinear f{{0.0, 0.0}, {1.0, 5.0}, {2.0, 3.0}};
-  EXPECT_FALSE(f.strictly_monotone());
-  EXPECT_THROW((void)(f.inverse(4.0)), std::logic_error);
-}
-
 TEST(PiecewiseLinear, FlatSegmentIsNotStrictlyMonotone) {
   const PiecewiseLinear f{{0.0, 1.0}, {1.0, 1.0}, {2.0, 2.0}};
   EXPECT_FALSE(f.strictly_monotone());
-}
-
-TEST(PiecewiseLinear, ScaledY) {
-  const PiecewiseLinear f = make_curve();
-  const PiecewiseLinear g = f.scaled_y(0.5);
-  EXPECT_DOUBLE_EQ(g(2.0), 7.5);
-  EXPECT_DOUBLE_EQ(g.x_min(), f.x_min());
+  const PiecewiseLinear up_down{{0.0, 0.0}, {1.0, 5.0}, {2.0, 3.0}};
+  EXPECT_FALSE(up_down.strictly_monotone());
 }
 
 TEST(PiecewiseLinear, Accessors) {
@@ -80,6 +45,9 @@ TEST(PiecewiseLinear, Accessors) {
   EXPECT_DOUBLE_EQ(f.y_at_x_min(), 0.0);
   EXPECT_DOUBLE_EQ(f.y_at_x_max(), 20.0);
   EXPECT_TRUE(f.increasing());
+  const PiecewiseLinear down{{0.0, 10.0}, {1.0, 4.0}, {2.0, 0.0}};
+  EXPECT_FALSE(down.increasing());
+  EXPECT_TRUE(down.strictly_monotone());
 }
 
 }  // namespace

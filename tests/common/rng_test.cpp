@@ -99,9 +99,9 @@ TEST(Rng, LognormalUnitMeanConstruction) {
   Rng rng{23};
   RunningStats stats;
   const double sigma = 0.3;
-  // exp(N(-s^2/2, s)) has mean 1.
+  // exp(N(-s^2/2, s)) has mean 1: the workload's jitter and content noise.
   for (int i = 0; i < 200000; ++i) {
-    stats.add(rng.lognormal(-0.5 * sigma * sigma, sigma));
+    stats.add(std::exp(rng.normal(-0.5 * sigma * sigma, sigma)));
   }
   EXPECT_NEAR(stats.mean(), 1.0, 0.02);
 }
@@ -111,17 +111,6 @@ TEST(Rng, BernoulliFrequency) {
   int hits = 0;
   for (int i = 0; i < 100000; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / 100000.0, 0.3, 0.01);
-}
-
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng parent{31};
-  Rng child = parent.split();
-  // Child differs from the parent's continued stream.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.next_u64() == child.next_u64()) ++same;
-  }
-  EXPECT_LT(same, 2);
 }
 
 TEST(Rng, ShuffleIsPermutation) {

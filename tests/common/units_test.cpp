@@ -62,12 +62,5 @@ TEST(Units, EventsIn) {
   EXPECT_DOUBLE_EQ(events_in(hertz(25.0), seconds(4.0)), 100.0);
 }
 
-TEST(Units, ToStringIncludesUnit) {
-  EXPECT_NE(to_string(seconds(1.5)).find("s"), std::string::npos);
-  EXPECT_NE(to_string(megahertz(59.0)).find("MHz"), std::string::npos);
-  EXPECT_NE(to_string(volts(0.86)).find("V"), std::string::npos);
-  EXPECT_NE(to_string(milliwatts(400.0)).find("mW"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace dvs

@@ -111,14 +111,14 @@ TEST(ScenarioSpec, TraceSeedSharedAcrossDetectorsUniqueEngineSeeds) {
   // all detectors see the same trace seed; across replicates it differs.
   for (const RunPoint& p : pts) {
     const RunPoint& ref = pts[static_cast<std::size_t>(p.replicate)];
-    EXPECT_EQ(p.trace_seed, ref.trace_seed) << p.label();
+    EXPECT_EQ(p.trace_seed, ref.trace_seed) << "point " << p.index;
   }
   EXPECT_NE(pts[0].trace_seed, pts[1].trace_seed);
 
   // Engine seeds are an independent substream, unique per point.
   std::unordered_set<std::uint64_t> engine_seeds;
   for (const RunPoint& p : pts) {
-    EXPECT_TRUE(engine_seeds.insert(p.engine_seed).second) << p.label();
+    EXPECT_TRUE(engine_seeds.insert(p.engine_seed).second) << "point " << p.index;
     EXPECT_NE(p.engine_seed, p.trace_seed);
   }
 }

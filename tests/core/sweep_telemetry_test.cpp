@@ -314,7 +314,7 @@ TEST(EngineTelemetry, SimTimeCadenceProducesPeriodicSnapshots) {
   // The registry is sealed before the closing snapshot is written (the
   // closing line carries the registry, so it cannot self-include), hence
   // the counter reads one fewer than the JSONL line count.
-  EXPECT_EQ(reg.counter_value("telemetry.snapshots"), ts.size() - 1);
+  EXPECT_EQ(reg.counters().at("telemetry.snapshots"), ts.size() - 1);
 
   // The cadence chain ticks every 2 sim-seconds until the last scheduled
   // item ends; one final end-of-run snapshot then closes the series at

@@ -160,9 +160,9 @@ TEST(SweepRunner, FeedsMetricsRegistryAndProgressCallback) {
   EXPECT_EQ(seen.load(), static_cast<int>(spec.num_points()));
   EXPECT_EQ(res.points.size(), spec.num_points());
   EXPECT_EQ(res.cells.size(), spec.num_cells());
-  EXPECT_EQ(registry.counter_value("sweep.points"),
+  EXPECT_EQ(registry.counters().at("sweep.points"),
             static_cast<std::uint64_t>(spec.num_points()));
-  EXPECT_EQ(registry.counter_value("sweep.cells"),
+  EXPECT_EQ(registry.counters().at("sweep.cells"),
             static_cast<std::uint64_t>(spec.num_cells()));
   EXPECT_EQ(registry.gauge_value("sweep.jobs"), 2.0);
   const obs::HistogramMetric* energy =
@@ -258,17 +258,6 @@ TEST(SweepRunner, RestoringEveryPointOfAWorkloadIsByteIdentical) {
     EXPECT_EQ(res.units.restored, checkpoint.size());
     EXPECT_EQ(csvs_of(res), full) << "oracle " << oracle;
   }
-}
-
-TEST(SweepResult, FindCellLocatesByPredicate) {
-  const ScenarioSpec spec = tiny_spec();
-  const SweepResult res = SweepRunner{}.run(spec);
-  const CellResult* max_cell = res.find_cell([](const CellResult& c) {
-    return c.point.detector == DetectorKind::Max;
-  });
-  ASSERT_NE(max_cell, nullptr);
-  EXPECT_EQ(max_cell->point.detector, DetectorKind::Max);
-  EXPECT_EQ(res.find_cell([](const CellResult&) { return false; }), nullptr);
 }
 
 }  // namespace

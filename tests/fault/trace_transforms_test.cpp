@@ -167,14 +167,5 @@ TEST(TraceTransforms, SameSeedSameResultDifferentSeedDiverges) {
   EXPECT_TRUE(differs);
 }
 
-TEST(TraceTransforms, FaultKindNamesAreStable) {
-  EXPECT_EQ(fault_kind(RateSpike{}), "rate_spike");
-  EXPECT_EQ(fault_kind(RateStep{}), "rate_step");
-  EXPECT_EQ(fault_kind(BurstArrivals{}), "burst_arrivals");
-  EXPECT_EQ(fault_kind(HeavyTailWork{}), "heavy_tail_work");
-  EXPECT_EQ(fault_kind(TruncateTrace{}), "truncate_trace");
-  EXPECT_EQ(fault_kind(CorruptWork{}), "corrupt_work");
-}
-
 }  // namespace
 }  // namespace dvs::fault

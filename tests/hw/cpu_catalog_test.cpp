@@ -43,7 +43,7 @@ TEST(CpuCatalog, BadgeAcceptsCustomCpu) {
   SmartBadge badge{crusoe_like()};
   EXPECT_NEAR(badge.cpu().max_frequency().value(), 667.0, 1e-9);
   // CPU component active power re-pointed to the custom part.
-  badge.set_state(BadgeComponentId::Cpu, PowerState::Active, seconds(0.0));
+  badge.component(BadgeComponentId::Cpu).set_state(PowerState::Active, seconds(0.0));
   EXPECT_NEAR(badge.component(BadgeComponentId::Cpu).current_power().value(),
               1500.0, 1e-9);
   // Step changes still work and scale idle power.

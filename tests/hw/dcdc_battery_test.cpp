@@ -17,7 +17,6 @@ TEST(DcDc, InputExceedsOutputByLoss) {
   const MilliWatts load = milliwatts(1000.0);
   const MilliWatts in = conv.input_power(load);
   EXPECT_GT(in, load);
-  EXPECT_NEAR((in - load).value(), conv.loss(load).value(), 1e-9);
 }
 
 TEST(DcDc, ZeroLoadZeroInput) {

@@ -69,9 +69,6 @@ TEST(Sa1100, StepLookups) {
   EXPECT_EQ(cpu.step_at_or_above(megahertz(59.0)), 0u);
   EXPECT_EQ(cpu.step_at_or_above(megahertz(60.0)), 1u);
   EXPECT_EQ(cpu.step_at_or_above(megahertz(1000.0)), cpu.num_steps() - 1);
-  EXPECT_EQ(cpu.step_at_or_below(megahertz(60.0)), 0u);
-  EXPECT_EQ(cpu.step_at_or_below(megahertz(221.25)), cpu.num_steps() - 1);
-  EXPECT_EQ(cpu.step_at_or_below(megahertz(1.0)), 0u);
 }
 
 TEST(Sa1100, SwitchLatencyIsMicroseconds) {

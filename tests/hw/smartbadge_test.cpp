@@ -48,7 +48,7 @@ TEST(SmartBadge, StartsAtTopStepAllIdle) {
 
 TEST(SmartBadge, CpuStepChangesPowerAndVoltage) {
   SmartBadge badge;
-  badge.set_state(BadgeComponentId::Cpu, PowerState::Active, seconds(0.0));
+  badge.component(BadgeComponentId::Cpu).set_state(PowerState::Active, seconds(0.0));
   const MilliWatts p_top = badge.component(BadgeComponentId::Cpu).current_power();
   const Seconds lat = badge.set_cpu_step(0, seconds(1.0));
   EXPECT_NEAR(lat.value(), 150e-6, 1e-12);
@@ -95,7 +95,7 @@ TEST(SmartBadge, FinishWakeupsOnlyCompletesDueOnes) {
 
 TEST(SmartBadge, TotalEnergySumsComponents) {
   SmartBadge badge;
-  badge.set_state(BadgeComponentId::Cpu, PowerState::Active, seconds(0.0));
+  badge.component(BadgeComponentId::Cpu).set_state(PowerState::Active, seconds(0.0));
   const Joules total = badge.total_energy(seconds(10.0));
   Joules sum{0.0};
   for (std::size_t i = 0; i < badge.num_components(); ++i) {

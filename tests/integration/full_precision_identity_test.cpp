@@ -118,7 +118,7 @@ TEST(FullPrecisionIdentity, FourJobsMatchTheReference) {
 
   std::string actual;
   for (const IdentityJob& job : kJobs) {
-    const JobSpec spec = JobSpec::parse_text(job.json, job.id);
+    const JobSpec spec = JobSpec::parse(*json::parse(job.json), job.id);
     actual += "## " + spec.id + "\n";
     actual += spec.kind == JobKind::Run
                   ? run_records(spec, tmp)

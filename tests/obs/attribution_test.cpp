@@ -5,12 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "common/json.hpp"
 
 namespace dvs::obs {
 namespace {
+
+/// The ledger as the report subcommand reads it: its write_json document.
+json::ValuePtr ledger_doc(const AttributionLedger& l) {
+  std::ostringstream os;
+  l.write_json(os);
+  return json::parse(os.str());
+}
 
 TEST(AttributionLedger, StartsEmptyAndNominal) {
   AttributionLedger l;
@@ -28,12 +37,13 @@ TEST(AttributionLedger, ChargesAccumulateIntoOneCellPerKey) {
   l.charge_energy("CPU", "active", 2.0, 0.25);
   l.charge_energy("CPU", "idle", 4.0, 3.0);
 
-  const auto rows = l.energy_entries();
+  const json::ValuePtr doc = ledger_doc(l);
+  const auto& rows = doc->at("energy").as_array();
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].state, "active");
-  EXPECT_DOUBLE_EQ(rows[0].energy_j, 3.0);
-  EXPECT_DOUBLE_EQ(rows[0].time_s, 0.75);
-  EXPECT_EQ(rows[1].state, "idle");
+  EXPECT_EQ(rows[0]->at("state").as_string(), "active");
+  EXPECT_DOUBLE_EQ(rows[0]->at("energy_j").as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(rows[0]->at("time_s").as_number(), 0.75);
+  EXPECT_EQ(rows[1]->at("state").as_string(), "idle");
   EXPECT_DOUBLE_EQ(l.total_energy_j(), 7.0);
 }
 
@@ -45,12 +55,15 @@ TEST(AttributionLedger, CauseAndStepSplitKeys) {
   l.set_freq_step(3);
   l.charge_energy("CPU", "active", 4.0, 1.0);
 
-  const auto rows = l.energy_entries();
+  const json::ValuePtr doc = ledger_doc(l);
+  const auto& rows = doc->at("energy").as_array();
   ASSERT_EQ(rows.size(), 3u);
-  const auto by_cause = l.energy_by_cause();
-  EXPECT_DOUBLE_EQ(by_cause[static_cast<std::size_t>(Cause::Nominal)], 1.0);
-  EXPECT_DOUBLE_EQ(by_cause[static_cast<std::size_t>(Cause::DetectorChange)],
-                   6.0);
+  std::map<std::string, double> by_cause;
+  for (const auto& r : rows) {
+    by_cause[r->at("cause").as_string()] += r->at("energy_j").as_number();
+  }
+  EXPECT_DOUBLE_EQ(by_cause[to_string(Cause::Nominal)], 1.0);
+  EXPECT_DOUBLE_EQ(by_cause[to_string(Cause::DetectorChange)], 6.0);
 }
 
 TEST(AttributionLedger, DelayChargesCountFrames) {
@@ -62,11 +75,12 @@ TEST(AttributionLedger, DelayChargesCountFrames) {
 
   EXPECT_DOUBLE_EQ(l.total_delay_s(), 0.9);
   EXPECT_EQ(l.total_frames(), 3u);
-  const auto rows = l.delay_entries();
+  const json::ValuePtr doc = ledger_doc(l);
+  const auto& rows = doc->at("delay").as_array();
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].media, "mp3");
-  EXPECT_EQ(rows[0].frames, 2u);
-  EXPECT_EQ(rows[1].cause, Cause::WatchdogEscalate);
+  EXPECT_EQ(rows[0]->at("media").as_string(), "mp3");
+  EXPECT_EQ(rows[0]->at("frames").as_number(), 2.0);
+  EXPECT_EQ(rows[1]->at("cause").as_string(), to_string(Cause::WatchdogEscalate));
 }
 
 TEST(AttributionCause, NamesAreStable) {
@@ -88,9 +102,7 @@ TEST(AttributionLedger, JsonRoundTripsThroughTheReportReader) {
   l.charge_energy("CPU", "standby", 0.5, 2.0);
   l.charge_delay("mp3", 0.25);
 
-  std::ostringstream os;
-  l.write_json(os);
-  const json::ValuePtr doc = json::parse(os.str());
+  const json::ValuePtr doc = ledger_doc(l);
   EXPECT_EQ(doc->at("schema").as_string(), "dvs-ledger-v1");
   EXPECT_EQ(doc->at("totals").at("energy_j").as_number(), l.total_energy_j());
   EXPECT_EQ(doc->at("totals").at("delay_s").as_number(), l.total_delay_s());

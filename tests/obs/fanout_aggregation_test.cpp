@@ -88,8 +88,8 @@ TEST(MetricsAggregation, SharedRegistryEqualsMergeOfReplicateRegistries) {
        {"frames_arrived", "frames_decoded", "cpu_switches",
         "sim.events_executed", "flight.records"}) {
     std::uint64_t sum = 0;
-    for (const auto& s : singles) sum += s.counter_value(name);
-    EXPECT_EQ(merged.counter_value(name), sum) << name;
+    for (const auto& s : singles) sum += s.counters().at(name);
+    EXPECT_EQ(merged.counters().at(name), sum) << name;
     EXPECT_GT(sum, 0u) << name;
   }
 

@@ -11,13 +11,13 @@ namespace {
 TEST(MetricsRegistry, CountersGetOrCreateAndAccumulate) {
   MetricsRegistry reg;
   EXPECT_TRUE(reg.empty());
-  EXPECT_EQ(reg.counter_value("frames"), 0u);
+  EXPECT_EQ(reg.counters().count("frames"), 0u);
 
   std::uint64_t& c = reg.counter("frames");
   EXPECT_EQ(c, 0u);
   ++c;
   reg.counter("frames") += 2;
-  EXPECT_EQ(reg.counter_value("frames"), 3u);
+  EXPECT_EQ(reg.counters().at("frames"), 3u);
   EXPECT_FALSE(reg.empty());
 }
 

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/sinks.hpp"
 
 namespace dvs::obs {
@@ -44,6 +46,13 @@ class ProbeTest : public ::testing::Test {
     const std::vector<FlightRecord> snap = flight_.snapshot();
     EXPECT_LT(i, snap.size());
     return i < snap.size() ? snap[i] : FlightRecord{};
+  }
+
+  /// The ledger as the report subcommand reads it: its write_json document.
+  json::ValuePtr ledger_doc() const {
+    std::ostringstream os;
+    ledger_.write_json(os);
+    return json::parse(os.str());
   }
 
   static void expect_record(const FlightRecord& r, FlightEventType type,
@@ -121,9 +130,11 @@ TEST_F(ProbeTest, DecodeDone) {
   EXPECT_DOUBLE_EQ(e.delay_s, 0.3);
   EXPECT_EQ(e.queue_len, 2u);
   expect_record(flight_at(0), FlightEventType::DecodeDone, 0, 0.3F, 2.0F);
-  ASSERT_EQ(ledger_.delay_entries().size(), 1u);
-  EXPECT_EQ(ledger_.delay_entries()[0].media, "mp3-audio");
-  EXPECT_EQ(ledger_.delay_entries()[0].cause, Cause::Nominal);
+  const json::ValuePtr doc = ledger_doc();
+  const auto& delay = doc->at("delay").as_array();
+  ASSERT_EQ(delay.size(), 1u);
+  EXPECT_EQ(delay[0]->at("media").as_string(), "mp3-audio");
+  EXPECT_EQ(delay[0]->at("cause").as_string(), to_string(Cause::Nominal));
   EXPECT_DOUBLE_EQ(ledger_.total_delay_s(), 0.3);
   EXPECT_DOUBLE_EQ(metrics_.find_histogram("frames.delay_s")->mean(), 0.3);
   EXPECT_DOUBLE_EQ(metrics_.find_histogram("frames.decode_s")->mean(), 0.02);
@@ -154,7 +165,7 @@ TEST_F(ProbeTest, DetectorDecisionWithoutChange) {
   EXPECT_FALSE(e.detected);
   EXPECT_DOUBLE_EQ(e.rate_hz, 30.0);
   EXPECT_EQ(ledger_.cause(), Cause::Nominal);
-  EXPECT_EQ(metrics_.counter_value("detector.decisions"), 1u);
+  EXPECT_EQ(metrics_.counters().at("detector.decisions"), 1u);
   EXPECT_EQ(metrics_.counters().count("detector.changes"), 0u);
   EXPECT_EQ(flight_.records_stored(), 0u);
 }
@@ -165,8 +176,8 @@ TEST_F(ProbeTest, DetectedChangeFeedsCauseAndLatencyOnce) {
                            Hertz{20.0});
   EXPECT_TRUE(only_event<DetectorDecision>().detected);
   EXPECT_EQ(ledger_.cause(), Cause::DetectorChange);
-  EXPECT_EQ(metrics_.counter_value("detector.decisions"), 1u);
-  EXPECT_EQ(metrics_.counter_value("detector.changes"), 1u);
+  EXPECT_EQ(metrics_.counters().at("detector.decisions"), 1u);
+  EXPECT_EQ(metrics_.counters().at("detector.changes"), 1u);
   const HistogramMetric* latency =
       metrics_.find_histogram("detector.detection_latency_s");
   ASSERT_EQ(latency->count(), 1u);
@@ -175,7 +186,7 @@ TEST_F(ProbeTest, DetectedChangeFeedsCauseAndLatencyOnce) {
   probe_.detector_decision(Seconds{20.0}, "arrival", 9.0, 4.0, true,
                            Hertz{20.0});
   EXPECT_EQ(latency->count(), 1u);
-  EXPECT_EQ(metrics_.counter_value("detector.changes"), 2u);
+  EXPECT_EQ(metrics_.counters().at("detector.changes"), 2u);
 }
 
 TEST_F(ProbeTest, FreqCommitMovesTheLedgerStep) {
@@ -291,16 +302,17 @@ TEST_F(ProbeTest, AccrualChargesTheLedgerUnderTheCurrentKey) {
   const std::string name = "wlan";
   probe_.accrual(name, PowerState::Idle, false, Joules{0.5}, Seconds{2.0});
   probe_.accrual(name, PowerState::Idle, true, Joules{0.25}, Seconds{0.1});
-  const std::vector<EnergyEntry> rows = ledger_.energy_entries();
+  const json::ValuePtr doc = ledger_doc();
+  const auto& rows = doc->at("energy").as_array();
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].component, "wlan");
-  EXPECT_EQ(rows[0].state, "idle");
-  EXPECT_EQ(rows[0].freq_step, 3u);
-  EXPECT_EQ(rows[0].cause, Cause::DpmSleep);
-  EXPECT_DOUBLE_EQ(rows[0].energy_j, 0.5);
-  EXPECT_DOUBLE_EQ(rows[0].time_s, 2.0);
-  EXPECT_EQ(rows[1].state, "wake");
-  EXPECT_DOUBLE_EQ(rows[1].energy_j, 0.25);
+  EXPECT_EQ(rows[0]->at("component").as_string(), "wlan");
+  EXPECT_EQ(rows[0]->at("state").as_string(), "idle");
+  EXPECT_EQ(rows[0]->at("freq_step").as_number(), 3.0);
+  EXPECT_EQ(rows[0]->at("cause").as_string(), to_string(Cause::DpmSleep));
+  EXPECT_DOUBLE_EQ(rows[0]->at("energy_j").as_number(), 0.5);
+  EXPECT_DOUBLE_EQ(rows[0]->at("time_s").as_number(), 2.0);
+  EXPECT_EQ(rows[1]->at("state").as_string(), "wake");
+  EXPECT_DOUBLE_EQ(rows[1]->at("energy_j").as_number(), 0.25);
   EXPECT_DOUBLE_EQ(ledger_.total_energy_j(), 0.75);
 }
 

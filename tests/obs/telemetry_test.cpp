@@ -251,8 +251,8 @@ TEST(RegistryMerge, CountersAddHistogramsFoldGaugesSkipped) {
   bo.add(2.5);  // overflow
 
   a.merge_from(b);
-  EXPECT_EQ(a.counter_value("events"), 17u);
-  EXPECT_EQ(a.counter_value("only_b"), 3u);
+  EXPECT_EQ(a.counters().at("events"), 17u);
+  EXPECT_EQ(a.counters().at("only_b"), 3u);
   EXPECT_DOUBLE_EQ(a.gauge_value("last_power"), 5.0);  // gauges skipped
   const HistogramMetric* d = a.find_histogram("delay");
   ASSERT_NE(d, nullptr);

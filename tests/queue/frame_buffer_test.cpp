@@ -32,13 +32,6 @@ TEST(FrameBuffer, BoundedBufferTailDrops) {
   EXPECT_EQ(buf.total_pushed(), 2u);
 }
 
-TEST(FrameBuffer, HeadArrival) {
-  FrameBuffer buf;
-  EXPECT_THROW((void)(buf.head_arrival()), std::logic_error);
-  buf.push(frame(1, 1.5), seconds(1.5));
-  EXPECT_DOUBLE_EQ(buf.head_arrival().value(), 1.5);
-}
-
 TEST(FrameBuffer, DelayStatsFromDepartures) {
   FrameBuffer buf;
   buf.record_departure(seconds(1.0), seconds(1.1));

@@ -81,7 +81,7 @@ TEST_P(Mg1SimProperty, PollaczekKhinchineMatchesSimulation) {
     const double start = std::max(t_arrival, server_free);
     const double service = cv2 == 0.0
                                ? 1.0 / mu
-                               : rng.lognormal(mu_log, std::sqrt(sigma2));
+                               : std::exp(rng.normal(mu_log, std::sqrt(sigma2)));
     server_free = start + service;
     delays.add(server_free - t_arrival);
   }

@@ -34,10 +34,10 @@ class TempDir {
 TEST(ServeCacheWarmth, BackToBackRunJobRecomputesNothing) {
   TempDir tmp("serve_cache_run");
   // Change-point detector + TISMDP DPM: the job touches both caches.
-  const JobSpec job = JobSpec::parse_text(
-      R"({"schema": "dvs-job-v1", "kind": "run",
+  const JobSpec job = JobSpec::parse(
+      *json::parse(R"({"schema": "dvs-job-v1", "kind": "run",
           "run": {"media": "mp3", "sequence": "A",
-                  "detector": "change-point", "dpm": "tismdp"}})",
+                  "detector": "change-point", "dpm": "tismdp"}})"),
       "warm-run");
 
   JobPaths first;
@@ -67,9 +67,9 @@ TEST(ServeCacheWarmth, BackToBackRunJobRecomputesNothing) {
 
 TEST(ServeCacheWarmth, BackToBackSweepJobRecomputesNoTables) {
   TempDir tmp("serve_cache_sweep");
-  const JobSpec job = JobSpec::parse_text(
-      R"({"schema": "dvs-job-v1", "kind": "sweep",
-          "sweep": {"scenario": "quick"}})",
+  const JobSpec job = JobSpec::parse(
+      *json::parse(R"({"schema": "dvs-job-v1", "kind": "sweep",
+          "sweep": {"scenario": "quick"}})"),
       "warm-sweep");
 
   JobPaths first;

@@ -80,9 +80,9 @@ class TempDir {
 
 TEST(ServeResume, SweepRestoresByteIdenticalCsvAtAnyJobs) {
   TempDir tmp("serve_resume_sweep");
-  const JobSpec job = JobSpec::parse_text(
-      R"({"schema": "dvs-job-v1", "kind": "sweep",
-          "sweep": {"scenario": "quick"}})",
+  const JobSpec job = JobSpec::parse(
+      *json::parse(R"({"schema": "dvs-job-v1", "kind": "sweep",
+          "sweep": {"scenario": "quick"}})"),
       "sweep-resume");
 
   // Uninterrupted reference.
@@ -139,10 +139,10 @@ TEST(ServeResume, SweepRestoresByteIdenticalCsvAtAnyJobs) {
 
 TEST(ServeResume, FleetRestoresByteIdenticalCsvAtAnyJobs) {
   TempDir tmp("serve_resume_fleet");
-  const JobSpec job = JobSpec::parse_text(
-      R"({"schema": "dvs-job-v1", "kind": "fleet", "seed": 11,
+  const JobSpec job = JobSpec::parse(
+      *json::parse(R"({"schema": "dvs-job-v1", "kind": "fleet", "seed": 11,
           "fleet": {"name": "fleet_smoke", "devices": 192,
-                    "shard_size": 32}})",
+                    "shard_size": 32}})"),
       "fleet-resume");
 
   JobPaths ref;
@@ -194,9 +194,9 @@ TEST(ServeResume, OutOfRangePointRecordsRestoreNothing) {
   // fractional, or beyond 2^53.  None may count as restored, the executed
   // count must not wrap, and the CSVs must match an uninterrupted run.
   TempDir tmp("serve_resume_out_of_range");
-  const JobSpec job = JobSpec::parse_text(
-      R"({"schema": "dvs-job-v1", "kind": "sweep",
-          "sweep": {"scenario": "quick"}})",
+  const JobSpec job = JobSpec::parse(
+      *json::parse(R"({"schema": "dvs-job-v1", "kind": "sweep",
+          "sweep": {"scenario": "quick"}})"),
       "sweep-range");
   JobPaths ref;
   ref.output_dir = (tmp.path() / "ref").string();
@@ -263,9 +263,9 @@ TEST(ServeResume, MismatchedCheckpointKindIsRejected) {
     CheckpointWriter w(ckpt.string(), "other", "fleet", 1);
     w.append_shard(0, dvs::fleet::FleetShardPartial{});
   }
-  const JobSpec job = JobSpec::parse_text(
-      R"({"schema": "dvs-job-v1", "kind": "sweep",
-          "sweep": {"scenario": "quick"}})",
+  const JobSpec job = JobSpec::parse(
+      *json::parse(R"({"schema": "dvs-job-v1", "kind": "sweep",
+          "sweep": {"scenario": "quick"}})"),
       "mismatch");
   JobPaths paths;
   paths.output_dir = (tmp.path() / "out").string();
@@ -290,7 +290,7 @@ TEST(ServeResume, ReturnedSummaryFoldsLikeItsFile) {
   const auto run = [&](const char* text, const char* name) {
     JobPaths paths;
     paths.output_dir = (tmp.path() / name).string();
-    check(run_job(JobSpec::parse_text(text, name), paths, 2),
+    check(run_job(JobSpec::parse(*json::parse(text), name), paths, 2),
           paths.output_dir);
   };
   run(R"({"schema": "dvs-job-v1", "kind": "run",
@@ -306,7 +306,7 @@ TEST(ServeResume, ReturnedSummaryFoldsLikeItsFile) {
 
   // Resumed: the first attempt dies after two checkpointed points, the way
   // a crash would leave it, and the second restores them.
-  const JobSpec job = JobSpec::parse_text(sweep, "resumed");
+  const JobSpec job = JobSpec::parse(*json::parse(sweep), "resumed");
   JobPaths paths;
   paths.output_dir = (tmp.path() / "resumed").string();
   paths.checkpoint_path = (tmp.path() / "resumed.ckpt.jsonl").string();

@@ -283,6 +283,25 @@ TEST(DaemonMetrics, EmptyRootStillExposesStableFamilySet) {
   fs::remove_all(root);
 }
 
+TEST(DaemonMetrics, FoldedDelaysExposeNoClampCounter) {
+  // The fold merges sketches and never sees a single delay, so it cannot
+  // count the ones out of range: a _clamped family there would read 0 even
+  // for delays of several seconds.
+  const std::string root = temp_path("metrics_fold_unclamped");
+  JobSummary slow = make_summary("slow", 1);
+  slow.frame_delay_sketch = sample_sketch(40, 0.5);  // up to ~2.9 s
+  slow.device_delay_sketch = sample_sketch(40, 0.5);
+  write_done_tree(root, {slow});
+  const std::string text = scrape(root);
+  EXPECT_NE(text.find("dvs_serve_frame_delay_s_count 40"), std::string::npos)
+      << text;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_EQ(line.find("_clamped"), std::string::npos) << line;
+  }
+  fs::remove_all(root);
+}
+
 TEST(DaemonMetrics, SummaryLessJobStillCounts) {
   // A done/ entry whose output dir lacks job_summary.json (a pre-upgrade
   // daemon's leftovers) still counts as a completed job.

@@ -62,15 +62,6 @@ TEST(DecoderModel, PerformanceCurveIsMonotoneOverSteps) {
   }
 }
 
-TEST(DecoderModel, RateCurveMatchesMeanDecodeRate) {
-  const DecoderModel d = DecoderModel::mpeg(hertz(48.0), cpu().max_frequency());
-  const PiecewiseLinear rates = d.rate_curve(cpu());
-  for (std::size_t s = 0; s < cpu().num_steps(); ++s) {
-    EXPECT_NEAR(rates(cpu().frequency_at(s).value()),
-                d.mean_decode_rate(cpu().frequency_at(s)).value(), 1e-9);
-  }
-}
-
 TEST(DecoderModel, NormalizeToMaxInvertsFrequencyScaling) {
   const DecoderModel d = DecoderModel::mp3(hertz(100.0), cpu().max_frequency());
   const MegaHertz f = megahertz(88.5);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/stats.hpp"
 
@@ -36,12 +37,17 @@ TEST(Mp3Work, RejectsCrazySigma) {
 }
 
 TEST(MpegWork, GopPatternIsStandard) {
-  MpegWork w;
-  EXPECT_EQ(w.gop_length(), 12u);
-  EXPECT_EQ(w.frame_type_at(0), 'I');
-  EXPECT_EQ(w.frame_type_at(3), 'P');
-  EXPECT_EQ(w.frame_type_at(1), 'B');
-  EXPECT_EQ(w.frame_type_at(12), 'I');  // wraps
+  // Without content noise a frame's work is its type's weight over the GOP
+  // mean, so the work sequence spells the GOP.
+  const MpegWork::Weights weights;
+  MpegWork w{weights, 0.0};
+  Rng rng{1};
+  std::vector<double> work;
+  for (int i = 0; i < 13; ++i) work.push_back(w.next(rng));
+  EXPECT_DOUBLE_EQ(work[0] / work[1], weights.i / weights.b);  // I, then B
+  EXPECT_DOUBLE_EQ(work[3] / work[1], weights.p / weights.b);  // P at 3
+  for (int i = 1; i < 12; ++i) EXPECT_LT(work[i], work[0]) << i;  // one I
+  EXPECT_EQ(work[12], work[0]);  // the 12-frame GOP wraps
 }
 
 TEST(MpegWork, UnitMeanOverGops) {
